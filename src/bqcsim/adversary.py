@@ -163,7 +163,9 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
     # the identity branch information-theoretically hides the fourth key
     for attempt in range(256):
         oracle = RandomOracle(seed * 997 + attempt)
-        server = HonestServer(oracle, seed=seed + attempt)
+        # seeded from rng, not from seed: the helper measurement must be
+        # independent of the key sampling
+        server = HonestServer(oracle, seed=rng.getrandbits(64))
         h_pair = sample_key_pair(rng, 6)
         k2 = sample_key_pair(rng, 6)
         k3 = sample_key_pair(rng, 6)

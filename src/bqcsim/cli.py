@@ -71,8 +71,6 @@ def load_config(args) -> dict:
         cfg = parse_config(path.read_text(), cfg)
     for item in args.set or []:
         cfg = parse_config(item, cfg)
-    if args.trials is not None:
-        cfg["trials"] = args.trials
     return cfg
 
 
@@ -201,22 +199,21 @@ ATTACKS = ("free-lunch-unpermuted", "free-lunch-permuted",
 
 def cmd_attack(args) -> int:
     cfg = load_config(args)
-    trials = cfg.get("trials", 200)
     params = make_params(cfg, args.mode)
     name = args.attack
     if name == "free-lunch-unpermuted":
-        st = free_lunch_rate("unpermuted", params, trials, seed0=args.seed,
-                             guesses=cfg["guesses"])
+        st = free_lunch_rate("unpermuted", params, args.trials,
+                             seed0=args.seed, guesses=cfg["guesses"])
     elif name == "free-lunch-permuted":
-        st = free_lunch_rate("permuted", params, trials, seed0=args.seed,
-                             guesses=cfg["guesses"])
+        st = free_lunch_rate("permuted", params, args.trials,
+                             seed0=args.seed, guesses=cfg["guesses"])
     elif name == "hadamard-cheat":
         st = estimate(lambda v, s: v == "pass", MeasureThenRandomD,
-                      "pad_hadamard", params, trials, seed0=args.seed,
+                      "pad_hadamard", params, args.trials, seed0=args.seed,
                       experiment=name)
     elif name == "basis-cheat":
         st = estimate(lambda v, s: v == "pass", RandomGuessBasisTest,
-                      "basis_test", params, trials, seed0=args.seed,
+                      "basis_test", params, args.trials, seed0=args.seed,
                       experiment=name)
     else:
         raise ConfigError(f"unknown attack: {name}")
@@ -247,6 +244,9 @@ def cmd_ubqc(args) -> int:
     if not path.is_file():
         raise ConfigError(f"no such circuit file: {path}")
     circuit = parse_circuit(path)
+    shots = cfg["shots"]
+    if shots < 1:
+        raise ConfigError(f"shots={shots}: need at least 1")
 
     pipeline = make_pipeline(cfg, args.mode)
     if pipeline.L < len(circuit) + 1:
@@ -255,7 +255,6 @@ def cmd_ubqc(args) -> int:
     oracle = RandomOracle(args.seed)
     server = HonestServer(oracle, seed=args.seed + 1)
     rng = random.Random(args.seed ^ 0xC0FFEE)
-    shots = cfg["shots"]
     ones, deltas, tr = qf.succ_ubqc(oracle, pipeline, circuit, server, rng,
                                     shots=shots)
     write_out(args, "ubqc.log", tr.serialize())
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--trials", type=int)
         p.add_argument("--mode", choices=("toy", "paper"), default="toy")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--config", help="flat key=value config file")
@@ -294,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run an adversary experiment")
     p.add_argument("attack", choices=ATTACKS)
+    p.add_argument("--trials", type=int, default=200)
     common(p)
 
     p = sub.add_parser("ubqc", help="delegate a circuit end to end")

@@ -7,16 +7,17 @@ the server's Hadamard outcome on the key register.
 
 On top of the prepared qubits, ``ubqc_run`` executes a 1D-cluster
 measurement-based computation of a J-gate circuit (J(phi) = H Rz(phi)) with
-blinded measurement angles, and ``succ_ubqc`` chains the full gadget
-pipeline, the qfactory, and the cluster computation end to end. A dense
-statevector evaluator of the same circuits serves as the comparison oracle.
+blinded measurement angles, for all shots (>= 1) of a delegation in one
+numpy pass, each shot on freshly re-blinded qubits. ``succ_ubqc`` chains the
+full gadget pipeline, the qfactory, and the cluster computation end to end.
+A dense statevector evaluator of the same circuits serves as the comparison
+oracle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,87 +121,85 @@ def dense_output_prob(circuit_octants: list[int]) -> float:
 
 # -- blind 1D-cluster computation ------------------------------------------
 
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_PHASES = np.exp(-1j * OCTANT * np.arange(8))  # exp(-i*pi*delta/4) per octant
 
 
-def ubqc_run(qubits: list[PreparedQubit], circuit_octants: list[int],
-             rng) -> tuple[int, list[int], list[int]]:
-    """One blind shot of the circuit on n+1 prepared qubits.
+def reblind(qubits: list[PreparedQubit], shifts: np.ndarray):
+    """Re-blind every qubit of every shot by a random octant.
+
+    Models preparing fresh qubits for each shot without rerunning the
+    factory: ``shifts[s, i]`` is the extra Rz(k*pi/4) on qubit i in shot s,
+    which shifts its secret angle by k and leaves any preparation
+    imperfection untouched. Returns (amplitudes of shape (shots, n+1, 2),
+    angle octants of shape (shots, n+1)).
+    """
+    amps = np.empty(shifts.shape + (2,), dtype=complex)
+    amps[..., 0] = [q.alpha for q in qubits]
+    amps[..., 1] = np.array([q.beta for q in qubits]) * _PHASES[shifts].conj()
+    angles = (np.array([q.angle.index for q in qubits]) + shifts) % 8
+    return amps, angles
+
+
+def ubqc_run(amps: np.ndarray, angles: np.ndarray,
+             circuit_octants: list[int], r: np.ndarray, u: np.ndarray):
+    """All blind shots of the circuit in one pass, one row per shot.
 
     Qubit i is entangled to its successor and measured at the blinded angle
 
         delta_i = theta_i - (-1)^x * phi_i + pi*r_i
 
-    (as an octant index mod 8). Byproduct frame: x' = m xor z xor r,
-    z' = x; the final qubit is measured in Z and the output bit is
-    corrected by x. Returns (output bit, delta octants, raw outcomes).
+    (as an octant index mod 8). With e = exp(-i*pi*delta/4), CZ and the
+    projection of the carrier (c0, c1) onto (|0> +/- exp(i*delta)|1>)/sqrt(2)
+    leave ((c0 +/- e*c1)*q0, (c0 -/+ e*c1)*q1)/sqrt(2) on the next qubit. A
+    uniform u[:, i] above P(m=0) gives outcome m=1; the final Z measurement
+    gives 1 iff u[:, n] < P(1). Byproduct frame: x' = m xor z xor r, z' = x;
+    the output bit is corrected by x. Returns (output bits, delta octants,
+    raw outcomes) of shapes (shots,), (shots, n), (shots, n).
     """
-    n = len(circuit_octants)
-    if len(qubits) != n + 1:
+    shots, n = len(amps), len(circuit_octants)
+    if amps.shape[1] != n + 1:
         raise ValueError("need n+1 qubits for an n-gate circuit")
-    carrier = np.array([qubits[0].alpha, qubits[0].beta], dtype=complex)
-    x = z = 0
-    deltas: list[int] = []
-    outcomes: list[int] = []
+    c0, c1 = amps[:, 0, 0], amps[:, 0, 1]
+    x = z = np.zeros(shots, dtype=np.int64)
+    deltas = np.empty((shots, n), dtype=np.int64)
+    outcomes = np.empty((shots, n), dtype=np.int64)
     for i, phi in enumerate(circuit_octants):
-        r = rng.randrange(2)
-        sign = -1 if x == 0 else 1
-        delta = (qubits[i].angle.index + sign * phi + 4 * r) % 8
-        deltas.append(delta)
-
-        nxt = np.array([qubits[i + 1].alpha, qubits[i + 1].beta],
-                       dtype=complex)
-        joint = _CZ @ np.kron(carrier, nxt)
-        # project the carrier onto (|0> +/- exp(i*delta)|1>)/sqrt(2)
-        e = cmath.exp(-1j * OCTANT * delta)
-        branch0 = (joint[0:2] + e * joint[2:4]) / math.sqrt(2)
-        branch1 = (joint[0:2] - e * joint[2:4]) / math.sqrt(2)
-        p0 = float(np.vdot(branch0, branch0).real)
-        p1 = float(np.vdot(branch1, branch1).real)
-        m = 0 if rng.random() * (p0 + p1) <= p0 else 1
-        carrier = (branch0 if m == 0 else branch1)
-        carrier = carrier / np.linalg.norm(carrier)
-        outcomes.append(m)
-
-        x, z = m ^ z ^ r, x
-    p_one = float(abs(carrier[1]) ** 2)
-    o = 1 if rng.random() < p_one else 0
+        delta = (angles[:, i] + np.where(x == 0, -phi, phi) + 4 * r[:, i]) % 8
+        deltas[:, i] = delta
+        e_c1 = _PHASES[delta] * c1
+        plus, minus = c0 + e_c1, c0 - e_c1
+        q0, q1 = amps[:, i + 1, 0], amps[:, i + 1, 1]
+        w0, w1 = abs(q0) ** 2, abs(q1) ** 2
+        p0 = abs(plus) ** 2 * w0 + abs(minus) ** 2 * w1  # 2 * P(m=0)
+        p1 = abs(minus) ** 2 * w0 + abs(plus) ** 2 * w1
+        m = (u[:, i] * (p0 + p1) > p0).astype(np.int64)
+        outcomes[:, i] = m
+        c0 = np.where(m == 0, plus, minus) * q0
+        c1 = np.where(m == 0, minus, plus) * q1
+        norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        c0, c1 = c0 / norm, c1 / norm
+        x, z = m ^ z ^ r[:, i], x
+    o = (u[:, n] < abs(c1) ** 2).astype(np.int64)
     return o ^ x, deltas, outcomes
 
 
-def reblind(qubit: PreparedQubit, rng) -> PreparedQubit:
-    """Rotate a prepared qubit by a fresh random octant.
-
-    Models preparing a fresh qubit for the next shot without rerunning the
-    factory: the extra Rz(k*pi/4) shifts the secret angle by k and leaves
-    any preparation imperfection untouched.
-    """
-    k = rng.randrange(8)
-    a = qubit.angle
-    idx = (a.index + k) % 8
-    return PreparedQubit(
-        qubit.alpha,
-        qubit.beta * cmath.exp(1j * OCTANT * k),
-        AngleOctant((idx >> 2) & 1, (idx >> 1) & 1, idx & 1),
-    )
-
-
 def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
-               rng, shots: int, fresh_angles: bool = True):
-    """Repeated blind shots; returns (count of 1s, all delta octants).
+               rng, shots: int):
+    """Blind shots, each on freshly re-blinded qubits.
 
-    With ``fresh_angles`` every shot re-blinds each qubit first, as a real
-    run would prepare fresh qubits; without it the same angles repeat and
-    the aggregated deltas are no longer uniform.
+    Returns (count of 1s, all delta octants shot by shot). Every draw comes
+    from one numpy Generator seeded from ``rng``, in this order: re-blinding
+    octants (shots, n+1), r bits (shots, n), uniforms (shots, n+1).
     """
-    ones = 0
-    all_deltas: list[int] = []
-    for _ in range(shots):
-        qs = [reblind(q, rng) for q in qubits] if fresh_angles else qubits
-        out, deltas, _ = ubqc_run(qs, circuit_octants, rng)
-        ones += out
-        all_deltas.extend(deltas)
-    return ones, all_deltas
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    n = len(circuit_octants)
+    gen = np.random.default_rng(rng.getrandbits(128))
+    amps, angles = reblind(qubits, gen.integers(8, size=(shots, len(qubits))))
+    out, deltas, _ = ubqc_run(amps, angles, circuit_octants,
+                              gen.integers(2, size=(shots, n)),
+                              gen.random((shots, n + 1)))
+    return int(out.sum()), deltas.ravel().tolist()
 
 
 # -- the full stack --------------------------------------------------------

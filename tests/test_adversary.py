@@ -2,6 +2,7 @@
 
 import pytest
 
+from bqcsim import adversary
 from bqcsim.adversary import (HonestServer, MeasureThenRandomD,
                               RandomGuessBasisTest, TrialStats, estimate,
                               free_lunch_attack, free_lunch_rate,
@@ -107,6 +108,24 @@ def test_free_lunch_unknown_variant():
 def test_free_lunch_unpermuted_always_wins():
     p = ProtocolParams(pad_len=8, kappa_out=12)
     assert all(free_lunch_attack(s, "unpermuted", p) for s in range(40))
+
+
+def test_free_lunch_attempts_per_trial_are_geometric(monkeypatch):
+    # each attempt lands the measured helper on the branching outcome with
+    # p = 1/2, so oracles per trial are geometric: mean 2, sd sqrt(2); the
+    # bounds are 5 sd of the mean over 400 trials
+    built = []
+    real = adversary.RandomOracle
+
+    def counting_oracle(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "RandomOracle", counting_oracle)
+    p = ProtocolParams(pad_len=4, kappa_out=4)
+    for s in range(400):
+        free_lunch_attack(s, "unpermuted", p)
+    assert 1.65 <= len(built) / 400 <= 2.35
 
 
 def test_free_lunch_permuted_rarely_wins_at_large_kappa():

@@ -110,3 +110,32 @@ def test_ubqc_bad_circuit_token(tmp_path):
     circ = tmp_path / "circ.txt"
     circ.write_text("1 two 3\n")
     assert run(["ubqc", str(circ), "--seed", "1"]) == 2
+
+
+def test_ubqc_rejects_fewer_than_one_shot(tmp_path):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3 5 1\n")
+    for shots in ("0", "-2"):
+        assert run(["ubqc", str(circ), "--seed", "5", "--set",
+                    f"shots={shots}", "--set", "L=4"]) == 2
+
+
+def test_trials_only_for_attack(tmp_path):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3\n")
+    for command in (["run", "pad-hadamard"],
+                    ["ubqc", str(circ), "--set", "shots=10", "--set", "L=2"]):
+        command += ["--seed", "1", "--out", str(tmp_path)]
+        assert run(command) == 0
+        assert run(command + ["--trials", "5"]) == 2
+
+
+def test_ubqc_seed_replay_byte_identical(tmp_path):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3 5 1\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run(["ubqc", str(circ), "--seed", "5", "--set", "shots=2000",
+                    "--set", "L=4", "--out", str(out)]) == 0
+    for name in ("ubqc.log", "ubqc.hist.tsv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -68,9 +68,122 @@ def test_dense_output_prob_known_circuits():
     assert qf.dense_output_prob([4]) > 1 - 1e-12
 
 
+def skewed_qubit(octant, t):
+    """|alpha| = cos(t), |beta| = sin(t): an imperfect preparation."""
+    return qf.PreparedQubit(
+        math.cos(t), math.sin(t) * cmath.exp(1j * (qf.OCTANT * octant + t)),
+        qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
+
+
+# -- per-shot reference for the batched kernel -----------------------------
+
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+
+
+def ref_reblind(qubit, k):
+    idx = (qubit.angle.index + k) % 8
+    return qf.PreparedQubit(
+        qubit.alpha, qubit.beta * cmath.exp(1j * qf.OCTANT * k),
+        qf.AngleOctant((idx >> 2) & 1, (idx >> 1) & 1, idx & 1))
+
+
+def ref_run(qubits, circuit_octants, r, u):
+    """One shot with explicit kron/CZ state vectors and given draws.
+
+    Returns (output bit, deltas, raw outcomes, P(m=0) per gate followed by
+    P(1) of the final Z measurement, final x frame bit).
+    """
+    carrier = np.array([qubits[0].alpha, qubits[0].beta], dtype=complex)
+    x = z = 0
+    deltas, outcomes, probs = [], [], []
+    for i, phi in enumerate(circuit_octants):
+        sign = -1 if x == 0 else 1
+        delta = (qubits[i].angle.index + sign * phi + 4 * r[i]) % 8
+        deltas.append(delta)
+
+        nxt = np.array([qubits[i + 1].alpha, qubits[i + 1].beta],
+                       dtype=complex)
+        joint = _CZ @ np.kron(carrier, nxt)
+        # project the carrier onto (|0> +/- exp(i*delta)|1>)/sqrt(2)
+        e = cmath.exp(-1j * qf.OCTANT * delta)
+        branch0 = (joint[0:2] + e * joint[2:4]) / math.sqrt(2)
+        branch1 = (joint[0:2] - e * joint[2:4]) / math.sqrt(2)
+        p0 = float(np.vdot(branch0, branch0).real)
+        p1 = float(np.vdot(branch1, branch1).real)
+        probs.append(p0 / (p0 + p1))
+        m = 0 if u[i] * (p0 + p1) <= p0 else 1
+        carrier = (branch0 if m == 0 else branch1)
+        carrier = carrier / np.linalg.norm(carrier)
+        outcomes.append(m)
+
+        x, z = m ^ z ^ r[i], x
+    p_one = float(abs(carrier[1]) ** 2)
+    probs.append(p_one)
+    o = 1 if u[-1] < p_one else 0
+    return o ^ x, deltas, outcomes, probs, x
+
+
+def replay_draws(seed, shots, n):
+    """The draws ubqc_shots makes from random.Random(seed), in its order."""
+    gen = np.random.default_rng(random.Random(seed).getrandbits(128))
+    return (gen.integers(8, size=(shots, n + 1)),
+            gen.integers(2, size=(shots, n)), gen.random((shots, n + 1)))
+
+
+@pytest.mark.parametrize("make_qubit", [
+    lambda k, i: perfect_qubit(k),
+    lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i),
+], ids=["perfect", "skewed"])
+def test_batched_kernel_matches_per_shot_reference(make_qubit):
+    setup = random.Random(31)
+    circ = [setup.randrange(8) for _ in range(3)]
+    n, shots, seed = len(circ), 300, 17
+    qubits = [make_qubit(setup.randrange(8), i) for i in range(n + 1)]
+    shifts, r, u = replay_draws(seed, shots, n)
+
+    ref = []
+    for s in range(shots):
+        qs = [ref_reblind(q, int(k)) for q, k in zip(qubits, shifts[s])]
+        ref.append(ref_run(qs, circ, [int(b) for b in r[s]], list(u[s])))
+    ref_out = np.array([row[0] for row in ref])
+    ref_deltas = np.array([row[1] for row in ref])
+    ref_probs = np.array([row[3] for row in ref])
+    ref_x = np.array([row[4] for row in ref])
+
+    assert qf.ubqc_shots(qubits, circ, random.Random(seed), shots) == (
+        int(ref_out.sum()), ref_deltas.ravel().tolist())
+    amps, angles = qf.reblind(qubits, shifts)
+    out, deltas, outcomes = qf.ubqc_run(amps, angles, circ, r, u)
+    assert out.tolist() == ref_out.tolist()
+    assert deltas.tolist() == ref_deltas.tolist()
+    assert outcomes.tolist() == [row[2] for row in ref]
+
+    # the kernel's outcome flips exactly where the reference probability
+    # lies: a uniform 1e-12 below it gives m=0 (final Z: 1), above it m=1
+    for j in range(n + 1):
+        below, above = u.copy(), u.copy()
+        below[:, j] = ref_probs[:, j] - 1e-12
+        above[:, j] = ref_probs[:, j] + 1e-12
+        out_b, _, m_b = qf.ubqc_run(amps, angles, circ, r, below)
+        out_a, _, m_a = qf.ubqc_run(amps, angles, circ, r, above)
+        if j < n:
+            assert (m_b[:, j] == 0).all() and (m_a[:, j] == 1).all()
+        else:
+            assert (out_b == ref_x ^ 1).all() and (out_a == ref_x).all()
+
+
 def test_ubqc_run_needs_matching_qubit_count():
+    amps, angles = qf.reblind([perfect_qubit(0)], np.zeros((5, 1), int))
     with pytest.raises(ValueError):
-        qf.ubqc_run([perfect_qubit(0)], [1, 2], random.Random(0))
+        qf.ubqc_run(amps, angles, [1, 2], np.zeros((5, 2), int),
+                    np.zeros((5, 3)))
+
+
+def test_ubqc_shots_rejects_fewer_than_one_shot():
+    qubits = [perfect_qubit(0), perfect_qubit(1)]
+    for shots in (0, -3):
+        with pytest.raises(ValueError):
+            qf.ubqc_shots(qubits, [2], random.Random(0), shots)
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -90,7 +203,7 @@ def test_ubqc_deltas_uniform_with_fresh_angles():
     rng = random.Random(11)
     circ = [3, 6]
     qubits = [perfect_qubit(rng.randrange(8)) for _ in range(3)]
-    _, deltas = qf.ubqc_shots(qubits, circ, rng, 2000, fresh_angles=True)
+    _, deltas = qf.ubqc_shots(qubits, circ, rng, 2000)
     counts = [deltas.count(k) for k in range(8)]
     n = len(deltas)
     for c in counts:
@@ -98,11 +211,15 @@ def test_ubqc_deltas_uniform_with_fresh_angles():
 
 
 def test_reblind_shifts_angle_and_keeps_fidelity():
-    rng = random.Random(2)
-    q = perfect_qubit(3)
-    for _ in range(20):
-        r = qf.reblind(q, rng)
-        assert r.fidelity_vs_angle() > 1 - 1e-9
+    shifts = np.arange(16).reshape(8, 2) % 8
+    amps, angles = qf.reblind([perfect_qubit(3), skewed_qubit(6, 0.4)],
+                              shifts)
+    assert (angles == (np.array([3, 6]) + shifts) % 8).all()
+    fid = abs(amps[..., 0] + np.exp(-1j * qf.OCTANT * angles)
+              * amps[..., 1]) ** 2 / 2
+    assert (abs(fid[:, 0] - 1) < 1e-9).all()
+    # an imperfect preparation stays exactly as imperfect
+    assert np.allclose(fid[:, 1], skewed_qubit(6, 0.4).fidelity_vs_angle())
 
 
 def test_succ_ubqc_end_to_end():

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from . import tables
 from .bits import random_bits
-from .keychain import KeyPair, sample_key_pair
+from .keychain import sample_key_pair
 from .oracle import RandomOracle
-from .protocols import (HonestServer, ProtocolParams, Transcript,
-                        basis_test_multi, combine, pad_hadamard)
+from .protocols import (HonestServer, ProtocolParams, basis_test_multi,
+                        combine, pad_hadamard)
 
 
 @dataclass

@@ -24,8 +24,7 @@ from .adversary import (HonestServer, MeasureThenRandomD,
                         RandomGuessBasisTest, estimate, free_lunch_rate)
 from .keychain import sample_key_pair
 from .oracle import RandomOracle
-from .protocols import (ProtocolParams, Transcript, basis_test_multi,
-                        combine, pad_hadamard)
+from .protocols import ProtocolParams, basis_test_multi, combine, pad_hadamard
 
 DEFAULTS = {
     # protocol parameters
@@ -74,12 +73,9 @@ def load_config(args) -> dict:
     return cfg
 
 
-def make_params(cfg: dict, mode: str) -> ProtocolParams:
-    return ProtocolParams(
-        pad_len=cfg["pad_len"], kappa_out=cfg["kappa_out"],
-        test_rounds=cfg["test_rounds"], refresh_rounds=cfg["J"],
-        kappa=cfg["kappa"], mode=mode,
-    )
+def make_params(cfg: dict) -> ProtocolParams:
+    return ProtocolParams(pad_len=cfg["pad_len"], kappa_out=cfg["kappa_out"],
+                          test_rounds=cfg["test_rounds"])
 
 
 def make_pipeline(cfg: dict, mode: str) -> gp.PipelineConfig:
@@ -116,7 +112,7 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
     oracle = RandomOracle(seed)
     server = HonestServer(oracle, seed=seed + 1)
     rng = random.Random(seed ^ 0xC0FFEE)
-    params = make_params(cfg, mode)
+    params = make_params(cfg)
     w = cfg["key_width"]
 
     if name == "pad-hadamard":
@@ -199,7 +195,9 @@ ATTACKS = ("free-lunch-unpermuted", "free-lunch-permuted",
 
 def cmd_attack(args) -> int:
     cfg = load_config(args)
-    params = make_params(cfg, args.mode)
+    if args.trials < 1:
+        raise ConfigError(f"trials={args.trials}: need at least 1")
+    params = make_params(cfg)
     name = args.attack
     if name == "free-lunch-unpermuted":
         st = free_lunch_rate("unpermuted", params, args.trials,

@@ -15,14 +15,16 @@ Stages, bottom to top:
   then T purely classical doubling rounds, each followed by a refresh.
 
 Every stage returns its output gadgets as (KeyPair, register) tuples plus a
-transcript and a StageReport whose gadget arithmetic is asserted by tests.
+transcript and its StageReports, whose gadget arithmetic is asserted by
+tests. A stage that runs sub-stages or sub-protocols folds each result into
+its own transcript and reports with ``_absorb``, which is also where a
+failing sub-step fails the stage.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tables
 from .bits import random_bits
@@ -52,9 +54,9 @@ class PipelineConfig:
     """Toy-scale pipeline parameters; everything explicit.
 
     In "paper" mode the asymptotic defaults (eta = kappa^(B4+6),
-    N = kappa * threshold, T = ceil(log(L/N)), J = eta) are computed and
-    logged, but the run still uses the explicit values: the asymptotic
-    numbers are proof-driven and astronomically large.
+    N = kappa * threshold, T = ceil(log(L/N)), J = eta, with B4 = threshold
+    = 1) are computed and logged, but the run still uses the explicit
+    values: the asymptotic numbers are proof-driven and astronomically large.
     """
 
     kappa: int = 8
@@ -66,8 +68,6 @@ class PipelineConfig:
     J: int = 1
     test_rounds: int = 1
     mode: str = "toy"
-    b4: int = 1
-    threshold: int = 1
 
     def rounds(self) -> int:
         t = math.log2(self.L / self.N)
@@ -76,8 +76,9 @@ class PipelineConfig:
         return int(round(t))
 
     def paper_values(self) -> dict:
-        eta = self.kappa ** (self.b4 + 6)
-        n = self.kappa * self.threshold
+        b4 = threshold = 1
+        eta = self.kappa ** (b4 + 6)
+        n = self.kappa * threshold
         return {
             "eta": eta,
             "N": n,
@@ -91,24 +92,35 @@ class PipelineConfig:
             pad_len=self.pad_base * t,
             kappa_out=self.kappa_out,
             test_rounds=self.test_rounds,
-            refresh_rounds=self.J,
-            kappa=self.kappa,
-            mode=self.mode,
         )
 
 
-def _fail(tr: Transcript, stage: str, reason: str, n_in: int):
-    if tr.verdict is None:
-        tr.finish(False, f"{stage}: {reason}")
-    return [], tr, [StageReport(stage, n_in, 0, 0, "fail")]
+def _absorb(tr: Transcript, reports: list[StageReport], sub,
+            failed: StageReport | None = None, what: str = ""):
+    """Fold a sub-step's ``(out, transcript, reports)`` into a stage.
+
+    Appends the messages and reports and returns ``out``. A failed sub-step
+    fails ``tr`` with its reason (prefixed by the stage and ``what`` when
+    the stage's own ``failed`` report is given and appended) and gives None.
+    """
+    out, sub_tr, sub_reports = sub
+    tr.messages.extend(sub_tr.messages)
+    reports.extend(sub_reports)
+    if sub_tr.passed:
+        return out
+    reason = sub_tr.fail_reason
+    if failed is not None:
+        reports.append(failed)
+        reason = f"{failed.stage}: {what}: {reason}"
+    tr.finish(False, reason)
+    return None
 
 
 # -- basic step ------------------------------------------------------------
 
 
 def gdgprep_basic(oracle, helper: Gadget, k3: Gadget,
-                  params: ProtocolParams, server, rng,
-                  skip_verdict: bool = False):
+                  params: ProtocolParams, server, rng):
     """Helper + input gadget -> two output gadgets (2 -> 2)."""
     tr = Transcript()
     h_pair, h_reg = helper
@@ -130,7 +142,7 @@ def gdgprep_basic(oracle, helper: Gadget, k3: Gadget,
 
     ph = pad_hadamard(oracle, h_pair, h_reg, params, server, rng)
     tr.messages.extend(ph.messages)
-    if not ph.passed and not skip_verdict:
+    if not ph.passed:
         tr.finish(False, f"pad hadamard: {ph.fail_reason}")
         return [], tr, [StageReport("basic", 2, 0, 1, "fail")]
 
@@ -148,7 +160,7 @@ def gdgprep_1p1(oracle, helper: Gadget, k3: Gadget,
     tr = basis_test_two(oracle, helper[0], helper[1], k3[0], k3[1],
                         params.test_rounds, params, server, rng)
     if not tr.passed:
-        return _fail(tr, "1p1", f"basis test: {tr.fail_reason}", 2)
+        return [], tr, [StageReport("1p1", 2, 0, 0, "fail")]
     out, tr2, reps = gdgprep_basic(oracle, helper, k3, params, server, rng)
     tr2.messages[:0] = tr.messages
     reps.insert(0, StageReport("1p1", 2, len(out), 1, tr2.verdict))
@@ -159,16 +171,17 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
                 params: ProtocolParams, server, rng):
     """One shared helper turns n gadgets into 2n."""
     tr = Transcript()
+    reports: list[StageReport] = []
     h_pair, h_reg = helper
     n = len(k3_list)
     kout = params.kappa_out
+    failed = StageReport("1pn", n + 1, 0, 0, "fail")
 
     for pair, reg in k3_list:
         bt = basis_test_two(oracle, h_pair, h_reg, pair, reg,
                             params.test_rounds, params, server, rng)
-        tr.messages.extend(bt.messages)
-        if not bt.passed:
-            return _fail(tr, "1pn", f"basis test: {bt.fail_reason}", n + 1)
+        if _absorb(tr, reports, ((), bt, ()), failed, "basis test") is None:
+            return [], tr, reports
 
     plan = []
     for i, (k3_pair, k3_reg) in enumerate(k3_list):
@@ -187,9 +200,8 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         plan.append((y2, y3, perm, out_reg))
 
     ph = pad_hadamard(oracle, h_pair, h_reg, params, server, rng)
-    tr.messages.extend(ph.messages)
-    if not ph.passed:
-        return _fail(tr, "1pn", f"pad hadamard: {ph.fail_reason}", n + 1)
+    if _absorb(tr, reports, ((), ph, ()), failed, "pad hadamard") is None:
+        return [], tr, reports
 
     out: list[Gadget] = []
     for i, (y2, y3, perm, out_reg) in enumerate(plan):
@@ -207,14 +219,11 @@ def gdgprep_logk(oracle, helpers: list[Gadget], seed: Gadget,
     tr = Transcript()
     cur = [seed]
     reports = []
-    for t, helper in enumerate(helpers):
-        out, sub, reps = gdgprep_1pn(oracle, helper, cur, params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+    for helper in helpers:
+        cur = _absorb(tr, reports, gdgprep_1pn(oracle, helper, cur, params,
+                                               server, rng))
+        if cur is None:
             return [], tr, reports
-        cur = out
     tr.finish(True)
     reports.append(StageReport("logk", len(helpers) + 1, len(cur),
                                len(helpers), "pass"))
@@ -229,11 +238,9 @@ def gdgprep_repeat(oracle, blocks: list[tuple[list[Gadget], Gadget]],
     results = []
     n_in = sum(len(h) + 1 for h, _ in blocks)
     for helpers, seed in blocks:
-        out, sub, reps = gdgprep_logk(oracle, helpers, seed, params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+        out = _absorb(tr, reports, gdgprep_logk(oracle, helpers, seed, params,
+                                                server, rng))
+        if out is None:
             return [], tr, reports
         results.append(out)
     perm = list(range(len(blocks)))
@@ -253,8 +260,10 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
                         params: ProtocolParams, server, rng):
     """Consume J fresh gadgets to extend and re-pad N existing ones."""
     tr = Transcript()
+    reports: list[StageReport] = []
     n, j_rounds = len(gadgets), len(lams)
     kout = params.kappa_out
+    failed = StageReport("refresh", n + j_rounds, 0, 0, "fail")
     new_keys: list[list[KeyPair]] = [[] for _ in gadgets]
     # keys as held in the registers, growing with each extension round
     cur = [pair for pair, _ in gadgets]
@@ -273,10 +282,8 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
             new_keys[i].append(y)
             cur[i] = KeyPair(cur[i].x0 + y.x0, cur[i].x1 + y.x1)
         ph = pad_hadamard(oracle, lam_pair, lam_reg, params, server, rng)
-        tr.messages.extend(ph.messages)
-        if not ph.passed:
-            return _fail(tr, "refresh", f"pad hadamard: {ph.fail_reason}",
-                         n + j_rounds)
+        if _absorb(tr, reports, ((), ph, ()), failed, "pad hadamard") is None:
+            return [], tr, reports
 
     out: list[Gadget] = []
     for i, (pair, reg) in enumerate(gadgets):
@@ -305,18 +312,13 @@ def gdgprep_oneround(oracle, sweeps, lam_sweeps, params: ProtocolParams,
             + sum(len(l) for l in lam_sweeps))
     running: list[Gadget] = []
     for t, (blocks, lams) in enumerate(zip(sweeps, lam_sweeps)):
-        expanded, sub, reps = gdgprep_repeat(oracle, blocks, params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+        expanded = _absorb(tr, reports, gdgprep_repeat(oracle, blocks, params,
+                                                       server, rng))
+        if expanded is None:
             return [], tr, reports
-        refreshed, sub, reps = security_refreshing(oracle, expanded, lams,
-                                                   params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+        refreshed = _absorb(tr, reports, security_refreshing(
+            oracle, expanded, lams, params, server, rng))
+        if refreshed is None:
             return [], tr, reports
         if t == 0:
             running = refreshed
@@ -391,21 +393,14 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     for t in range(t_rounds):
         params = config.params_for_round(t + 1)
         blocks = [([live_helpers[t][m]], cur[m]) for m in range(len(cur))]
-        out, sub, reps = gdgprep_oneround(
-            oracle, [blocks], [live_lam1[t]], params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+        out = _absorb(tr, reports, gdgprep_oneround(
+            oracle, [blocks], [live_lam1[t]], params, server, rng))
+        if out is None:
             return [], tr, reports
-        out, sub, reps = security_refreshing(
-            oracle, out, live_lam2[t], params, server, rng)
-        tr.messages.extend(sub.messages)
-        reports.extend(reps)
-        if not sub.passed:
-            tr.finish(False, sub.fail_reason)
+        cur = _absorb(tr, reports, security_refreshing(
+            oracle, out, live_lam2[t], params, server, rng))
+        if cur is None:
             return [], tr, reports
-        cur = out
 
     tr.finish(True)
     queries = oracle.counters.get("server", 0) - server_q0

@@ -42,10 +42,6 @@ def sample_key_pair(rng, width: int) -> KeyPair:
     raise ValueError(f"could not sample distinct keys at width {width}")
 
 
-def sample_key_set(rng, n_pairs: int, width: int) -> list[KeyPair]:
-    return [sample_key_pair(rng, width) for _ in range(n_pairs)]
-
-
 def combine_keys(pair_a: KeyPair, pair_b: KeyPair, outcome_bit: int,
                  pads: tuple[str, str] = ("", "")) -> KeyPair:
     """Concatenate two pairs according to the subscript-XOR outcome.

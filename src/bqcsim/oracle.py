@@ -3,7 +3,9 @@
 The oracle is a keyed PRF: output bits for a query ``(input, out_len)`` are
 derived deterministically from ``(seed, input, out_len)`` with BLAKE2b, so
 two instances with equal seeds agree on every query without storing a table.
-On top of the base function the module provides:
+``RandomOracle._prf`` is that function, uncounted; the coherent evaluators
+call it directly and charge their queries themselves. On top of it the
+module provides:
 
 * superposed queries -- branch-wise XOR of ``H(input)`` into a target
   register of a :class:`~bqcsim.state.SparseState` (one counted query per
@@ -11,8 +13,6 @@ On top of the base function the module provides:
 * global tags -- ``H(tag-prefix || x)`` on a reserved domain that no honest
   protocol input can reach (the prefix contains a character outside
   {'0','1'});
-* blinded views -- layered re-randomization on a declared input set, fresh
-  and independent of the base outputs, pass-through everywhere else;
 * per-party query counters for adversary budget accounting.
 """
 
@@ -37,18 +37,18 @@ class RandomOracle:
         self.tag_len = tag_len
         self.counters: dict[str, int] = {}
         self.budgets: dict[str, int] = {}
-        # blind layers: (frozenset of inputs, per-layer salt)
-        self._layers: list[tuple[frozenset[str], int]] = []
 
     # -- raw PRF -----------------------------------------------------------
 
-    def _prf(self, inp: str, out_len: int, salt: int) -> str:
+    def _prf(self, inp: str, out_len: int) -> str:
         out = []
         need = out_len
         block = 0
         while need > 0:
+            # the fixed "0" field is part of the domain: every output depends
+            # on it, so it stays even though nothing varies it
             h = hashlib.blake2b(
-                f"{self.seed}|{salt}|{out_len}|{block}|{inp}".encode(),
+                f"{self.seed}|0|{out_len}|{block}|{inp}".encode(),
                 digest_size=32,
             ).digest()
             chunk = "".join(format(b, "08b") for b in h)
@@ -56,12 +56,6 @@ class RandomOracle:
             need -= len(chunk)
             block += 1
         return "".join(out)
-
-    def _lookup(self, inp: str, out_len: int) -> str:
-        for inputs, salt in reversed(self._layers):
-            if inp in inputs:
-                return self._prf(inp, out_len, salt)
-        return self._prf(inp, out_len, 0)
 
     # -- accounting --------------------------------------------------------
 
@@ -83,7 +77,7 @@ class RandomOracle:
         if out_len < 1:
             raise ValueError("out_len must be >= 1")
         self.count(party)
-        return self._lookup(inp, out_len)
+        return self._prf(inp, out_len)
 
     def query_superposed(self, state, in_reg: str, out_reg: str,
                          party: str = "server", prefix: str = "") -> None:
@@ -96,13 +90,13 @@ class RandomOracle:
         self.count(party)
         cache: dict[str, str] = {}
 
-        def update(vin: str, vout: str) -> str:
+        def update(vout: str, vin: str) -> str:
             h = cache.get(vin)
             if h is None:
-                h = cache[vin] = self._lookup(prefix + vin, out_len)
+                h = cache[vin] = self._prf(prefix + vin, out_len)
             return xor(vout, h)
 
-        state.map_pair(in_reg, out_reg, update)
+        state.map_register(out_reg, update, keys=[in_reg])
 
     def tag(self, x: str, tag_len: int | None = None, party: str = "client") -> str:
         """Global tag H(tag-prefix || x); default length is twice |x|."""
@@ -110,14 +104,4 @@ class RandomOracle:
             raise ValueError("cannot tag the empty string")
         n = tag_len or self.tag_len or 2 * len(x)
         self.count(party)
-        return self._lookup(_TAG_PREFIX + x, n)
-
-    # -- blinding ----------------------------------------------------------
-
-    def blind(self, inputs) -> "RandomOracle":
-        """A view re-randomized exactly on ``inputs``; the base is unchanged."""
-        view = RandomOracle(self.seed, self.tag_len)
-        view._layers = self._layers + [(frozenset(inputs), len(self._layers) + 1)]
-        view.counters = self.counters  # shared accounting
-        view.budgets = self.budgets
-        return view
+        return self._prf(_TAG_PREFIX + x, n)

@@ -12,10 +12,10 @@ line records so equal seeds replay byte-identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tables
-from .bits import dot, random_bits, xor
+from .bits import dot, random_bits
 from .keychain import KeyPair, combine_keys
 from .state import SparseState
 
@@ -25,21 +25,6 @@ class ProtocolParams:
     pad_len: int = 8          # table/pad length
     kappa_out: int = 8        # output key / hash length
     test_rounds: int = 2      # T, rounds of repeated basis testing
-    refresh_rounds: int = 1   # J, security refreshing rounds
-    kappa: int = 8            # nominal security parameter
-    mode: str = "toy"         # "toy" or "paper"
-
-    def check(self) -> list[str]:
-        """In "paper" mode, report (never enforce) the asymptotic guidance."""
-        notes = []
-        if self.mode == "paper":
-            if self.pad_len < 4 * self.kappa:
-                notes.append("pad_len below the asymptotic 4*eta guidance")
-            if self.kappa_out <= self.pad_len:
-                notes.append("kappa_out should exceed pad_len asymptotically")
-        if self.pad_len < 1 or self.kappa_out < 1:
-            raise ValueError("pad_len and kappa_out must be >= 1")
-        return notes
 
 
 class Transcript:
@@ -115,15 +100,13 @@ class HonestServer:
     def respond_combine(self, reg_a: str, reg_b: str, tag_a0: str,
                         tag_b0: str, pads: tuple[str, str],
                         out_reg: str) -> int:
-        """Measure the XOR of the two gadgets' subscripts.
+        """Merge the two gadgets and measure the XOR of their subscripts.
 
         Subscripts are identified by comparing global tags of the branch
-        values against the published tag of each pair's 0-key; the two
-        registers are then merged (with the subscript pad prefixed) into
-        one output gadget register.
+        values against the published tag of each pair's 0-key; the merged
+        register, with the subscript pad prefixed, is the output gadget.
         """
         st = self.state
-        ia, ib = st._index(reg_a), st._index(reg_b)
         sub_cache: dict[tuple[str, int], int] = {}
 
         def subscript(val: str, which: int) -> int:
@@ -133,27 +116,17 @@ class HonestServer:
                 sub_cache[key] = 0 if t == (tag_a0 if which == 0 else tag_b0) else 1
             return sub_cache[key]
 
-        weights = {0: 0.0, 1: 0.0}
-        for k, v in st.branches.items():
-            o = subscript(k[ia], 0) ^ subscript(k[ib], 1)
-            weights[o] += abs(v) ** 2
-        outcome = 0 if self.rng.random() * (weights[0] + weights[1]) <= weights[0] else 1
-        st.branches = {
-            k: v for k, v in st.branches.items()
-            if subscript(k[ia], 0) ^ subscript(k[ib], 1) == outcome
-        }
-        st.renormalize()
         wa = st.width(reg_a)
         st.merge_registers([reg_a, reg_b], out_reg)
+        outcome = st.measure_computational(
+            out_reg, self.rng,
+            lambda val: subscript(val[:wa], 0) ^ subscript(val[wa:], 1))
         pad_w = len(pads[0])
         if pad_w:
-            st.transform_register(
-                out_reg,
-                lambda val: pads[subscript(val[:wa], 0)] + val,
-                st.width(out_reg) + pad_w,
-            )
+            st.map_register(out_reg,
+                            lambda val, _: pads[subscript(val[:wa], 0)] + val,
+                            width=st.width(out_reg) + pad_w)
         return outcome
-
 
     # -- gadget preparation ------------------------------------------------
 
@@ -182,8 +155,8 @@ class HonestServer:
         self.state.merge_registers([reg, scratch], reg)
 
     def prepend_pad(self, reg: str, pad: str) -> None:
-        self.state.transform_register(reg, lambda v: pad + v,
-                                      self.state.width(reg) + len(pad))
+        self.state.map_register(reg, lambda v, _: pad + v,
+                                width=self.state.width(reg) + len(pad))
 
     # -- 8-basis qfactory --------------------------------------------------
 
@@ -193,15 +166,15 @@ class HonestServer:
         self.oracle.count(self.party, 2)
         cache: dict[str, str] = {}
 
-        def fn(val: str, old: str) -> str:
+        def fn(old: str, val: str) -> str:
             b = cache.get(val)
             if b is None:
-                t = self.oracle._lookup(row0.tag_pad + val, len(row0.tag))
+                t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
                 b = cache[val] = "0" if t == row0.tag else "1"
             return b
 
         self.state.add_register(idx_reg, "0")
-        self.state.map_pair(reg, idx_reg, fn)
+        self.state.map_register(idx_reg, fn, keys=[reg])
         return idx_reg
 
     def phase_and_measure(self, reg: str, ptable) -> str:
@@ -214,9 +187,9 @@ class HonestServer:
 
 
 def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
-                 server, rng, transcript: Transcript | None = None) -> Transcript:
+                 server, rng) -> Transcript:
     """Padded Hadamard test on one gadget (consumes it on the server)."""
-    tr = transcript or Transcript()
+    tr = Transcript()
     pad = random_bits(rng, params.pad_len)
     tr.send("client", "ph.pad", pad)
     d = server.respond_pad_hadamard(reg, pad, params.kappa_out)
@@ -239,10 +212,9 @@ def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
 
 
 def basis_test_single(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
-                      server, rng, transcript: Transcript | None = None,
-                      extra_regs: tuple = ()) -> Transcript:
+                      server, rng) -> Transcript:
     """Single-round basis test: both keys decrypt to the same fresh r."""
-    tr = transcript or Transcript()
+    tr = Transcript()
     r = random_bits(rng, params.kappa_out)
     table = tables.lt_build(
         oracle, [(pair.x0, r), (pair.x1, r)],
@@ -287,8 +259,7 @@ def basis_test_two(oracle, pair1: KeyPair, reg1: str, pair3: KeyPair,
 
 
 def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
-            params: ProtocolParams, server, rng, improved: bool = True,
-            out_reg: str | None = None):
+            params: ProtocolParams, server, rng, improved: bool = True):
     """Combine two gadgets into one by measuring the subscript XOR.
 
     Returns (new KeyPair or None, Transcript, output register name).
@@ -309,7 +280,7 @@ def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
                     rpad + p[b], params.kappa_out))
         tr.send("client", "cb.commits", ";".join(commits))
         tr.send("client", "cb.pads", pads[0] + "," + pads[1])
-    name = out_reg or f"cb_{reg_a}_{reg_b}"
+    name = f"cb_{reg_a}_{reg_b}"
     outcome = server.respond_combine(reg_a, reg_b, tag_a0, tag_b0, pads, name)
     tr.send("server", "cb.outcome", str(outcome))
     if outcome not in (0, 1):

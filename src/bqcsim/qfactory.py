@@ -25,9 +25,7 @@ import numpy as np
 from . import tables
 from .bits import dot
 from .gadget_prep import Gadget, PipelineConfig, gdgprep_full
-from .keychain import KeyPair
-from .protocols import (HonestServer, ProtocolParams, Transcript,
-                        basis_test_multi)
+from .protocols import ProtocolParams, Transcript, basis_test_multi
 
 OCTANT = math.pi / 4
 
@@ -63,15 +61,14 @@ class PreparedQubit:
         return abs(self.alpha + target.conjugate() * self.beta) ** 2 / 2
 
 
-def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng,
-          transcript: Transcript | None = None):
+def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     """One gadget -> one 8-basis qubit on the server.
 
     Returns (PreparedQubit | None, index register name, Transcript). The
     finished qubit is unentangled from the rest of the server state, so it
     is extracted into explicit amplitudes for the computation layer.
     """
-    tr = transcript or Transcript()
+    tr = Transcript()
     pair, reg = gadget
 
     bt = basis_test_multi(oracle, pair, reg, params.test_rounds, params,

@@ -5,6 +5,13 @@ complex amplitudes. Honest protocol states only ever contain a small number
 of branches (at most 2 per gadget register), so every operation enumerates
 branches rather than a 2^n Hilbert space.
 
+Every coherent evaluation (oracle queries, table decryption, pads) is one
+value map, :meth:`SparseState.map_register`: a register's value becomes a
+function of itself and of the concatenated values of key registers, branch
+by branch. Both measurements draw their outcome with one ``rng.random()``
+through the same inverse-CDF sampler, and discarding a register factors it
+out of the amplitudes grouped by the other registers' values.
+
 The one non-obvious primitive is :meth:`SparseState.measure_hadamard`. A
 register can be hundreds of bits wide, so the outcome ``d`` is never sampled
 by enumerating 2^width candidates. Instead: for the small set of values the
@@ -20,9 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .bits import bits_to_int, int_to_bits, parity
+from .bits import apply_perm, bits_to_int, int_to_bits, parity
 
 ATOL = 1e-9
+# measure_hadamard weighs all 2^rank parity assignments, where rank is that
+# of the register's value differences. An honest register holds a gadget
+# (two values, rank 1); a rank above this cap can only come from a malformed
+# state, and enumerating it would take exponential time, so it is refused.
+MAX_HADAMARD_RANK = 12
 
 
 class EntangledDiscardError(ValueError):
@@ -50,9 +62,6 @@ class SparseState:
     def width(self, name: str) -> int:
         return self.registers[self._index(name)][1]
 
-    def register_names(self) -> list[str]:
-        return [n for n, _ in self.registers]
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.branches.values()))
 
@@ -61,10 +70,6 @@ class SparseState:
         if n < ATOL:
             raise ValueError("state has collapsed to zero norm")
         self.branches = {k: v / n for k, v in self.branches.items()}
-
-    def check_norm(self) -> None:
-        if abs(self.norm() - 1.0) > ATOL:
-            raise AssertionError(f"state norm {self.norm()} drifted from 1")
 
     # -- construction ------------------------------------------------------
 
@@ -95,63 +100,26 @@ class SparseState:
 
     # -- branch maps -------------------------------------------------------
 
-    def map_register(self, name: str, fn) -> None:
-        """Apply a value-wise bijection to one register."""
-        i = self._index(name)
-        w = self.registers[i][1]
-        new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            nv = fn(k[i])
-            if len(nv) != w:
-                raise ValueError("map_register changed register width")
-            nk = k[:i] + (nv,) + k[i + 1:]
-            new[nk] = new.get(nk, 0) + v
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
+    def map_register(self, dst: str, fn, keys=(),
+                     width: int | None = None) -> None:
+        """dst value <- fn(dst value, key), branch by branch.
 
-    def map_pair(self, src: str, dst: str, fn) -> None:
-        """dst_value <- fn(src_value, dst_value), branch by branch."""
-        i, j = self._index(src), self._index(dst)
-        w = self.registers[j][1]
+        ``key`` is the concatenation of the values of the ``keys`` registers
+        ("" without keys). Every image must be ``width`` bits wide (default:
+        the width of dst); branches mapped onto the same values add up.
+        """
+        j = self._index(dst)
+        ki = [self._index(r) for r in keys]
+        w = self.registers[j][1] if width is None else width
         new: dict[tuple[str, ...], complex] = {}
         for k, v in self.branches.items():
-            nv = fn(k[i], k[j])
+            nv = fn(k[j], "".join([k[i] for i in ki]))
             if len(nv) != w:
-                raise ValueError("map_pair changed register width")
+                raise ValueError(f"map_register: image width {len(nv)}, "
+                                 f"expected {w}")
             nk = k[:j] + (nv,) + k[j + 1:]
             new[nk] = new.get(nk, 0) + v
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
-
-    def map_multi(self, key_regs: list[str], dst_regs: list[str], fn) -> None:
-        """dst values <- fn(key values, dst values); fn returns a tuple."""
-        ki = [self._index(r) for r in key_regs]
-        di = [self._index(r) for r in dst_regs]
-        widths = [self.registers[i][1] for i in di]
-        new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            outs = fn(tuple(k[i] for i in ki), tuple(k[i] for i in di))
-            if len(outs) != len(di) or any(
-                len(o) != w for o, w in zip(outs, widths)
-            ):
-                raise ValueError("map_multi output widths mismatch")
-            nk = list(k)
-            for i, o in zip(di, outs):
-                nk[i] = o
-            nk = tuple(nk)
-            new[nk] = new.get(nk, 0) + v
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
-
-    def transform_register(self, name: str, fn, new_width: int | None = None) -> None:
-        """Like map_register but the image may have a different width."""
-        i = self._index(name)
-        w = new_width if new_width is not None else self.registers[i][1]
-        new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            nv = fn(k[i])
-            if len(nv) != w:
-                raise ValueError("transform_register width mismatch")
-            nk = k[:i] + (nv,) + k[i + 1:]
-            new[nk] = new.get(nk, 0) + v
-        self.registers[i] = (name, w)
+        self.registers[j] = (dst, w)
         self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
 
     def apply_phase_per_branch(self, name: str, phase_fn) -> None:
@@ -162,30 +130,30 @@ class SparseState:
         }
 
     def apply_bitwise_permutation(self, name: str, perm) -> None:
-        from .bits import apply_perm
-
         if len(perm) != self.width(name):
             raise ValueError("permutation length mismatch")
-        self.map_register(name, lambda s: apply_perm(s, perm))
+        self.map_register(name, lambda s, _: apply_perm(s, perm))
 
     # -- measurements ------------------------------------------------------
 
-    def measure_computational(self, name: str, rng) -> str:
+    def measure_computational(self, name: str, rng, observable=None):
+        """Measure a register in the computational basis; it stays in place.
+
+        Returns the outcome and keeps only the branches that agree with it.
+        With ``observable``, the measured quantity is ``observable(value)``
+        (any sortable function of the register's value) instead of the value.
+        """
         i = self._index(name)
-        weights: dict[str, float] = {}
-        for k, v in self.branches.items():
-            weights[k[i]] = weights.get(k[i], 0.0) + abs(v) ** 2
+        outs = [k[i] for k in self.branches]
+        if observable is not None:
+            outs = [observable(o) for o in outs]
+        weights: dict = {}
+        for o, v in zip(outs, self.branches.values()):
+            weights[o] = weights.get(o, 0.0) + abs(v) ** 2
         values = sorted(weights)
-        total = sum(weights.values())
-        pick = rng.random() * total
-        acc = 0.0
-        outcome = values[-1]
-        for val in values:
-            acc += weights[val]
-            if pick <= acc:
-                outcome = val
-                break
-        self.branches = {k: v for k, v in self.branches.items() if k[i] == outcome}
+        outcome = values[self._inverse_cdf([weights[o] for o in values], rng)]
+        self.branches = {k: v for o, (k, v) in zip(outs, self.branches.items())
+                         if o == outcome}
         self.renormalize()
         return outcome
 
@@ -194,6 +162,8 @@ class SparseState:
 
         Returns the outcome string ``d``, removes the register, and applies
         the residual phase (-1)^(d . s) for each branch's former value ``s``.
+        Raises ValueError if the register's values span more than
+        ``MAX_HADAMARD_RANK`` independent differences.
         """
         i = self._index(name)
         w = self.registers[i][1]
@@ -205,7 +175,7 @@ class SparseState:
         # Incremental GF(2) echelon basis of the difference span; for each
         # diff record its representation as a combo (bitmask) over basis
         # vectors, so parities of d . diff follow from parities on the basis.
-        basis: list[int] = []
+        # Basis vector t has combo 1 << t and a lead bit of its own.
         echelon: dict[int, tuple[int, int]] = {}  # lead bit -> (vec, combo)
         reprs: list[int] = []  # combo bitmask per diff
         for d in diffs:
@@ -218,20 +188,17 @@ class SparseState:
                 v ^= evec
                 combo ^= ecombo
             if v:
-                t = len(basis)
-                basis.append(v)
+                t = len(echelon)
                 echelon[v.bit_length() - 1] = (v, 1 << t)
                 combo ^= 1 << t
             reprs.append(combo)
 
         # weight of each parity assignment on the basis vectors
-        rank = len(basis)
-        # group amplitudes by context (all other registers)
-        ctx_amps: dict[tuple[str, ...], dict[str, complex]] = {}
-        for k, v in self.branches.items():
-            ctx = k[:i] + k[i + 1:]
-            ctx_amps.setdefault(ctx, {})[k[i]] = v
-
+        rank = len(echelon)
+        if rank > MAX_HADAMARD_RANK:
+            raise ValueError(f"register {name!r} has rank {rank} > "
+                             f"MAX_HADAMARD_RANK={MAX_HADAMARD_RANK}")
+        ctx_amps = self._by_context(i)
         weights = []
         for combo in range(1 << rank):
             val_par = {values[0]: 0}
@@ -245,57 +212,46 @@ class SparseState:
                 wsum += abs(acc) ** 2
             weights.append(wsum)
 
-        total = sum(weights)
-        pick = rng.random() * total
-        acc = 0.0
-        chosen = len(weights) - 1
-        for ci, wt in enumerate(weights):
-            acc += wt
-            if pick <= acc:
-                chosen = ci
-                break
-        target = [(chosen >> b) & 1 for b in range(rank)]
+        chosen = self._inverse_cdf(weights, rng)
 
-        # sample d uniformly from {d : d . basis_b = target_b for all b}
-        d_int = self._solve_affine(basis, target, w, rng)
+        # d uniform on {d : d . vec_t = bit t of chosen}: free bits are
+        # random, then each lead bit, low to high, fixes its vector's parity
+        # (a vector only touches bits at or below its lead)
+        d_int = 0
+        for bit in range(w):
+            if bit not in echelon and rng.random() < 0.5:
+                d_int |= 1 << bit
+        for lead in sorted(echelon):
+            vec, combo = echelon[lead]
+            if parity(d_int & vec & ~(1 << lead)) != parity(chosen & combo):
+                d_int |= 1 << lead
         d = int_to_bits(d_int, w)
 
+        sign = {s: (-1) ** parity(d_int & bits_to_int(s)) for s in values}
         new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            sgn = (-1) ** parity(d_int & bits_to_int(k[i]))
-            ctx = k[:i] + k[i + 1:]
-            new[ctx] = new.get(ctx, 0) + v * sgn
+        for ctx, amps in ctx_amps.items():
+            acc = 0
+            for s, a in amps.items():
+                acc += a * sign[s]
+            new[ctx] = acc
         self.registers.pop(i)
         self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
         self.renormalize()
         return d
 
     @staticmethod
-    def _solve_affine(rows: list[int], rhs: list[int], width: int, rng) -> int:
-        """Uniform solution of d . rows[j] = rhs[j] over GF(2)^width."""
-        # Gaussian elimination on the constraint matrix.
-        echelon: dict[int, tuple[int, int]] = {}  # lead bit -> (row, rhs)
-        for r, b in zip(rows, rhs):
-            while r:
-                lead = r.bit_length() - 1
-                if lead not in echelon:
-                    echelon[lead] = (r, b)
-                    break
-                prow, prhs = echelon[lead]
-                r ^= prow
-                b ^= prhs
-            if not r and b:
-                raise ValueError("inconsistent parity system")
-        d = 0
-        for bit in range(width):
-            if bit not in echelon and rng.random() < 0.5:
-                d |= 1 << bit
-        # fix pivot bits from low to high; each row only touches lower bits
-        for pbit in sorted(echelon):
-            prow, prhs = echelon[pbit]
-            if parity(d & (prow & ~(1 << pbit))) != prhs:
-                d |= 1 << pbit
-        return d
+    def _inverse_cdf(weights: list[float], rng) -> int:
+        """Index i with probability weights[i] / sum(weights).
+
+        Draws exactly one ``rng.random()``.
+        """
+        pick = rng.random() * sum(weights)
+        acc = 0.0
+        for i, wt in enumerate(weights):
+            acc += wt
+            if pick <= acc:
+                return i
+        return len(weights) - 1
 
     # -- register plumbing -------------------------------------------------
 
@@ -316,82 +272,62 @@ class SparseState:
         return new_names
 
     def merge_registers(self, names: list[str], new_name: str) -> str:
+        """Concatenate registers (in ``names`` order) into one register.
+
+        The merged register takes the position of the first of them.
+        """
         idxs = [self._index(n) for n in names]
-        total = sum(self.registers[i][1] for i in idxs)
-        keep = [j for j in range(len(self.registers)) if j not in idxs]
         pos = min(idxs)
-        new_regs = []
-        for j in range(len(self.registers)):
-            if j == pos:
-                new_regs.append((new_name, total))
-            if j not in idxs:
-                new_regs.append(self.registers[j])
-        new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            merged = "".join(k[i] for i in idxs)
-            out, inserted = [], False
-            for j in range(len(self.registers)):
-                if j == pos:
-                    out.append(merged)
-                    inserted = True
-                if j not in idxs:
-                    out.append(k[j])
-            new[tuple(out)] = v
-        self.registers = new_regs
-        self.branches = new
+        rest = [j for j in range(pos + 1, len(self.registers)) if j not in idxs]
+        total = sum(self.registers[i][1] for i in idxs)
+        self.registers = (self.registers[:pos] + [(new_name, total)]
+                          + [self.registers[j] for j in rest])
+        self.branches = {
+            k[:pos] + ("".join([k[i] for i in idxs]),)
+            + tuple([k[j] for j in rest]): v
+            for k, v in self.branches.items()
+        }
         return new_name
 
-    def rename_register(self, old: str, new: str) -> None:
-        i = self._index(old)
-        self.registers[i] = (new, self.registers[i][1])
-
-    def discard_register(self, name: str) -> None:
-        """Remove an unentangled register (constant or factorizable)."""
-        i = self._index(name)
+    def _by_context(self, i: int) -> dict[tuple[str, ...], dict[str, complex]]:
+        """Amplitudes grouped by the other registers' values, then by register i's."""
         ctx_amps: dict[tuple[str, ...], dict[str, complex]] = {}
         for k, v in self.branches.items():
-            ctx = k[:i] + k[i + 1:]
-            ctx_amps.setdefault(ctx, {})[k[i]] = v
-        factor = self._factor_out(ctx_amps)
+            ctx_amps.setdefault(k[:i] + k[i + 1:], {})[k[i]] = v
+        return ctx_amps
+
+    def discard_register(self, name: str) -> dict[str, complex]:
+        """Remove an unentangled register (constant or factorizable).
+
+        Returns the register's normalized amplitudes by value. Raises
+        EntangledDiscardError unless the state is a product of the register
+        and the rest.
+        """
+        i = self._index(name)
+        ctx_amps = self._by_context(i)
+        first = next(iter(ctx_amps.values()))
+        gnorm = math.sqrt(sum(abs(a) ** 2 for a in first.values()))
+        g = {s: a / gnorm for s, a in first.items()}
+        s0 = next(iter(g))
+        out: dict[tuple[str, ...], complex] = {}
+        for ctx, amps in ctx_amps.items():
+            if amps.keys() != g.keys():
+                raise EntangledDiscardError("entangled discard")
+            r = amps[s0] / g[s0]
+            for s, gs in g.items():
+                if abs(amps[s] - r * gs) > 1e-7:
+                    raise EntangledDiscardError("entangled discard")
+            out[ctx] = r
         self.registers.pop(i)
-        self.branches = factor
+        self.branches = out
+        return g
 
     def extract_qubit(self, name: str) -> tuple[complex, complex]:
         """Remove an unentangled 1-bit register and return its (alpha, beta)."""
-        i = self._index(name)
-        if self.registers[i][1] != 1:
+        if self.width(name) != 1:
             raise ValueError("extract_qubit needs a 1-bit register")
-        ctx_amps: dict[tuple[str, ...], dict[str, complex]] = {}
-        for k, v in self.branches.items():
-            ctx = k[:i] + k[i + 1:]
-            ctx_amps.setdefault(ctx, {})[k[i]] = v
-        first = next(iter(ctx_amps.values()))
-        gnorm = math.sqrt(sum(abs(a) ** 2 for a in first.values()))
-        alpha = first.get("0", 0j) / gnorm
-        beta = first.get("1", 0j) / gnorm
-        factor = self._factor_out(ctx_amps)
-        self.registers.pop(i)
-        self.branches = factor
-        return alpha, beta
-
-    @staticmethod
-    def _factor_out(ctx_amps) -> dict[tuple[str, ...], complex]:
-        """Verify product structure and return the context-side factor."""
-        first = next(iter(ctx_amps.values()))
-        support = set(first)
-        gnorm = math.sqrt(sum(abs(a) ** 2 for a in first.values()))
-        g = {s: a / gnorm for s, a in first.items()}
-        s0 = next(iter(support))
-        out: dict[tuple[str, ...], complex] = {}
-        for ctx, amps in ctx_amps.items():
-            if set(amps) != support:
-                raise EntangledDiscardError("entangled discard")
-            r = amps[s0] / g[s0]
-            for s in support:
-                if abs(amps[s] - r * g[s]) > 1e-7:
-                    raise EntangledDiscardError("entangled discard")
-            out[ctx] = r
-        return out
+        g = self.discard_register(name)
+        return g.get("0", 0j), g.get("1", 0j)
 
     # -- comparison --------------------------------------------------------
 
@@ -409,14 +345,6 @@ class SparseState:
             if a is not None:
                 inner += a * v.conjugate()
         return abs(inner) ** 2
-
-    def dump(self) -> str:
-        """Sorted text rendering of branches, for golden-file comparison."""
-        lines = ["registers: " + " ".join(f"{n}:{w}" for n, w in self.registers)]
-        for k in sorted(self.branches):
-            v = self.branches[k]
-            lines.append(f"{'|'.join(k)}\t{v.real:+.9f}{v.imag:+.9f}j")
-        return "\n".join(lines)
 
 
 def gadget_state(pairs_with_names) -> SparseState:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import apply_perm, invert_perm, random_bits, xor
+from .bits import apply_perm, random_bits, xor
 from .keychain import KeyPair
 
 
@@ -138,19 +138,17 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
         hit = cache.get(key)
         if hit is None:
             for row in table.rows:
-                tag = oracle._lookup(row.tag_pad + key, len(row.tag))
+                tag = oracle._prf(row.tag_pad + key, len(row.tag))
                 if tag == row.tag:
-                    mask = oracle._lookup(row.ct_pad + key, len(row.ct))
+                    mask = oracle._prf(row.ct_pad + key, len(row.ct))
                     hit = cache[key] = xor(mask, row.ct)
                     break
             else:
                 raise UndecryptableBranch(f"no row opens under branch key")
         return hit
 
-    state.map_multi(
-        key_regs, [out_reg],
-        lambda keys, outs: (xor(outs[0], decrypt("".join(keys))),),
-    )
+    state.map_register(out_reg, lambda out, key: xor(out, decrypt(key)),
+                       keys=key_regs)
 
 
 # -- reversible tables -----------------------------------------------------

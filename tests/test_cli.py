@@ -1,5 +1,7 @@
 """CLI: exit codes, output files, config handling, replay determinism."""
 
+import hashlib
+
 import pytest
 
 from bqcsim.cli import ConfigError, main, parse_config, DEFAULTS
@@ -139,3 +141,46 @@ def test_ubqc_seed_replay_byte_identical(tmp_path):
                     "--set", "L=4", "--out", str(out)]) == 0
     for name in ("ubqc.log", "ubqc.hist.tsv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_attack_rejects_fewer_than_one_trial(tmp_path):
+    for trials in ("0", "-3"):
+        assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
+                    trials, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "hadamard-cheat.tsv").exists()
+
+
+# sha256 of every output file of three fixed runs. Refactors must keep them;
+# a change that moves them changes transcripts for a given seed on purpose.
+GOLDEN = {
+    "gdgprep-full": (["run", "gdgprep-full", "--seed", "1"], {
+        "gdgprep-full.log":
+            "0d0f6143ba40f7a89171b909e15ea5356ab83ce28fc338f7026b0071e3be138b",
+        "gdgprep-full.stages.tsv":
+            "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
+    }),
+    "hadamard-cheat": (["attack", "hadamard-cheat", "--seed", "1",
+                        "--trials", "40"], {
+        "hadamard-cheat.tsv":
+            "1257bdf2b034b626c963de5b9b421ec598978895fcfc8ad679ef81405fd03721",
+    }),
+    "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
+        "ubqc.log":
+            "777bed87c1af5411222f83f56bee6c8b1e9832c4e570f3821046d0f43bcb7364",
+        "ubqc.hist.tsv":
+            "e9ae148ef44ac31eef76a7ca9d37bbc678a0bfbc2348a981d1518b6195032ab7",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digests(tmp_path, name):
+    argv, want = GOLDEN[name]
+    circ = tmp_path / "circ.txt"
+    circ.write_text("1 3 6\n")  # a 3-gate circuit
+    out = tmp_path / "out"
+    argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir()}
+    assert got == want

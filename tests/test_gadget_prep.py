@@ -155,7 +155,7 @@ def test_pipeline_config_rounds():
 
 
 def test_pipeline_config_paper_values():
-    vals = gp.PipelineConfig(kappa=8, b4=1).paper_values()
+    vals = gp.PipelineConfig(kappa=8).paper_values()
     assert vals["eta"] == 8 ** 7
     assert vals["J"] == vals["eta"]
 

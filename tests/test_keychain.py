@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bqcsim.keychain import (KeyPair, combine_keys, extend_keys_refresh,
-                             permute_blocks, sample_key_pair, sample_key_set)
+                             permute_blocks, sample_key_pair)
 
 
 def test_pair_invariants():
@@ -24,9 +24,6 @@ def test_sampling_distinct_keys():
     for _ in range(200):
         p = sample_key_pair(rng, 1)
         assert {p.x0, p.x1} == {"0", "1"}
-    pairs = sample_key_set(rng, 10, 5)
-    assert len(pairs) == 10
-    assert all(p.width == 5 for p in pairs)
 
 
 def test_combine_outcome_zero_pairs_same_subscripts():

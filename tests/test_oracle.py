@@ -1,4 +1,4 @@
-"""Random oracle: determinism, counters, budgets, tags, blinding."""
+"""Random oracle: determinism, counters, budgets, tags."""
 
 import hashlib
 
@@ -88,8 +88,8 @@ def test_superposed_query_matches_classical_values():
     st.add_register("h", "000")
     o.query_superposed(st, "k", "h", prefix="11")
     vals = {k[0]: k[1] for k in st.branches}
-    assert vals["01"] == o._lookup("1101", 3)
-    assert vals["10"] == o._lookup("1110", 3)
+    assert vals["01"] == o._prf("1101", 3)
+    assert vals["10"] == o._prf("1110", 3)
 
 
 def test_tag_default_length_and_domain_separation():
@@ -101,21 +101,3 @@ def test_tag_default_length_and_domain_separation():
     with pytest.raises(ValueError):
         o.tag("")
 
-
-def test_blinded_view_rerandomizes_only_declared_inputs():
-    o = RandomOracle(11)
-    view = o.blind({"0000"})
-    assert view.query_classical("0000", 32) != o.query_classical("0000", 32)
-    assert view.query_classical("0001", 32) == o.query_classical("0001", 32)
-
-
-def test_blind_layers_stack_and_share_counters():
-    o = RandomOracle(12)
-    v1 = o.blind({"00"})
-    v2 = v1.blind({"00", "01"})
-    base = o.query_classical("00", 16)
-    assert v1.query_classical("00", 16) != base
-    assert v2.query_classical("00", 16) != v1.query_classical("00", 16)
-    # inner layer still masks inputs the outer layer left alone
-    assert v2.query_classical("11", 16) == o.query_classical("11", 16)
-    assert o.counters["client"] == 6  # all queries above, one shared ledger

@@ -34,13 +34,6 @@ def test_transcript_single_verdict():
     assert tr.serialize().endswith("verdict\tpass\t\n")
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ProtocolParams(pad_len=0).check()
-    notes = ProtocolParams(pad_len=4, kappa=8, mode="paper").check()
-    assert notes  # toy numbers violate the asymptotic guidance, reported
-
-
 def test_pad_hadamard_honest_passes():
     for seed in range(30):
         o, srv, rng, params, pair, reg = setup(seed)

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from bqcsim.bits import dot
-from bqcsim.state import ATOL, EntangledDiscardError, SparseState, gadget_state
+from bqcsim.state import (ATOL, MAX_HADAMARD_RANK, EntangledDiscardError,
+                          SparseState, gadget_state)
 
 
 def test_gadget_normalized_superposition():
@@ -78,7 +79,7 @@ def test_hadamard_measure_applies_residual_phase():
     st = SparseState()
     st.add_gadget("a", "0", "1")
     st.add_register("b", "0")
-    st.map_multi(["a"], ["b"], lambda k, o: (k[0],))  # copy: |00> + |11>
+    st.map_register("b", lambda o, k: k, keys=["a"])  # copy: |00> + |11>
     d = st.measure_hadamard("a", rng)
     amps = {k[0]: v for k, v in st.branches.items()}
     expect = -1.0 if d == "1" else 1.0
@@ -109,7 +110,7 @@ def test_discard_entangled_register_refuses():
     st = SparseState()
     st.add_gadget("a", "0", "1")
     st.add_register("b", "0")
-    st.map_multi(["a"], ["b"], lambda k, o: (k[0],))
+    st.map_register("b", lambda o, k: k, keys=["a"])
     with pytest.raises(EntangledDiscardError):
         st.discard_register("b")
 
@@ -140,11 +141,39 @@ def test_fidelity_matches_by_name_not_order():
 
 
 def test_map_pair_rejects_width_change():
+    # a map over a (key, destination) register pair keeps the width unless
+    # a new one is given, and every image must have it
     st = SparseState()
     st.add_gadget("a", "0", "1")
     st.add_register("b", "00")
     with pytest.raises(ValueError):
-        st.map_pair("a", "b", lambda x, y: "0")
+        st.map_register("b", lambda y, x: "0", keys=["a"])
+    with pytest.raises(ValueError):
+        st.map_register("b", lambda y, x: y + x, keys=["a"], width=2)
+    assert st.registers == [("a", 1), ("b", 2)]
+
+
+def test_map_register_concatenates_keys_and_resizes():
+    st = gadget_state([("a", "0", "1"), ("b", "01", "10")])
+    st.add_register("c", "1")
+    st.map_register("c", lambda c, key: key + c, keys=["b", "a"], width=4)
+    assert st.width("c") == 4
+    assert all(c == b + a + "1" for a, b, c in st.branches)
+    assert len(st.branches) == 4
+
+
+def test_hadamard_measure_refuses_rank_above_cap():
+    # cap + 2 independent values (0 and the unit vectors) in 30 branches;
+    # the 2^rank enumeration must be refused before it starts
+    width = MAX_HADAMARD_RANK + 2
+    values = ["0" * width] + [format(1 << b, f"0{width}b")
+                              for b in range(width)]
+    st = SparseState()
+    st.registers = [("c", 1), ("v", width)]
+    amps = [(c, v) for c in "01" for v in values]
+    st.branches = {a: 1 / math.sqrt(len(amps)) for a in amps}
+    with pytest.raises(ValueError, match="MAX_HADAMARD_RANK"):
+        st.measure_hadamard("v", random.Random(0))
 
 
 def test_bitwise_permutation_and_inverse():

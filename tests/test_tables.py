@@ -28,7 +28,7 @@ def test_row_ciphertext_is_masked():
     row = tables.enc(o, "0" * 8, "1" * 32, 8, 16, rng)
     assert row.ct != "1" * 32
     # independent re-derivation of the mask
-    mask = o._lookup(row.ct_pad + "0" * 8, 32)
+    mask = o._prf(row.ct_pad + "0" * 8, 32)
     assert xor(row.ct, mask) == "1" * 32
 
 

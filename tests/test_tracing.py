@@ -1,0 +1,47 @@
+"""The benchmark tracer (bench/tracing.py) still finds every name it reads.
+
+The tracer wraps bqcsim functions and methods by name and its metrics read
+them back by label, so deleting or renaming one of them breaks
+``bench/run.py --trace 1``. This test fails first.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import bqcsim
+import bqcsim.adversary  # noqa: F401  (loads every layer module)
+import bqcsim.qfactory  # noqa: F401
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_reports_metrics():
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        tracer.begin_op(0)
+        oracle = bqcsim.oracle.RandomOracle(1)
+        server = bqcsim.protocols.HonestServer(oracle, seed=2)
+        rng = random.Random(3)
+        pair = bqcsim.keychain.sample_key_pair(rng, 6)
+        reg = server.prepare_gadget("g", pair)
+        params = bqcsim.protocols.ProtocolParams(pad_len=6, kappa_out=8)
+        tr = bqcsim.protocols.pad_hadamard(oracle, pair, reg, params, server,
+                                           rng)
+        tracer.end_op()
+        tracer.add_transcripts([tr])
+    finally:
+        tracer.uninstall()
+    m = tracer.metrics()
+    assert m["oracle.prf_calls"] > 0
+    assert m["oracle.queries.server"] == 1  # one superposed query
+    assert m["state.map_branches"] > 0  # the value map is still counted
+    assert m["protocols.messages"] == len(tr.messages)

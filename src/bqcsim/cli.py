@@ -126,14 +126,6 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
         (pa, ra), (pb, rb) = _gadgets(server, rng, 2, w)
         _, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
         return tr, []
-    if name == "gdgprep-basic":
-        h, g = _gadgets(server, rng, 2, w)
-        _, tr, reps = gp.gdgprep_basic(oracle, h, g, params, server, rng)
-        return tr, reps
-    if name == "gdgprep-1p1":
-        h, g = _gadgets(server, rng, 2, w)
-        _, tr, reps = gp.gdgprep_1p1(oracle, h, g, params, server, rng)
-        return tr, reps
     if name == "gdgprep-1pn":
         h, *gs = _gadgets(server, rng, 4, w)
         _, tr, reps = gp.gdgprep_1pn(oracle, h, gs, params, server, rng)
@@ -170,9 +162,9 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
     raise ConfigError(f"unknown protocol: {name}")
 
 
-RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-basic",
-                 "gdgprep-1p1", "gdgprep-1pn", "gdgprep-logk",
-                 "gdgprep-repeat", "refresh", "gdgprep-full", "qfac8")
+RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
+                 "gdgprep-logk", "gdgprep-repeat", "refresh", "gdgprep-full",
+                 "qfac8")
 
 
 def cmd_run(args) -> int:
@@ -276,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale blind-quantum-computation protocol simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, mode: bool):
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--mode", choices=("toy", "paper"), default="toy")
+        if mode:  # only the pipeline reads it: paper mode logs paper_values
+            p.add_argument("--mode", choices=("toy", "paper"), default="toy")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -286,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a protocol honestly")
     p.add_argument("protocol", choices=RUN_PROTOCOLS)
-    common(p)
+    common(p, mode=True)
 
     p = sub.add_parser("attack", help="run an adversary experiment")
     p.add_argument("attack", choices=ATTACKS)
     p.add_argument("--trials", type=int, default=200)
-    common(p)
+    common(p, mode=False)
 
     p = sub.add_parser("ubqc", help="delegate a circuit end to end")
     p.add_argument("circuit", help="file of measurement octants (0-7)")
-    common(p)
+    common(p, mode=True)
     return ap
 
 

@@ -2,10 +2,9 @@
 
 Stages, bottom to top:
 
-* ``gdgprep_basic``   -- one helper + one input gadget -> two fresh gadgets,
-  via the branching reversible table and a padded Hadamard test.
-* ``gdgprep_1p1``     -- basis tests, then the basic step.
-* ``gdgprep_1pn``     -- one helper shared across n inputs -> 2n gadgets.
+* ``gdgprep_1pn``     -- one helper shared across n inputs -> 2n gadgets:
+  basis tests, one branching reversible table per input, a padded Hadamard
+  test on the helper. With n = 1 it is the paper's basic 2 -> 2 step.
 * ``gdgprep_logk``    -- iterated doubling with one helper per round.
 * ``gdgprep_repeat``  -- M independent doubling blocks + block permutation.
 * ``security_refreshing`` -- consume J fresh gadgets to extend and re-pad
@@ -116,60 +115,16 @@ def _absorb(tr: Transcript, reports: list[StageReport], sub,
     return None
 
 
-# -- basic step ------------------------------------------------------------
-
-
-def gdgprep_basic(oracle, helper: Gadget, k3: Gadget,
-                  params: ProtocolParams, server, rng):
-    """Helper + input gadget -> two output gadgets (2 -> 2)."""
-    tr = Transcript()
-    h_pair, h_reg = helper
-    k3_pair, k3_reg = k3
-    kout = params.kappa_out
-    k2 = sample_key_pair(rng, k3_pair.width)
-    y2 = sample_key_pair(rng, kout)
-    y3 = sample_key_pair(rng, kout)
-    perm = list(range(2 * kout))
-    rng.shuffle(perm)
-    table = tables.robust_rlt_build(oracle, h_pair, k2, k3_pair, y2, y3,
-                                    perm, params.pad_len, rng)
-    tr.send("client", "gp.robust_fwd", tables.serialize_table(table.forward))
-    tr.send("client", "gp.robust_bwd", tables.serialize_table(table.backward))
-    tr.send("client", "gp.k2", k2.x0 + "," + k2.x1)
-
-    out_reg = f"{k3_reg}_out"
-    server.eval_robust(h_reg, k2, k3_reg, table, out_reg)
-
-    ph = pad_hadamard(oracle, h_pair, h_reg, params, server, rng)
-    tr.messages.extend(ph.messages)
-    if not ph.passed:
-        tr.finish(False, f"pad hadamard: {ph.fail_reason}")
-        return [], tr, [StageReport("basic", 2, 0, 1, "fail")]
-
-    tr.send("client", "gp.perm", ",".join(map(str, perm)))
-    r2, r3 = f"{out_reg}a", f"{out_reg}b"
-    server.depermute_split(out_reg, perm, kout, (r2, r3))
-    tr.finish(True)
-    report = StageReport("basic", 2, 2, 1, "pass")
-    return [(y2, r2), (y3, r3)], tr, [report]
-
-
-def gdgprep_1p1(oracle, helper: Gadget, k3: Gadget,
-                params: ProtocolParams, server, rng):
-    """Basis tests first, then the basic step (2 -> 2)."""
-    tr = basis_test_two(oracle, helper[0], helper[1], k3[0], k3[1],
-                        params.test_rounds, params, server, rng)
-    if not tr.passed:
-        return [], tr, [StageReport("1p1", 2, 0, 0, "fail")]
-    out, tr2, reps = gdgprep_basic(oracle, helper, k3, params, server, rng)
-    tr2.messages[:0] = tr.messages
-    reps.insert(0, StageReport("1p1", 2, len(out), 1, tr2.verdict))
-    return out, tr2, reps
+# -- doubling --------------------------------------------------------------
 
 
 def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
                 params: ProtocolParams, server, rng):
-    """One shared helper turns n gadgets into 2n."""
+    """One shared helper turns n gadgets into 2n (n = 1: the 2 -> 2 step).
+
+    The transcript carries both directions of every branching table the
+    server evaluates.
+    """
     tr = Transcript()
     reports: list[StageReport] = []
     h_pair, h_reg = helper
@@ -192,8 +147,10 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         rng.shuffle(perm)
         table = tables.robust_rlt_build(oracle, h_pair, k2, k3_pair, y2, y3,
                                         perm, params.pad_len, rng)
-        tr.send("client", f"gp.robust[{i}]",
+        tr.send("client", f"gp.robust_fwd[{i}]",
                 tables.serialize_table(table.forward))
+        tr.send("client", f"gp.robust_bwd[{i}]",
+                tables.serialize_table(table.backward))
         tr.send("client", f"gp.k2[{i}]", k2.x0 + "," + k2.x1)
         out_reg = f"{k3_reg}_out"
         server.eval_robust(h_reg, k2, k3_reg, table, out_reg)

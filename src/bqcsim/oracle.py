@@ -32,9 +32,8 @@ class QueryBudgetExceeded(RuntimeError):
 class RandomOracle:
     """A lazily-sampled random function, reproducible from a 64-bit seed."""
 
-    def __init__(self, seed: int, tag_len: int | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.tag_len = tag_len
         self.counters: dict[str, int] = {}
         self.budgets: dict[str, int] = {}
 
@@ -98,10 +97,9 @@ class RandomOracle:
 
         state.map_register(out_reg, update, keys=[in_reg])
 
-    def tag(self, x: str, tag_len: int | None = None, party: str = "client") -> str:
-        """Global tag H(tag-prefix || x); default length is twice |x|."""
+    def tag(self, x: str, party: str = "client") -> str:
+        """Global tag H(tag-prefix || x), twice as long as x."""
         if not x:
             raise ValueError("cannot tag the empty string")
-        n = tag_len or self.tag_len or 2 * len(x)
         self.count(party)
-        return self._prf(_TAG_PREFIX + x, n)
+        return self._prf(_TAG_PREFIX + x, 2 * len(x))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import tables
-from .bits import dot, random_bits
+from .bits import dot, invert_perm, random_bits
 from .keychain import KeyPair, combine_keys
 from .state import SparseState
 
@@ -135,13 +135,11 @@ class HonestServer:
         """Build the plaintext K2 gadget and run the branching table."""
         k2_reg = self.state.fresh_name("k2")
         self.state.add_gadget(k2_reg, k2.x0, k2.x1)
-        return tables.robust_eval(self.oracle, self.state, help_reg, k2_reg,
-                                  x3_reg, table, out_reg, self.party)
+        return tables.rev_eval(self.oracle, self.state, [help_reg],
+                               [k2_reg, x3_reg], table, out_reg, self.party)
 
     def depermute_split(self, out_reg: str, perm: list[int],
                         width2: int, names: tuple[str, str]) -> None:
-        from .bits import invert_perm
-
         self.state.apply_bitwise_permutation(out_reg, invert_perm(perm))
         total = self.state.width(out_reg)
         self.state.split_register(out_reg, [width2, total - width2], list(names))
@@ -248,14 +246,9 @@ def basis_test_two(oracle, pair1: KeyPair, reg1: str, pair3: KeyPair,
     tr = basis_test_multi(oracle, pair3, reg3, rounds, params, server, rng)
     if not tr.passed:
         return tr
-    tr2 = basis_test_single(oracle, pair1, reg1, params, server, rng)
-    tr.messages.extend(tr2.messages)
-    if not tr2.passed:
-        out = Transcript()
-        out.messages = tr.messages
-        out.finish(False, tr2.fail_reason)
-        return out
-    return tr
+    tr2 = basis_test_multi(oracle, pair1, reg1, 1, params, server, rng)
+    tr2.messages[:0] = tr.messages
+    return tr2
 
 
 def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,

@@ -202,18 +202,6 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
 # -- the full stack --------------------------------------------------------
 
 
-def prepare_qubits(oracle, gadgets: list[Gadget], params: ProtocolParams,
-                   server, rng, tr: Transcript):
-    qubits = []
-    for g in gadgets:
-        qb, _, sub = qfac8(oracle, g, params, server, rng)
-        tr.messages.extend(sub.messages)
-        if qb is None:
-            return None
-        qubits.append(qb)
-    return qubits
-
-
 def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
               server, rng, shots: int = 1):
     """Pipeline -> qfactory per gadget -> blind cluster computation.
@@ -233,10 +221,14 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
         tr.finish(False, "pipeline yielded too few gadgets")
         return None, [], tr
     params = config.params_for_round(config.rounds() or 1)
-    qubits = prepare_qubits(oracle, gadgets[:need], params, server, rng, tr)
-    if qubits is None:
-        tr.finish(False, "qfactory failed")
-        return None, [], tr
+    qubits = []
+    for g in gadgets[:need]:
+        qb, _, qtr = qfac8(oracle, g, params, server, rng)
+        tr.messages.extend(qtr.messages)
+        if qb is None:
+            tr.finish(False, "qfactory failed")
+            return None, [], tr
+        qubits.append(qb)
 
     ones, deltas = ubqc_shots(qubits, circuit_octants, rng, shots)
     tr.send("client", "ubqc.result", f"shots={shots} ones={ones}")

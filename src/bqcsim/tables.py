@@ -7,17 +7,21 @@ Every table row is an encryption under one (possibly concatenated) key:
 A holder of the key finds its row by the tag and unmasks the payload; the
 pads make every row's hash inputs fresh. On top of single rows the module
 builds plain lookup tables, reversible (forward + backward) tables, the
-branching two-gadget reversible table with its secret output permutation,
-and phase tables.
+branching two-gadget reversible table with its secret output permutation
+(a reversible table whose rows are also keyed by a helper gadget), and
+phase tables.
 
 Server-side evaluators act on a SparseState branch by branch: the decrypted
 payload is XORed into a target register, which keeps every evaluation an
-involution and therefore reversible.
+involution and therefore reversible. ``rev_eval`` is the one evaluator of
+reversible tables, plain or branching: control registers key both passes
+and stay in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .bits import apply_perm, random_bits, xor
 from .keychain import KeyPair
@@ -55,13 +59,6 @@ class ReversibleTable:
 
 
 @dataclass
-class RobustTable:
-    forward: LookupTable
-    backward: LookupTable
-    perm: list[int] = field(default_factory=list)
-
-
-@dataclass
 class PhaseTable:
     table: LookupTable
     denominator: int
@@ -71,14 +68,14 @@ class PhaseTable:
 
 
 def enc(oracle, key: str, payload: str, pad_len: int, tag_len: int,
-        rng, party: str = "client") -> TableRow:
+        rng) -> TableRow:
     if pad_len < 1:
         raise ValueError("pad length must be >= 1")
     tag_len = max(tag_len, TAG_MIN)
     ct_pad = random_bits(rng, pad_len)
     tag_pad = random_bits(rng, pad_len)
-    mask = oracle.query_classical(ct_pad + key, len(payload), party)
-    tag = oracle.query_classical(tag_pad + key, tag_len, party)
+    mask = oracle.query_classical(ct_pad + key, len(payload))
+    tag = oracle.query_classical(tag_pad + key, tag_len)
     return TableRow(ct_pad, xor(mask, payload), tag_pad, tag)
 
 
@@ -95,7 +92,7 @@ def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
 
 
 def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng,
-             shuffle: bool = True, party: str = "client") -> LookupTable:
+             shuffle: bool = True) -> LookupTable:
     """Build a table from [(key or key-tuple, payload), ...].
 
     Multi-key entries are concatenated before encryption.
@@ -108,7 +105,7 @@ def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng,
         if key in seen:
             raise ValueError("duplicate input key in table mapping")
         seen.add(key)
-        rows.append(enc(oracle, key, payload, pad_len, tag_len, rng, party))
+        rows.append(enc(oracle, key, payload, pad_len, tag_len, rng))
         payload_len, key_len = len(payload), len(key)
     if shuffle:
         rng.shuffle(rows)
@@ -155,7 +152,7 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
 
 
 def revlt_build(oracle, in_pairs: list[KeyPair], out_pairs: list[KeyPair],
-                pad_len: int, rng, party: str = "client") -> ReversibleTable:
+                pad_len: int, rng) -> ReversibleTable:
     """Bijection between key tuples: forward x_b -> y_b, backward inverts.
 
     Tag lengths follow the keys they authenticate: output length forward,
@@ -174,26 +171,27 @@ def revlt_build(oracle, in_pairs: list[KeyPair], out_pairs: list[KeyPair],
         fwd.append((key_in, key_out))
         bwd.append((key_out, key_in))
     return ReversibleTable(
-        lt_build(oracle, fwd, pad_len, out_len, rng, party=party),
-        lt_build(oracle, bwd, pad_len, in_len, rng, party=party),
+        lt_build(oracle, fwd, pad_len, out_len, rng),
+        lt_build(oracle, bwd, pad_len, in_len, rng),
     )
 
 
-def rev_eval(oracle, state, in_regs: list[str], table: ReversibleTable,
-             out_reg: str, party: str = "server") -> str:
+def rev_eval(oracle, state, controls: list[str], in_regs: list[str],
+             table: ReversibleTable, out_reg: str,
+             party: str = "server") -> str:
     """Coherently re-encode gadget registers through a reversible table.
 
-    |x_b>|0>  ->  |x_b>|y_b>  ->  |0>|y_b>  and the zeroed input registers
-    are discarded. Returns the output register name.
+    |c>|x_b>|0>  ->  |c>|x_b>|y_b>  ->  |c>|0>|y_b>: the forward pass is
+    keyed by ``controls + in_regs``, the backward pass by
+    ``controls + [out_reg]``. The control registers stay in place and the
+    zeroed input registers are discarded. Returns the output register name.
     """
     state.add_register(out_reg, "0" * table.forward.payload_len)
-    lt_eval_coherent(oracle, state, in_regs, out_reg, table.forward, party)
-    if len(in_regs) > 1:
-        merged = state.fresh_name("zin")
-        state.merge_registers(in_regs, merged)
-    else:
-        merged = in_regs[0]
-    lt_eval_coherent(oracle, state, [out_reg], merged, table.backward, party)
+    lt_eval_coherent(oracle, state, controls + in_regs, out_reg,
+                     table.forward, party)
+    merged = state.merge_registers(in_regs, state.fresh_name("zin"))
+    lt_eval_coherent(oracle, state, controls + [out_reg], merged,
+                     table.backward, party)
     state.discard_register(merged)
     return out_reg
 
@@ -203,13 +201,14 @@ def rev_eval(oracle, state, in_regs: list[str], table: ReversibleTable,
 
 def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
                      y2: KeyPair, y3: KeyPair, perm: list[int], pad_len: int,
-                     rng, party: str = "client") -> RobustTable:
+                     rng) -> ReversibleTable:
     """Two-branch reversible table with a secret output bit-permutation.
 
     Identity-style on helper branch b1=0, CNOT-style on b1=1:
         help_b1 || x2_b2 || x3_b3  ->  perm(y2_b2 || y3_(b3 xor b1*b2))
-    The backward table inverts each helper branch separately. Tag length
-    equals the pad length on both sides.
+    The backward table inverts each helper branch separately, so the helper
+    is a control of ``rev_eval``. Tag length equals the pad length on both
+    sides.
     """
     if len(perm) != y2.width + y3.width:
         raise ValueError("permutation must cover the concatenated outputs")
@@ -220,38 +219,17 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
                 out = apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm)
                 fwd.append((k_help[b1] + k2[b2] + k3[b3], out))
                 bwd.append((k_help[b1] + out, k2[b2] + k3[b3]))
-    return RobustTable(
-        lt_build(oracle, fwd, pad_len, pad_len, rng, party=party),
-        lt_build(oracle, bwd, pad_len, pad_len, rng, party=party),
-        list(perm),
+    return ReversibleTable(
+        lt_build(oracle, fwd, pad_len, pad_len, rng),
+        lt_build(oracle, bwd, pad_len, pad_len, rng),
     )
-
-
-def robust_eval(oracle, state, help_reg: str, x2_reg: str, x3_reg: str,
-                table: RobustTable, out_reg: str,
-                party: str = "server") -> str:
-    """Forward-then-backward evaluation of the branching table.
-
-    Consumes the x2/x3 registers, leaves the helper register in place
-    (it factorizes out exactly) and returns the permuted output register.
-    """
-    state.add_register(out_reg, "0" * table.forward.payload_len)
-    lt_eval_coherent(oracle, state, [help_reg, x2_reg, x3_reg], out_reg,
-                     table.forward, party)
-    merged = state.fresh_name("zin")
-    state.merge_registers([x2_reg, x3_reg], merged)
-    lt_eval_coherent(oracle, state, [help_reg, out_reg], merged,
-                     table.backward, party)
-    state.discard_register(merged)
-    return out_reg
 
 
 # -- phase tables ----------------------------------------------------------
 
 
 def phase_lt_build(oracle, pair: KeyPair, n: int, denominator: int,
-                   pad_len: int, rng, ordered: bool = False,
-                   party: str = "client") -> PhaseTable:
+                   pad_len: int, rng, ordered: bool = False) -> PhaseTable:
     """Table realizing the relative phase exp(i*pi*n/D) on a gadget.
 
     The secret offset m is sampled from [0, D); payloads are m and m + n
@@ -267,15 +245,13 @@ def phase_lt_build(oracle, pair: KeyPair, n: int, denominator: int,
         (pair.x1, format(m + n, f"0{width}b")),
     ]
     table = lt_build(oracle, mapping, pad_len, pad_len, rng,
-                     shuffle=not ordered, party=party)
+                     shuffle=not ordered)
     return PhaseTable(table, denominator)
 
 
 def phase_eval(oracle, state, reg: str, ptable: PhaseTable,
                party: str = "server") -> None:
     """Decrypt the offset, phase each branch, then un-decrypt the scratch."""
-    import math
-
     scratch = state.fresh_name("ph")
     state.add_register(scratch, "0" * ptable.table.payload_len)
     lt_eval_coherent(oracle, state, [reg], scratch, ptable.table, party)

@@ -50,15 +50,11 @@ def exact(srv, out):
 
 
 def test_honest_exact_all_protocols():
-    o, srv, rng, params = fresh(1)
-    h, g = gadgets(srv, rng, 2)
-    out, tr, _ = gp.gdgprep_basic(o, h, g, params, srv, rng)
-    assert tr.passed and exact(srv, out)
-
-    o, srv, rng, params = fresh(2)
-    h, g = gadgets(srv, rng, 2)
-    out, tr, _ = gp.gdgprep_1p1(o, h, g, params, srv, rng)
-    assert tr.passed and exact(srv, out)
+    for seed in (1, 2):  # 2 -> 2: the shared-helper step with one input
+        o, srv, rng, params = fresh(seed)
+        h, g = gadgets(srv, rng, 2)
+        out, tr, _ = gp.gdgprep_1pn(o, h, [g], params, srv, rng)
+        assert tr.passed and len(out) == 2 and exact(srv, out)
 
     o, srv, rng, params = fresh(3)
     h, *gs = gadgets(srv, rng, 4)

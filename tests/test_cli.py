@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from bqcsim.cli import ConfigError, main, parse_config, DEFAULTS
+from bqcsim.cli import RUN_PROTOCOLS, ConfigError, main, parse_config, DEFAULTS
 
 
 def run(argv):
@@ -20,10 +20,10 @@ def test_run_pad_hadamard_exit_zero(tmp_path):
 
 
 def test_run_writes_stage_reports(tmp_path):
-    code = run(["run", "gdgprep-basic", "--seed", "2",
+    code = run(["run", "gdgprep-1pn", "--seed", "2",
                 "--out", str(tmp_path)])
     assert code == 0
-    stages = (tmp_path / "gdgprep-basic.stages.tsv").read_text()
+    stages = (tmp_path / "gdgprep-1pn.stages.tsv").read_text()
     assert stages.splitlines()[0] == "stage\tin\tout\thelpers\tverdict\tqueries"
     assert "\tpass\t" in stages
 
@@ -38,10 +38,17 @@ def test_run_full_pipeline(tmp_path):
 def test_seed_replay_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run(["run", "gdgprep-basic", "--seed", "9",
+        assert run(["run", "gdgprep-1pn", "--seed", "9",
                     "--out", str(out)]) == 0
-    assert ((a / "gdgprep-basic.log").read_bytes()
-            == (b / "gdgprep-basic.log").read_bytes())
+    assert ((a / "gdgprep-1pn.log").read_bytes()
+            == (b / "gdgprep-1pn.log").read_bytes())
+
+
+@pytest.mark.parametrize("protocol", RUN_PROTOCOLS)
+def test_every_run_protocol_passes(tmp_path, protocol):
+    assert run(["run", protocol, "--seed", "1", "--out", str(tmp_path)]) == 0
+    log = (tmp_path / f"{protocol}.log").read_text()
+    assert log.splitlines()[-1].startswith("verdict\tpass")
 
 
 def test_unknown_protocol_exit_two():
@@ -143,6 +150,18 @@ def test_ubqc_seed_replay_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_mode_only_for_run_and_ubqc(tmp_path):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3\n")
+    for command in (["run", "pad-hadamard"],
+                    ["ubqc", str(circ), "--set", "shots=10", "--set", "L=2"]):
+        assert run(command + ["--seed", "1", "--out", str(tmp_path),
+                              "--mode", "paper"]) == 0
+    assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials", "5",
+                "--out", str(tmp_path), "--mode", "paper"]) == 2
+    assert not (tmp_path / "hadamard-cheat.tsv").exists()
+
+
 def test_attack_rejects_fewer_than_one_trial(tmp_path):
     for trials in ("0", "-3"):
         assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
@@ -155,7 +174,7 @@ def test_attack_rejects_fewer_than_one_trial(tmp_path):
 GOLDEN = {
     "gdgprep-full": (["run", "gdgprep-full", "--seed", "1"], {
         "gdgprep-full.log":
-            "0d0f6143ba40f7a89171b909e15ea5356ab83ce28fc338f7026b0071e3be138b",
+            "583036dab502063f507c8dedaae192abcfc1eac790f0e8867e57fb2d35fd28d0",
         "gdgprep-full.stages.tsv":
             "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
     }),
@@ -166,7 +185,7 @@ GOLDEN = {
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":
-            "777bed87c1af5411222f83f56bee6c8b1e9832c4e570f3821046d0f43bcb7364",
+            "83f71570716e012c280206c179414af6048b11e55a52799fc066609ce7d429ef",
         "ubqc.hist.tsv":
             "e9ae148ef44ac31eef76a7ca9d37bbc678a0bfbc2348a981d1518b6195032ab7",
     }),

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from bqcsim import gadget_prep as gp
+from bqcsim import tables
+from bqcsim.bits import random_bits
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
@@ -39,10 +41,11 @@ def assert_exact(srv, out):
 
 
 def test_basic_two_to_two():
+    # the paper's basic step is the shared-helper step with one input
     for seed in range(10):
         o, srv, rng, params = setup(seed)
         helper, g = gadgets(srv, rng, 2)
-        out, tr, reps = gp.gdgprep_basic(o, helper, g, params, srv, rng)
+        out, tr, reps = gp.gdgprep_1pn(o, helper, [g], params, srv, rng)
         assert tr.passed
         assert (reps[-1].gadgets_in, reps[-1].gadgets_out) == (2, 2)
         assert all(p.width == params.kappa_out for p, _ in out)
@@ -52,10 +55,77 @@ def test_basic_two_to_two():
 def test_1p1_includes_basis_tests():
     o, srv, rng, params = setup(77)
     helper, g = gadgets(srv, rng, 2)
-    out, tr, reps = gp.gdgprep_1p1(o, helper, g, params, srv, rng)
+    out, tr, reps = gp.gdgprep_1pn(o, helper, [g], params, srv, rng)
     assert tr.passed
-    assert any(t == "bt.table" for _, t, _ in tr.messages)
+    # test_rounds on the input, then one round on the helper
+    tags = [t for _, t, _ in tr.messages]
+    assert tags.count("bt.table") == params.test_rounds + 1
+    assert tags.index("bt.table") < tags.index("gp.robust_fwd[0]")
     assert_exact(srv, out)
+
+
+class SpyServer(HonestServer):
+    """Honest server that records every branching table it evaluates."""
+
+    def __init__(self, oracle, seed=0):
+        super().__init__(oracle, seed)
+        self.evaluated = []
+
+    def eval_robust(self, help_reg, k2, x3_reg, table, out_reg):
+        self.evaluated.append(table)
+        return super().eval_robust(help_reg, k2, x3_reg, table, out_reg)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_1pn_transcript_carries_every_evaluated_table(n):
+    o = RandomOracle(600 + n)
+    srv = SpyServer(o, seed=601 + n)
+    rng = random.Random(602 + n)
+    params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
+    helper, = gadgets(srv, rng, 1, prefix="h")
+    out, tr, _ = gp.gdgprep_1pn(o, helper, gadgets(srv, rng, n), params,
+                                srv, rng)
+    assert tr.passed and len(srv.evaluated) == n
+    sent = [(t, p) for _, t, p in tr.messages if t.startswith("gp.robust_")]
+    assert [t for t, _ in sent] == [f"gp.robust_{d}[{i}]" for i in range(n)
+                                    for d in ("fwd", "bwd")]
+    sent = dict(sent)
+    for i, table in enumerate(srv.evaluated):
+        # the server gets the two directions and nothing else (no perm)
+        assert set(vars(table)) == {"forward", "backward"}
+        assert sent[f"gp.robust_fwd[{i}]"] == tables.serialize_table(
+            table.forward)
+        assert sent[f"gp.robust_bwd[{i}]"] == tables.serialize_table(
+            table.backward)
+    assert_exact(srv, out)
+
+
+class HelperGuessServer(HonestServer):
+    """Answers basis tests honestly, except that it guesses r for the helper."""
+
+    def respond_basis_test(self, regs, table):
+        if regs == ["h0"]:  # the helper register of these tests
+            return random_bits(self.rng, table.payload_len)
+        return super().respond_basis_test(regs, table)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_1pn_fails_closed_when_helper_basis_test_fails(n):
+    o = RandomOracle(700 + n)
+    srv = HelperGuessServer(o, seed=701 + n)
+    rng = random.Random(702 + n)
+    params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=2)
+    helper, = gadgets(srv, rng, 1, prefix="h")
+    out, tr, reps = gp.gdgprep_1pn(o, helper, gadgets(srv, rng, n), params,
+                                   srv, rng)
+    assert out == [] and not tr.passed
+    assert tr.fail_reason == "1pn: basis test: round 0: wrong r"
+    assert [(r.stage, r.gadgets_out, r.verdict) for r in reps] == [
+        ("1pn", 0, "fail")]
+    tags = [t for _, t, _ in tr.messages]
+    # the input's test_rounds passed, the helper's round failed, and no
+    # table, key or permutation was sent after it
+    assert tags == ["bt.table", "bt.r"] * (params.test_rounds + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -102,7 +102,7 @@ def test_reversible_table_recodes_gadget_exactly():
     t = tables.revlt_build(o, [xin], [yout], 8, rng)
     st = SparseState()
     st.add_gadget("x", xin.x0, xin.x1)
-    tables.rev_eval(o, st, ["x"], t, "y")
+    tables.rev_eval(o, st, [], ["x"], t, "y")
     expect = gadget_state([("y", yout.x0, yout.x1)])
     assert st.fidelity(expect) > 1 - 1e-9
 
@@ -116,7 +116,7 @@ def test_reversible_table_multi_pair():
     assert len(t.forward.rows) == 4 and len(t.backward.rows) == 4
     st = gadget_state([("a", ins[0].x0, ins[0].x1),
                        ("b", ins[1].x0, ins[1].x1)])
-    tables.rev_eval(o, st, ["a", "b"], t, "y")
+    tables.rev_eval(o, st, [], ["a", "b"], t, "y")
     # output register holds y_b1 || y_b2 jointly over the four branches
     vals = {k[0] for k in st.branches}
     assert vals == {outs[0][b1] + outs[1][b2]
@@ -134,6 +134,8 @@ def test_robust_table_branching_structure():
     perm = list(range(10))
     rng.shuffle(perm)
     t = tables.robust_rlt_build(o, kh, k2, k3, y2, y3, perm, 8, rng)
+    # a plain reversible table: the output permutation stays with the client
+    assert isinstance(t, tables.ReversibleTable)
     assert len(t.forward.rows) == 8 and len(t.backward.rows) == 8
     for b1 in (0, 1):
         for b2 in (0, 1):
@@ -141,9 +143,11 @@ def test_robust_table_branching_structure():
                 key = kh[b1] + k2[b2] + k3[b3]
                 want = apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm)
                 assert tables.lt_decrypt(o, t.forward, key) == want
+                assert tables.lt_decrypt(o, t.backward,
+                                         kh[b1] + want) == k2[b2] + k3[b3]
 
 
-def test_robust_eval_leaves_helper_in_place():
+def test_rev_eval_leaves_control_register_in_place():
     o = RandomOracle(12)
     rng = random.Random(12)
     kh = sample_key_pair(rng, 4)
@@ -156,10 +160,14 @@ def test_robust_eval_leaves_helper_in_place():
     t = tables.robust_rlt_build(o, kh, k2, k3, y2, y3, perm, 8, rng)
     st = gadget_state([("h", kh.x0, kh.x1), ("a", k2.x0, k2.x1),
                        ("b", k3.x0, k3.x1)])
-    tables.robust_eval(o, st, "h", "a", "b", t, "out")
+    tables.rev_eval(o, st, ["h"], ["a", "b"], t, "out")
     names = [n for n, _ in st.registers]
     assert names == ["h", "out"]
     assert abs(st.norm() - 1) < 1e-9
+    # one branch per (b1, b2, b3): the helper value keys its output value
+    want = {(kh[b1], apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm))
+            for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)}
+    assert set(st.branches) == want
 
 
 def test_phase_table_payload_width_and_offset_range():

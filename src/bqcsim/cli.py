@@ -22,7 +22,6 @@ from . import gadget_prep as gp
 from . import qfactory as qf
 from .adversary import (HonestServer, MeasureThenRandomD,
                         RandomGuessBasisTest, estimate, free_lunch_rate)
-from .keychain import sample_key_pair
 from .oracle import RandomOracle
 from .protocols import ProtocolParams, basis_test_multi, combine, pad_hadamard
 
@@ -99,14 +98,6 @@ def write_out(args, name: str, content: str) -> None:
 # -- run -------------------------------------------------------------------
 
 
-def _gadgets(server, rng, count, width, prefix="g"):
-    out = []
-    for i in range(count):
-        p = sample_key_pair(rng, width)
-        out.append((p, server.prepare_gadget(f"{prefix}{i}", p)))
-    return out
-
-
 def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
     """Returns (Transcript, stage reports)."""
     oracle = RandomOracle(seed)
@@ -116,35 +107,35 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
     w = cfg["key_width"]
 
     if name == "pad-hadamard":
-        (p, r), = _gadgets(server, rng, 1, w)
+        (p, r), = gp.send_gadgets(server, rng, 1, w)
         return pad_hadamard(oracle, p, r, params, server, rng), []
     if name == "basis-test":
-        (p, r), = _gadgets(server, rng, 1, w)
+        (p, r), = gp.send_gadgets(server, rng, 1, w)
         return basis_test_multi(oracle, p, r, params.test_rounds, params,
                                 server, rng), []
     if name == "combine":
-        (pa, ra), (pb, rb) = _gadgets(server, rng, 2, w)
+        (pa, ra), (pb, rb) = gp.send_gadgets(server, rng, 2, w)
         _, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
         return tr, []
     if name == "gdgprep-1pn":
-        h, *gs = _gadgets(server, rng, 4, w)
+        h, *gs = gp.send_gadgets(server, rng, 4, w)
         _, tr, reps = gp.gdgprep_1pn(oracle, h, gs, params, server, rng)
         return tr, reps
     if name == "gdgprep-logk":
-        h1, h2, seed_g = _gadgets(server, rng, 3, w)
+        h1, h2, seed_g = gp.send_gadgets(server, rng, 3, w)
         _, tr, reps = gp.gdgprep_logk(oracle, [h1, h2], seed_g, params,
                                       server, rng)
         return tr, reps
     if name == "gdgprep-repeat":
         blocks = []
         for m in range(2):
-            h, s = _gadgets(server, rng, 2, w, prefix=f"b{m}g")
+            h, s = gp.send_gadgets(server, rng, 2, w, prefix=f"b{m}g")
             blocks.append(([h], s))
         _, tr, reps = gp.gdgprep_repeat(oracle, blocks, params, server, rng)
         return tr, reps
     if name == "refresh":
-        gs = _gadgets(server, rng, cfg["N"], w)
-        lams = _gadgets(server, rng, cfg["J"], w, prefix="lam")
+        gs = gp.send_gadgets(server, rng, cfg["N"], w)
+        lams = gp.send_gadgets(server, rng, cfg["J"], w, prefix="lam")
         _, tr, reps = gp.security_refreshing(oracle, gs, lams, params,
                                              server, rng)
         return tr, reps
@@ -153,8 +144,8 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
         _, tr, reps = gp.gdgprep_full(oracle, pipeline, server, rng)
         return tr, reps
     if name == "qfac8":
-        (p, r), = _gadgets(server, rng, 1, w)
-        qb, _, tr = qf.qfac8(oracle, (p, r), params, server, rng)
+        g, = gp.send_gadgets(server, rng, 1, w)
+        qb, _, tr = qf.qfac8(oracle, g, params, server, rng)
         if qb is not None:
             tr.messages.append(("client", "qf.theta_index",
                                 str(qb.angle.index)))

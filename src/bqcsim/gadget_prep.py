@@ -27,11 +27,21 @@ from dataclasses import dataclass
 
 from . import tables
 from .bits import random_bits
-from .keychain import KeyPair, extend_keys_refresh, permute_blocks, sample_key_pair
+from .keychain import KeyPair, permute_blocks, sample_key_pair
 from .protocols import (ProtocolParams, Transcript, basis_test_two, combine,
                         pad_hadamard)
 
 Gadget = tuple[KeyPair, str]  # client-side key pair + server register name
+
+
+def send_gadgets(server, rng, count: int, width: int,
+                 prefix: str = "g") -> list[Gadget]:
+    """Sample ``count`` key pairs and send each as gadget ``{prefix}{i}``."""
+    out = []
+    for i in range(count):
+        pair = sample_key_pair(rng, width)
+        out.append((pair, server.prepare_gadget(f"{prefix}{i}", pair)))
+    return out
 
 
 @dataclass
@@ -221,7 +231,6 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
     n, j_rounds = len(gadgets), len(lams)
     kout = params.kappa_out
     failed = StageReport("refresh", n + j_rounds, 0, 0, "fail")
-    new_keys: list[list[KeyPair]] = [[] for _ in gadgets]
     # keys as held in the registers, growing with each extension round
     cur = [pair for pair, _ in gadgets]
 
@@ -236,18 +245,17 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
             tr.send("client", f"sr.table[{j}][{i}]",
                     tables.serialize_table(table))
             server.extend_gadget(reg, lam_reg, table)
-            new_keys[i].append(y)
             cur[i] = KeyPair(cur[i].x0 + y.x0, cur[i].x1 + y.x1)
         ph = pad_hadamard(oracle, lam_pair, lam_reg, params, server, rng)
         if _absorb(tr, reports, ((), ph, ()), failed, "pad hadamard") is None:
             return [], tr, reports
 
     out: list[Gadget] = []
-    for i, (pair, reg) in enumerate(gadgets):
+    for i, (_, reg) in enumerate(gadgets):
         pad = random_bits(rng, params.pad_len)
         tr.send("client", f"sr.pad[{i}]", pad)
         server.prepend_pad(reg, pad)
-        out.append((extend_keys_refresh(pair, new_keys[i], pad), reg))
+        out.append((KeyPair(pad + cur[i].x0, pad + cur[i].x1), reg))
     tr.finish(True)
     return out, tr, [StageReport("refresh", n + j_rounds, n, j_rounds, "pass")]
 
@@ -315,47 +323,28 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     if config.mode == "paper":
         tr.send("client", "gp.paper_values", str(config.paper_values()))
 
-    # sample every key pair up front; the initial message carries them all
-    seeds = [sample_key_pair(rng, config.key_width) for _ in range(config.N)]
-    helpers = []
-    lam1 = []
-    lam2 = []
-    count = config.N
-    for t in range(t_rounds):
-        helpers.append([sample_key_pair(rng, config.key_width)
-                        for _ in range(count)])
-        lam1.append([sample_key_pair(rng, config.key_width)
-                     for _ in range(config.J)])
-        lam2.append([sample_key_pair(rng, config.key_width)
-                     for _ in range(config.J)])
-        count *= 2
-
+    # the single quantum message: every gadget the pipeline will consume
     server_q0 = oracle.counters.get("server", 0)
-    cur: list[Gadget] = []
-    live_helpers: list[list[Gadget]] = []
-    live_lam1: list[list[Gadget]] = []
-    live_lam2: list[list[Gadget]] = []
-    # the single quantum message: the server receives all initial gadgets
-    for i, p in enumerate(seeds):
-        cur.append((p, server.prepare_gadget(f"k{i}", p)))
+    w = config.key_width
+    cur = send_gadgets(server, rng, config.N, w, "k")
+    helpers: list[list[Gadget]] = []
+    lam1: list[list[Gadget]] = []
+    lam2: list[list[Gadget]] = []
     for t in range(t_rounds):
-        live_helpers.append([(p, server.prepare_gadget(f"h{t}_{i}", p))
-                             for i, p in enumerate(helpers[t])])
-        live_lam1.append([(p, server.prepare_gadget(f"l1_{t}_{j}", p))
-                          for j, p in enumerate(lam1[t])])
-        live_lam2.append([(p, server.prepare_gadget(f"l2_{t}_{j}", p))
-                          for j, p in enumerate(lam2[t])])
+        helpers.append(send_gadgets(server, rng, config.N << t, w, f"h{t}_"))
+        lam1.append(send_gadgets(server, rng, config.J, w, f"l1_{t}_"))
+        lam2.append(send_gadgets(server, rng, config.J, w, f"l2_{t}_"))
     tr.send("client", "gp.init", f"N={config.N} T={t_rounds} J={config.J}")
 
     for t in range(t_rounds):
         params = config.params_for_round(t + 1)
-        blocks = [([live_helpers[t][m]], cur[m]) for m in range(len(cur))]
+        blocks = [([helpers[t][m]], cur[m]) for m in range(len(cur))]
         out = _absorb(tr, reports, gdgprep_oneround(
-            oracle, [blocks], [live_lam1[t]], params, server, rng))
+            oracle, [blocks], [lam1[t]], params, server, rng))
         if out is None:
             return [], tr, reports
         cur = _absorb(tr, reports, security_refreshing(
-            oracle, out, live_lam2[t], params, server, rng))
+            oracle, out, lam2[t], params, server, rng))
         if cur is None:
             return [], tr, reports
 

@@ -1,4 +1,4 @@
-"""Client-side key bookkeeping: sampling, combining, permuting, extending."""
+"""Client-side key bookkeeping: sampling, combining, permuting."""
 
 from __future__ import annotations
 
@@ -60,13 +60,3 @@ def permute_blocks(key_blocks: list, perm: list[int]) -> list:
     if sorted(perm) != list(range(len(key_blocks))):
         raise ValueError("not a permutation of the block indices")
     return [key_blocks[p] for p in perm]
-
-
-def extend_keys_refresh(x_pair: KeyPair, y_pairs_per_round: list[KeyPair],
-                        final_pad: str) -> KeyPair:
-    """Refresh-style key extension: pad || x_b || y_b(1) || ... || y_b(J)."""
-    x0, x1 = x_pair.x0, x_pair.x1
-    for y in y_pairs_per_round:
-        x0 += y.x0
-        x1 += y.x1
-    return KeyPair(final_pad + x0, final_pad + x1)

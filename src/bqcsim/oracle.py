@@ -13,7 +13,7 @@ module provides:
 * global tags -- ``H(tag-prefix || x)`` on a reserved domain that no honest
   protocol input can reach (the prefix contains a character outside
   {'0','1'});
-* per-party query counters for adversary budget accounting.
+* per-party query counters.
 """
 
 from __future__ import annotations
@@ -25,17 +25,12 @@ from .bits import xor
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 
 
-class QueryBudgetExceeded(RuntimeError):
-    pass
-
-
 class RandomOracle:
     """A lazily-sampled random function, reproducible from a 64-bit seed."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self.counters: dict[str, int] = {}
-        self.budgets: dict[str, int] = {}
 
     # -- raw PRF -----------------------------------------------------------
 
@@ -59,16 +54,7 @@ class RandomOracle:
     # -- accounting --------------------------------------------------------
 
     def count(self, party: str, n: int = 1) -> None:
-        new = self.counters.get(party, 0) + n
-        budget = self.budgets.get(party)
-        if budget is not None and new > budget:
-            raise QueryBudgetExceeded(
-                f"party {party!r} exceeded query budget {budget}"
-            )
-        self.counters[party] = new
-
-    def set_budget(self, party: str, budget: int) -> None:
-        self.budgets[party] = budget
+        self.counters[party] = self.counters.get(party, 0) + n
 
     # -- query modes -------------------------------------------------------
 
@@ -87,15 +73,8 @@ class RandomOracle:
         """
         out_len = state.width(out_reg)
         self.count(party)
-        cache: dict[str, str] = {}
-
-        def update(vout: str, vin: str) -> str:
-            h = cache.get(vin)
-            if h is None:
-                h = cache[vin] = self._prf(prefix + vin, out_len)
-            return xor(vout, h)
-
-        state.map_register(out_reg, update, keys=[in_reg])
+        state.map_register(out_reg, lambda vout, vin: xor(
+            vout, self._prf(prefix + vin, out_len)), keys=[in_reg])
 
     def tag(self, x: str, party: str = "client") -> str:
         """Global tag H(tag-prefix || x), twice as long as x."""

@@ -162,14 +162,10 @@ class HonestServer:
         """Branch index bit from which phase-table row opens (x0 row first)."""
         row0 = ptable.table.rows[0]
         self.oracle.count(self.party, 2)
-        cache: dict[str, str] = {}
 
         def fn(old: str, val: str) -> str:
-            b = cache.get(val)
-            if b is None:
-                t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
-                b = cache[val] = "0" if t == row0.tag else "1"
-            return b
+            t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
+            return "0" if t == row0.tag else "1"
 
         self.state.add_register(idx_reg, "0")
         self.state.map_register(idx_reg, fn, keys=[reg])
@@ -184,6 +180,12 @@ class HonestServer:
 # -- client-side protocol drivers ------------------------------------------
 
 
+def is_bitstring(answer, width: int) -> bool:
+    """Whether a server's answer is a string over {0,1} of ``width`` bits."""
+    return (isinstance(answer, str) and len(answer) == width
+            and not set(answer) - {"0", "1"})
+
+
 def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
                  server, rng) -> Transcript:
     """Padded Hadamard test on one gadget (consumes it on the server)."""
@@ -192,8 +194,7 @@ def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
     tr.send("client", "ph.pad", pad)
     d = server.respond_pad_hadamard(reg, pad, params.kappa_out)
     tr.send("server", "ph.d", d)
-    want = pair.width + params.kappa_out
-    if not isinstance(d, str) or len(d) != want or set(d) - {"0", "1"}:
+    if not is_bitstring(d, pair.width + params.kappa_out):
         tr.finish(False, "malformed d")
         return tr
     h0 = oracle.query_classical(pad + pair.x0, params.kappa_out)

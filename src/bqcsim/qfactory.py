@@ -25,7 +25,8 @@ import numpy as np
 from . import tables
 from .bits import dot
 from .gadget_prep import Gadget, PipelineConfig, gdgprep_full
-from .protocols import ProtocolParams, Transcript, basis_test_multi
+from .protocols import (ProtocolParams, Transcript, basis_test_multi,
+                        is_bitstring)
 
 OCTANT = math.pi / 4
 
@@ -87,7 +88,7 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     server.derive_index_register(reg, ptable, idx_reg)
     d = server.phase_and_measure(reg, ptable)
     tr.send("server", "qf.d", d)
-    if len(d) != pair.width or set(d) - {"0", "1"}:
+    if not is_bitstring(d, pair.width):
         tr.finish(False, "malformed d")
         return None, idx_reg, tr
 

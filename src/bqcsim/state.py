@@ -7,19 +7,19 @@ branches rather than a 2^n Hilbert space.
 
 Every coherent evaluation (oracle queries, table decryption, pads) is one
 value map, :meth:`SparseState.map_register`: a register's value becomes a
-function of itself and of the concatenated values of key registers, branch
-by branch. Both measurements draw their outcome with one ``rng.random()``
-through the same inverse-CDF sampler, and discarding a register factors it
-out of the amplitudes grouped by the other registers' values.
+function of itself and of the concatenated values of key registers, and
+the function is evaluated once per distinct pair of values, however many
+branches share it. Both measurements draw their outcome with one
+``rng.random()`` through the same inverse-CDF sampler, and discarding a
+register factors it out of the amplitudes grouped by the other registers'
+values.
 
 The one non-obvious primitive is :meth:`SparseState.measure_hadamard`. A
 register can be hundreds of bits wide, so the outcome ``d`` is never sampled
-by enumerating 2^width candidates. Instead: for the small set of values the
-register takes across branches, only the parities ``d . (s_j xor s_1)``
-affect the outcome distribution, so we sample a consistent parity assignment
-with probability proportional to the interference weight and then draw ``d``
-uniformly from the affine solution set of the corresponding GF(2) linear
-system.
+by enumerating 2^width candidates. An honest register holds a gadget, at
+most two values s0 and s1, and only the parity ``d . (s0 xor s1)`` affects
+the outcome distribution: the parity is drawn with its interference weight,
+then ``d`` uniformly among the strings with that parity.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ import math
 from .bits import apply_perm, bits_to_int, int_to_bits, parity
 
 ATOL = 1e-9
-# measure_hadamard weighs all 2^rank parity assignments, where rank is that
-# of the register's value differences. An honest register holds a gadget
-# (two values, rank 1); a rank above this cap can only come from a malformed
-# state, and enumerating it would take exponential time, so it is refused.
-MAX_HADAMARD_RANK = 12
 
 
 class EntangledDiscardError(ValueError):
@@ -105,18 +100,25 @@ class SparseState:
         """dst value <- fn(dst value, key), branch by branch.
 
         ``key`` is the concatenation of the values of the ``keys`` registers
-        ("" without keys). Every image must be ``width`` bits wide (default:
-        the width of dst); branches mapped onto the same values add up.
+        ("" without keys). ``fn`` must be pure: it is called once per
+        distinct (dst value, key) pair, in branch order, and its image is
+        reused for every branch with that pair. Every image must be
+        ``width`` bits wide (default: the width of dst); branches mapped
+        onto the same values add up.
         """
         j = self._index(dst)
         ki = [self._index(r) for r in keys]
         w = self.registers[j][1] if width is None else width
+        images: dict[tuple[str, str], str] = {}
         new: dict[tuple[str, ...], complex] = {}
         for k, v in self.branches.items():
-            nv = fn(k[j], "".join([k[i] for i in ki]))
-            if len(nv) != w:
-                raise ValueError(f"map_register: image width {len(nv)}, "
-                                 f"expected {w}")
+            arg = (k[j], "".join([k[i] for i in ki]))
+            nv = images.get(arg)
+            if nv is None:
+                nv = images[arg] = fn(*arg)
+                if len(nv) != w:
+                    raise ValueError(f"map_register: image width {len(nv)}, "
+                                     f"expected {w}")
             nk = k[:j] + (nv,) + k[j + 1:]
             new[nk] = new.get(nk, 0) + v
         self.registers[j] = (dst, w)
@@ -162,69 +164,39 @@ class SparseState:
 
         Returns the outcome string ``d``, removes the register, and applies
         the residual phase (-1)^(d . s) for each branch's former value ``s``.
-        Raises ValueError if the register's values span more than
-        ``MAX_HADAMARD_RANK`` independent differences.
+        Raises ValueError if the register holds more than two values: an
+        honest register holds a gadget.
         """
         i = self._index(name)
         w = self.registers[i][1]
-
         values = sorted({k[i] for k in self.branches})
-        ref = bits_to_int(values[0])
-        diffs = [bits_to_int(s) ^ ref for s in values[1:]]
+        if len(values) > 2:
+            raise ValueError(f"register {name!r} holds {len(values)} values; "
+                             "a Hadamard measurement takes at most two")
+        diff = bits_to_int(values[0]) ^ bits_to_int(values[-1])
+        lead = diff.bit_length() - 1  # -1 for a single value
 
-        # Incremental GF(2) echelon basis of the difference span; for each
-        # diff record its representation as a combo (bitmask) over basis
-        # vectors, so parities of d . diff follow from parities on the basis.
-        # Basis vector t has combo 1 << t and a lead bit of its own.
-        echelon: dict[int, tuple[int, int]] = {}  # lead bit -> (vec, combo)
-        reprs: list[int] = []  # combo bitmask per diff
-        for d in diffs:
-            v, combo = d, 0
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in echelon:
-                    break
-                evec, ecombo = echelon[lead]
-                v ^= evec
-                combo ^= ecombo
-            if v:
-                t = len(echelon)
-                echelon[v.bit_length() - 1] = (v, 1 << t)
-                combo ^= 1 << t
-            reprs.append(combo)
-
-        # weight of each parity assignment on the basis vectors
-        rank = len(echelon)
-        if rank > MAX_HADAMARD_RANK:
-            raise ValueError(f"register {name!r} has rank {rank} > "
-                             f"MAX_HADAMARD_RANK={MAX_HADAMARD_RANK}")
+        # interference weight of the parity d . (s0 xor s1) = 0, then = 1
         ctx_amps = self._by_context(i)
         weights = []
-        for combo in range(1 << rank):
-            val_par = {values[0]: 0}
-            for vi, rep in enumerate(reprs):
-                val_par[values[vi + 1]] = parity(combo & rep)
+        for p in range(len(values)):
             wsum = 0.0
             for amps in ctx_amps.values():
                 acc = 0j
                 for s, a in amps.items():
-                    acc += a * (-1) ** val_par[s]
+                    acc += a * (-1) ** (p * (s != values[0]))
                 wsum += abs(acc) ** 2
             weights.append(wsum)
+        par = self._inverse_cdf(weights, rng)
 
-        chosen = self._inverse_cdf(weights, rng)
-
-        # d uniform on {d : d . vec_t = bit t of chosen}: free bits are
-        # random, then each lead bit, low to high, fixes its vector's parity
-        # (a vector only touches bits at or below its lead)
+        # d uniform on {d : d . diff = par}: every other bit is random, then
+        # the lead bit of diff fixes the parity
         d_int = 0
         for bit in range(w):
-            if bit not in echelon and rng.random() < 0.5:
+            if bit != lead and rng.random() < 0.5:
                 d_int |= 1 << bit
-        for lead in sorted(echelon):
-            vec, combo = echelon[lead]
-            if parity(d_int & vec & ~(1 << lead)) != parity(chosen & combo):
-                d_int |= 1 << lead
+        if lead >= 0 and parity(d_int & diff) != par:
+            d_int |= 1 << lead
         d = int_to_bits(d_int, w)
 
         sign = {s: (-1) ** parity(d_int & bits_to_int(s)) for s in values}

@@ -129,23 +129,15 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
     no row (honest evaluation must abort there).
     """
     oracle.count(party, 2 * len(table.rows))
-    cache: dict[str, str] = {}
 
-    def decrypt(key: str) -> str:
-        hit = cache.get(key)
-        if hit is None:
-            for row in table.rows:
-                tag = oracle._prf(row.tag_pad + key, len(row.tag))
-                if tag == row.tag:
-                    mask = oracle._prf(row.ct_pad + key, len(row.ct))
-                    hit = cache[key] = xor(mask, row.ct)
-                    break
-            else:
-                raise UndecryptableBranch(f"no row opens under branch key")
-        return hit
+    def decrypt(out: str, key: str) -> str:
+        for row in table.rows:
+            if oracle._prf(row.tag_pad + key, len(row.tag)) == row.tag:
+                mask = oracle._prf(row.ct_pad + key, len(row.ct))
+                return xor(out, xor(mask, row.ct))
+        raise UndecryptableBranch("no row opens under branch key")
 
-    state.map_register(out_reg, lambda out, key: xor(out, decrypt(key)),
-                       keys=key_regs)
+    state.map_register(out_reg, decrypt, keys=key_regs)
 
 
 # -- reversible tables -----------------------------------------------------

@@ -32,11 +32,7 @@ def fresh(seed, **kw):
 
 
 def gadgets(srv, rng, count, width=5, prefix="g"):
-    out = []
-    for i in range(count):
-        p = sample_key_pair(rng, width)
-        out.append((p, srv.prepare_gadget(f"{prefix}{i}", p)))
-    return out
+    return gp.send_gadgets(srv, rng, count, width, prefix)
 
 
 def exact(srv, out):

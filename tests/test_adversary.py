@@ -84,22 +84,6 @@ def test_wilson_calibration_on_known_coin():
     assert covered >= 93
 
 
-def test_budget_exceeded_aborts_trial():
-    from bqcsim.oracle import QueryBudgetExceeded, RandomOracle
-    from bqcsim.keychain import sample_key_pair
-    from bqcsim.protocols import pad_hadamard
-    import random as _random
-
-    o = RandomOracle(1)
-    o.set_budget("server", 0)
-    srv = HonestServer(o, seed=2)
-    rng = _random.Random(3)
-    pair = sample_key_pair(rng, 6)
-    reg = srv.prepare_gadget("g", pair)
-    with pytest.raises(QueryBudgetExceeded):
-        pad_hadamard(o, pair, reg, PARAMS, srv, rng)
-
-
 def test_free_lunch_unknown_variant():
     with pytest.raises(ValueError):
         free_lunch_attack(0, "sideways", PARAMS)

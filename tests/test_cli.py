@@ -1,9 +1,14 @@
 """CLI: exit codes, output files, config handling, replay determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bqcsim import cli
 from bqcsim.cli import RUN_PROTOCOLS, ConfigError, main, parse_config, DEFAULTS
 
 
@@ -203,3 +208,22 @@ def test_golden_digests(tmp_path, name):
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in out.iterdir()}
     assert got == want
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+def test_golden_digests_independent_of_hash_seed(tmp_path, hashseed):
+    # string hashing is randomized per process; no output may depend on it
+    circ = tmp_path / "circ.txt"
+    circ.write_text("1 3 6\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hashseed,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, (argv, want) in sorted(GOLDEN.items()):
+        out = tmp_path / name
+        argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
+        subprocess.run([sys.executable, "-m", "bqcsim.cli", *argv,
+                        "--out", str(out)], env=env, check=True)
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.iterdir()}
+        assert got == want, name

@@ -7,7 +7,6 @@ import pytest
 from bqcsim import gadget_prep as gp
 from bqcsim import tables
 from bqcsim.bits import random_bits
-from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.state import SparseState
@@ -22,11 +21,7 @@ def setup(seed):
 
 
 def gadgets(srv, rng, count, width=5, prefix="g"):
-    out = []
-    for i in range(count):
-        p = sample_key_pair(rng, width)
-        out.append((p, srv.prepare_gadget(f"{prefix}{i}", p)))
-    return out
+    return gp.send_gadgets(srv, rng, count, width, prefix)
 
 
 def expect_state(out):
@@ -179,9 +174,15 @@ def test_refresh_n_plus_j_to_n(n, j):
     assert tr.passed
     r = reps[-1]
     assert (r.gadgets_in, r.gadgets_out, r.helpers_consumed) == (n + j, n, j)
-    # keys extend by one kappa_out block per refresh round plus the pad
-    for (old, _), (new, _) in zip(gs, out):
+    # each key is the published pad, the old key, then one kappa_out block
+    # per refresh round
+    pads = {t: p for _, t, p in tr.messages if t.startswith("sr.pad")}
+    for i, ((old, _), (new, _)) in enumerate(zip(gs, out)):
         assert new.width == params.pad_len + old.width + j * params.kappa_out
+        pad = pads[f"sr.pad[{i}]"]
+        assert len(pad) == params.pad_len
+        head = len(pad) + old.width
+        assert (new.x0[:head], new.x1[:head]) == (pad + old.x0, pad + old.x1)
     assert_exact(srv, out)
 
 

@@ -1,11 +1,11 @@
-"""Key pair sampling, combination, and refresh-style extension."""
+"""Key pair sampling, combination and block permutation."""
 
 import random
 
 import pytest
 
-from bqcsim.keychain import (KeyPair, combine_keys, extend_keys_refresh,
-                             permute_blocks, sample_key_pair)
+from bqcsim.keychain import (KeyPair, combine_keys, permute_blocks,
+                             sample_key_pair)
 
 
 def test_pair_invariants():
@@ -52,11 +52,3 @@ def test_permute_blocks():
     assert permute_blocks(blocks, [2, 0, 1]) == ["c", "a", "b"]
     with pytest.raises(ValueError):
         permute_blocks(blocks, [0, 0, 1])
-
-
-def test_extend_keys_refresh_layout():
-    x = KeyPair("00", "11")
-    ys = [KeyPair("01", "10"), KeyPair("000", "111")]
-    out = extend_keys_refresh(x, ys, "11")
-    assert out.x0 == "11" + "00" + "01" + "000"
-    assert out.x1 == "11" + "11" + "10" + "111"

@@ -1,10 +1,10 @@
-"""Random oracle: determinism, counters, budgets, tags."""
+"""Random oracle: determinism, counters, tags."""
 
 import hashlib
 
 import pytest
 
-from bqcsim.oracle import QueryBudgetExceeded, RandomOracle
+from bqcsim.oracle import RandomOracle
 from bqcsim.state import SparseState
 
 
@@ -57,15 +57,6 @@ def test_counters_per_party():
     o.query_classical("0", 1, party="server")
     o.query_classical("1", 1, party="server")
     assert o.counters == {"client": 1, "server": 2}
-
-
-def test_budget_enforced():
-    o = RandomOracle(0)
-    o.set_budget("adv", 2)
-    o.query_classical("0", 1, party="adv")
-    o.query_classical("1", 1, party="adv")
-    with pytest.raises(QueryBudgetExceeded):
-        o.query_classical("00", 1, party="adv")
 
 
 def test_superposed_query_is_involution_and_counts_once():

@@ -23,6 +23,24 @@ def make_qfac(seed, width=5):
     return qf.qfac8(o, (pair, reg), params, srv, rng)
 
 
+@pytest.mark.parametrize("answer", [None, 5, "0101", "01x10"])
+def test_qfac8_fails_closed_on_malformed_d(answer):
+    class BadD(HonestServer):
+        def phase_and_measure(self, reg, ptable):
+            super().phase_and_measure(reg, ptable)
+            return answer
+
+    o = RandomOracle(3)
+    srv = BadD(o, seed=4)
+    rng = random.Random(5)
+    params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=1)
+    pair = sample_key_pair(rng, 5)
+    qb, _, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
+                         srv, rng)
+    assert qb is None
+    assert (tr.verdict, tr.fail_reason) == ("fail", "malformed d")
+
+
 def perfect_qubit(octant):
     s = 1 / math.sqrt(2)
     return qf.PreparedQubit(

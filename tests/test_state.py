@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bqcsim.bits import dot
-from bqcsim.state import (ATOL, MAX_HADAMARD_RANK, EntangledDiscardError,
-                          SparseState, gadget_state)
+from bqcsim.state import (ATOL, EntangledDiscardError, SparseState,
+                          gadget_state)
 
 
 def test_gadget_normalized_superposition():
@@ -162,18 +163,77 @@ def test_map_register_concatenates_keys_and_resizes():
     assert len(st.branches) == 4
 
 
-def test_hadamard_measure_refuses_rank_above_cap():
-    # cap + 2 independent values (0 and the unit vectors) in 30 branches;
-    # the 2^rank enumeration must be refused before it starts
-    width = MAX_HADAMARD_RANK + 2
-    values = ["0" * width] + [format(1 << b, f"0{width}b")
-                              for b in range(width)]
+def test_map_register_calls_fn_once_per_distinct_pair():
+    # 8 branches, but the (dst value, key) pair only takes 2 values
+    st = gadget_state([("a", "0", "1"), ("b", "00", "11"), ("c", "0", "1")])
+    st.add_register("d", "01")
+    calls = []
+
+    def fn(d, key):
+        calls.append((d, key))
+        return key + key
+
+    st.map_register("d", fn, keys=["a"])
+    assert len(st.branches) == 8
+    assert calls == [("01", "0"), ("01", "1")]
+    assert all(d == a + a for a, b, c, d in st.branches)
+
+
+def dense_hadamard_post(amps, cw, vw, d):
+    """Unnormalized context state after H on the value register gives d."""
+    m = np.zeros((1 << cw, 1 << vw), dtype=complex)
+    for (c, v), a in amps.items():
+        m[int(c, 2), int(v, 2)] = a
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    hn = np.ones((1, 1))
+    for _ in range(vw):
+        hn = np.kron(hn, h)
+    return (m @ hn)[:, int(d, 2)]
+
+
+def test_hadamard_measure_matches_dense_reference():
+    for seed in range(200):
+        rng = random.Random(seed)
+        cw, vw = rng.randint(1, 2), rng.randint(1, 4)
+        values = rng.sample([format(x, f"0{vw}b") for x in range(1 << vw)],
+                            rng.randint(1, 2))
+        amps = {(format(c, f"0{cw}b"), v): complex(rng.gauss(0, 1),
+                                                   rng.gauss(0, 1))
+                for c in range(1 << cw) for v in values}
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        amps = {k: a / norm for k, a in amps.items()}
+        st = SparseState()
+        st.registers = [("c", cw), ("v", vw)]
+        st.branches = dict(amps)
+        d = st.measure_hadamard("v", rng)
+        post = dense_hadamard_post(amps, cw, vw, d)
+        prob = float(np.vdot(post, post).real)
+        assert prob > 1e-12, (seed, d)
+        assert st.registers == [("c", cw)]
+        inner = sum(post[int(c, 2)].conjugate() * a
+                    for (c,), a in st.branches.items())
+        assert abs(inner) ** 2 / prob >= 1 - 1e-9, seed
+
+
+def spread_state(values):
     st = SparseState()
-    st.registers = [("c", 1), ("v", width)]
+    st.registers = [("c", 1), ("v", len(values[0]))]
     amps = [(c, v) for c in "01" for v in values]
     st.branches = {a: 1 / math.sqrt(len(amps)) for a in amps}
-    with pytest.raises(ValueError, match="MAX_HADAMARD_RANK"):
-        st.measure_hadamard("v", random.Random(0))
+    return st
+
+
+@pytest.mark.parametrize("values", [
+    ["00", "01", "10"],
+    # 0 and the 14 unit vectors: 15 values of rank 14
+    ["0" * 14] + [format(1 << b, "014b") for b in range(14)],
+], ids=["three-values", "fifteen-values"])
+def test_hadamard_measure_refuses_more_than_two_values(values):
+    st = spread_state(values)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="at most two"):
+        st.measure_hadamard("v", rng)
+    assert rng.random() == random.Random(0).random()  # nothing drawn
 
 
 def test_bitwise_permutation_and_inverse():

@@ -27,8 +27,7 @@ def main():
     params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1)
     for name, cls in (("honest", HonestServer),
                       ("measure-then-guess", MeasureThenRandomD)):
-        st = estimate(lambda v, s: v == "pass", cls, "pad_hadamard",
-                      params, 5000, experiment=name)
+        st = estimate(cls, "pad_hadamard", params, 5000, experiment=name)
         lo, hi = st.wilson()
         print(f"{name}: pass rate {st.p_hat:.4f} [{lo:.4f},{hi:.4f}]")
 

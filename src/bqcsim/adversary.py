@@ -32,7 +32,6 @@ class TrialStats:
     experiment: str
     trials: int
     successes: int
-    passes: int = 0
 
     def __post_init__(self):
         if self.successes > self.trials:
@@ -121,22 +120,15 @@ def run_with_adversary(protocol: str, adversary_cls, params: ProtocolParams,
     return tr.verdict, secrets, tr
 
 
-def estimate(event, adversary_cls, protocol: str, params: ProtocolParams,
+def estimate(adversary_cls, protocol: str, params: ProtocolParams,
              trials: int, seed0: int = 0,
              experiment: str = "experiment") -> TrialStats:
-    """Monte Carlo estimate of P[event] with a fresh oracle per trial.
-
-    ``event(verdict, secrets) -> bool``; pass verdicts are tallied too.
-    """
-    successes = passes = 0
-    for t in range(trials):
-        verdict, secrets, _ = run_with_adversary(
-            protocol, adversary_cls, params, seed0 + 1000 * t)
-        if verdict == "pass":
-            passes += 1
-        if event(verdict, secrets):
-            successes += 1
-    return TrialStats(experiment, trials, successes, passes)
+    """Monte Carlo estimate of the pass rate, with a fresh oracle per trial."""
+    passes = sum(
+        run_with_adversary(protocol, adversary_cls, params,
+                           seed0 + 1000 * t)[0] == "pass"
+        for t in range(trials))
+    return TrialStats(experiment, trials, passes)
 
 
 # -- free-lunch attack -----------------------------------------------------

@@ -35,6 +35,7 @@ DEFAULTS = {
     "shots": 1000, "guesses": 64,
 }
 INT_KEYS = set(DEFAULTS)
+MAY_BE_ZERO = {"test_rounds", "J", "guesses"}  # every other key needs >= 1
 
 
 class ConfigError(Exception):
@@ -69,6 +70,10 @@ def load_config(args) -> dict:
         cfg = parse_config(path.read_text(), cfg)
     for item in args.set or []:
         cfg = parse_config(item, cfg)
+    for key, value in cfg.items():
+        least = 0 if key in MAY_BE_ZERO else 1
+        if value < least:
+            raise ConfigError(f"{key}={value}: need at least {least}")
     return cfg
 
 
@@ -78,12 +83,17 @@ def make_params(cfg: dict) -> ProtocolParams:
 
 
 def make_pipeline(cfg: dict, mode: str) -> gp.PipelineConfig:
-    return gp.PipelineConfig(
+    pipeline = gp.PipelineConfig(
         kappa=cfg["kappa"], L=cfg["L"], N=cfg["N"],
         key_width=cfg["key_width"], kappa_out=cfg["kappa_out"],
         pad_base=cfg["pad_base"], J=cfg["J"],
         test_rounds=cfg["test_rounds"], mode=mode,
     )
+    try:
+        pipeline.rounds()
+    except ValueError as e:
+        raise ConfigError(f"L={pipeline.L} N={pipeline.N}: {e}")
+    return pipeline
 
 
 def write_out(args, name: str, content: str) -> None:
@@ -145,10 +155,9 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
         return tr, reps
     if name == "qfac8":
         g, = gp.send_gadgets(server, rng, 1, w)
-        qb, _, tr = qf.qfac8(oracle, g, params, server, rng)
+        qb, tr = qf.qfac8(oracle, g, params, server, rng)
         if qb is not None:
-            tr.messages.append(("client", "qf.theta_index",
-                                str(qb.angle.index)))
+            tr.send("client", "qf.theta_index", str(qb.angle.index))
         return tr, []
     raise ConfigError(f"unknown protocol: {name}")
 
@@ -189,13 +198,11 @@ def cmd_attack(args) -> int:
         st = free_lunch_rate("permuted", params, args.trials,
                              seed0=args.seed, guesses=cfg["guesses"])
     elif name == "hadamard-cheat":
-        st = estimate(lambda v, s: v == "pass", MeasureThenRandomD,
-                      "pad_hadamard", params, args.trials, seed0=args.seed,
-                      experiment=name)
+        st = estimate(MeasureThenRandomD, "pad_hadamard", params,
+                      args.trials, seed0=args.seed, experiment=name)
     elif name == "basis-cheat":
-        st = estimate(lambda v, s: v == "pass", RandomGuessBasisTest,
-                      "basis_test", params, args.trials, seed0=args.seed,
-                      experiment=name)
+        st = estimate(RandomGuessBasisTest, "basis_test", params,
+                      args.trials, seed0=args.seed, experiment=name)
     else:
         raise ConfigError(f"unknown attack: {name}")
     header = "experiment\ttrials\tsuccesses\tp_hat\twilson95\n"
@@ -226,8 +233,6 @@ def cmd_ubqc(args) -> int:
         raise ConfigError(f"no such circuit file: {path}")
     circuit = parse_circuit(path)
     shots = cfg["shots"]
-    if shots < 1:
-        raise ConfigError(f"shots={shots}: need at least 1")
 
     pipeline = make_pipeline(cfg, args.mode)
     if pipeline.L < len(circuit) + 1:

@@ -9,9 +9,13 @@ Stages, bottom to top:
 * ``gdgprep_repeat``  -- M independent doubling blocks + block permutation.
 * ``security_refreshing`` -- consume J fresh gadgets to extend and re-pad
   the keys of N existing gadgets (N + J -> N).
-* ``gdgprep_oneround``-- repeat -> refresh -> combine, S sweeps.
+* ``gdgprep_oneround``-- one doubling round: repeat, then refresh.
 * ``gdgprep_full``    -- the complete pipeline: one initial quantum message,
-  then T purely classical doubling rounds, each followed by a refresh.
+  then T purely classical doubling rounds, each followed by a second
+  refresh.
+
+``combine`` (in :mod:`bqcsim.protocols`) is a stand-alone sub-protocol; no
+stage runs it.
 
 Every stage returns its output gadgets as (KeyPair, register) tuples plus a
 transcript and its StageReports, whose gadget arithmetic is asserted by
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from . import tables
 from .bits import random_bits
 from .keychain import KeyPair, permute_blocks, sample_key_pair
-from .protocols import (ProtocolParams, Transcript, basis_test_two, combine,
+from .protocols import (ProtocolParams, Transcript, basis_test_multi,
                         pad_hadamard)
 
 Gadget = tuple[KeyPair, str]  # client-side key pair + server register name
@@ -108,21 +112,18 @@ def _absorb(tr: Transcript, reports: list[StageReport], sub,
             failed: StageReport | None = None, what: str = ""):
     """Fold a sub-step's ``(out, transcript, reports)`` into a stage.
 
-    Appends the messages and reports and returns ``out``. A failed sub-step
-    fails ``tr`` with its reason (prefixed by the stage and ``what`` when
-    the stage's own ``failed`` report is given and appended) and gives None.
+    Appends the reports, absorbs the transcript and returns ``out``. A
+    failed sub-step fails ``tr`` with its reason (prefixed by the stage and
+    ``what`` when the stage's own ``failed`` report is given and appended)
+    and gives None.
     """
     out, sub_tr, sub_reports = sub
-    tr.messages.extend(sub_tr.messages)
     reports.extend(sub_reports)
-    if sub_tr.passed:
-        return out
-    reason = sub_tr.fail_reason
     if failed is not None:
-        reports.append(failed)
-        reason = f"{failed.stage}: {what}: {reason}"
-    tr.finish(False, reason)
-    return None
+        if not sub_tr.passed:
+            reports.append(failed)
+        what = f"{failed.stage}: {what}"
+    return out if tr.absorb(sub_tr, what) else None
 
 
 # -- doubling --------------------------------------------------------------
@@ -143,10 +144,14 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
     failed = StageReport("1pn", n + 1, 0, 0, "fail")
 
     for pair, reg in k3_list:
-        bt = basis_test_two(oracle, h_pair, h_reg, pair, reg,
-                            params.test_rounds, params, server, rng)
-        if _absorb(tr, reports, ((), bt, ()), failed, "basis test") is None:
-            return [], tr, reports
+        # the input for T rounds, then the helper for one; the order is
+        # part of the transcript
+        for p, r, rounds in ((pair, reg, params.test_rounds),
+                             (h_pair, h_reg, 1)):
+            bt = basis_test_multi(oracle, p, r, rounds, params, server, rng)
+            if _absorb(tr, reports, ((), bt, ()), failed,
+                       "basis test") is None:
+                return [], tr, reports
 
     plan = []
     for i, (k3_pair, k3_reg) in enumerate(k3_list):
@@ -263,50 +268,28 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
 # -- one-round and full pipeline -------------------------------------------
 
 
-def gdgprep_oneround(oracle, sweeps, lam_sweeps, params: ProtocolParams,
-                     server, rng):
-    """S sweeps of repeat -> refresh -> combine-with-running-output.
+def gdgprep_oneround(oracle, blocks: list[tuple[list[Gadget], Gadget]],
+                     lams: list[Gadget], params: ProtocolParams, server, rng):
+    """One doubling round: ``gdgprep_repeat``, then ``security_refreshing``.
 
-    ``sweeps[t]`` is the block structure for one repeat stage;
-    ``lam_sweeps[t]`` the refresh gadgets for that sweep. The first sweep's
-    output is kept as-is; later sweeps are combined pairwise by position.
+    ``blocks`` is the block structure of the repeat stage and ``lams`` the
+    gadgets its refresh consumes.
     """
     tr = Transcript()
-    reports = []
-    n_in = (sum(sum(len(h) + 1 for h, _ in blocks) for blocks in sweeps)
-            + sum(len(l) for l in lam_sweeps))
-    running: list[Gadget] = []
-    for t, (blocks, lams) in enumerate(zip(sweeps, lam_sweeps)):
-        expanded = _absorb(tr, reports, gdgprep_repeat(oracle, blocks, params,
-                                                       server, rng))
-        if expanded is None:
-            return [], tr, reports
-        refreshed = _absorb(tr, reports, security_refreshing(
-            oracle, expanded, lams, params, server, rng))
-        if refreshed is None:
-            return [], tr, reports
-        if t == 0:
-            running = refreshed
-        else:
-            if len(refreshed) != len(running):
-                tr.finish(False, "sweep output count mismatch")
-                return [], tr, reports
-            combined = []
-            for m, (ga, gb) in enumerate(zip(refreshed, running)):
-                pair, ctr, reg = combine(oracle, ga[0], gb[0], ga[1], gb[1],
-                                         params, server, rng, improved=True)
-                tr.messages.extend(ctr.messages)
-                if pair is None:
-                    tr.finish(False, "combine failed")
-                    return [], tr, reports
-                combined.append((pair, reg))
-            running = combined
+    reports: list[StageReport] = []
+    expanded = _absorb(tr, reports, gdgprep_repeat(oracle, blocks, params,
+                                                   server, rng))
+    if expanded is None:
+        return [], tr, reports
+    out = _absorb(tr, reports, security_refreshing(oracle, expanded, lams,
+                                                   params, server, rng))
+    if out is None:
+        return [], tr, reports
     tr.finish(True)
-    helpers_used = (sum(sum(len(h) for h, _ in blocks) for blocks in sweeps)
-                    + sum(len(l) for l in lam_sweeps))
-    reports.append(StageReport("oneround", n_in, len(running),
-                               helpers_used, "pass"))
-    return running, tr, reports
+    helpers_used = sum(len(h) for h, _ in blocks) + len(lams)
+    reports.append(StageReport("oneround", len(blocks) + helpers_used,
+                               len(out), helpers_used, "pass"))
+    return out, tr, reports
 
 
 def gdgprep_full(oracle, config: PipelineConfig, server, rng):
@@ -340,7 +323,7 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
         params = config.params_for_round(t + 1)
         blocks = [([helpers[t][m]], cur[m]) for m in range(len(cur))]
         out = _absorb(tr, reports, gdgprep_oneround(
-            oracle, [blocks], [lam1[t]], params, server, rng))
+            oracle, blocks, lam1[t], params, server, rng))
         if out is None:
             return [], tr, reports
         cur = _absorb(tr, reports, security_refreshing(

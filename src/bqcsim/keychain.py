@@ -43,11 +43,11 @@ def sample_key_pair(rng, width: int) -> KeyPair:
 
 
 def combine_keys(pair_a: KeyPair, pair_b: KeyPair, outcome_bit: int,
-                 pads: tuple[str, str] = ("", "")) -> KeyPair:
+                 pads: tuple[str, str]) -> KeyPair:
     """Concatenate two pairs according to the subscript-XOR outcome.
 
     Outcome 0 pairs same subscripts, outcome 1 pairs opposite subscripts;
-    the pads (possibly empty) are prefixed per output subscript.
+    the pads are prefixed per output subscript.
     """
     p0, p1 = pads
     if outcome_bit == 0:

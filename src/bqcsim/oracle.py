@@ -65,14 +65,15 @@ class RandomOracle:
         return self._prf(inp, out_len)
 
     def query_superposed(self, state, in_reg: str, out_reg: str,
-                         party: str = "server", prefix: str = "") -> None:
+                         prefix: str = "") -> None:
         """XOR H(prefix || value of in_reg) into out_reg, branch by branch.
 
         Amplitudes are untouched; the mapping is an XOR so applying it twice
-        restores the state. Counted as one query regardless of branch count.
+        restores the state. Counted as one server query regardless of branch
+        count.
         """
         out_len = state.width(out_reg)
-        self.count(party)
+        self.count("server")
         state.map_register(out_reg, lambda vout, vin: xor(
             vout, self._prf(prefix + vin, out_len)), keys=[in_reg])
 

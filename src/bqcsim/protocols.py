@@ -44,6 +44,18 @@ class Transcript:
         self.verdict = "pass" if ok else "fail"
         self.fail_reason = reason
 
+    def absorb(self, sub: Transcript, what: str = "") -> bool:
+        """Append ``sub``'s messages and return whether ``sub`` passed.
+
+        A failed ``sub`` fails this transcript with its reason, prefixed by
+        ``what`` when given.
+        """
+        self.messages.extend(sub.messages)
+        if not sub.passed:
+            reason = sub.fail_reason
+            self.finish(False, f"{what}: {reason}" if what else reason)
+        return sub.passed
+
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -61,8 +73,6 @@ class HonestServer:
     honest behavior. All oracle traffic is charged to the "server" party.
     """
 
-    party = "server"
-
     def __init__(self, oracle, seed: int = 0):
         self.oracle = oracle
         self.rng = random.Random(seed)
@@ -76,7 +86,7 @@ class HonestServer:
     def respond_pad_hadamard(self, reg: str, pad: str, kappa_out: int) -> str:
         h = self.state.fresh_name("ph_h")
         self.state.add_register(h, "0" * kappa_out)
-        self.oracle.query_superposed(self.state, reg, h, self.party, prefix=pad)
+        self.oracle.query_superposed(self.state, reg, h, prefix=pad)
         w = self.state.fresh_name("ph_w")
         self.state.merge_registers([reg, h], w)
         return self.state.measure_hadamard(w, self.rng)
@@ -87,11 +97,9 @@ class HonestServer:
         """Decrypt the test table coherently, read r, erase the scratch."""
         scratch = self.state.fresh_name("bt")
         self.state.add_register(scratch, "0" * table.payload_len)
-        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch,
-                                table, self.party)
+        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch, table)
         value = self.state.measure_computational(scratch, self.rng)
-        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch,
-                                table, self.party)
+        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch, table)
         self.state.discard_register(scratch)
         return value
 
@@ -112,7 +120,7 @@ class HonestServer:
         def subscript(val: str, which: int) -> int:
             key = (val, which)
             if key not in sub_cache:
-                t = self.oracle.tag(val, party=self.party)
+                t = self.oracle.tag(val, party="server")
                 sub_cache[key] = 0 if t == (tag_a0 if which == 0 else tag_b0) else 1
             return sub_cache[key]
 
@@ -121,11 +129,9 @@ class HonestServer:
         outcome = st.measure_computational(
             out_reg, self.rng,
             lambda val: subscript(val[:wa], 0) ^ subscript(val[wa:], 1))
-        pad_w = len(pads[0])
-        if pad_w:
-            st.map_register(out_reg,
-                            lambda val, _: pads[subscript(val[:wa], 0)] + val,
-                            width=st.width(out_reg) + pad_w)
+        st.map_register(out_reg,
+                        lambda val, _: pads[subscript(val[:wa], 0)] + val,
+                        width=st.width(out_reg) + len(pads[0]))
         return outcome
 
     # -- gadget preparation ------------------------------------------------
@@ -136,7 +142,7 @@ class HonestServer:
         k2_reg = self.state.fresh_name("k2")
         self.state.add_gadget(k2_reg, k2.x0, k2.x1)
         return tables.rev_eval(self.oracle, self.state, [help_reg],
-                               [k2_reg, x3_reg], table, out_reg, self.party)
+                               [k2_reg, x3_reg], table, out_reg)
 
     def depermute_split(self, out_reg: str, perm: list[int],
                         width2: int, names: tuple[str, str]) -> None:
@@ -149,7 +155,7 @@ class HonestServer:
         scratch = self.state.fresh_name("ext")
         self.state.add_register(scratch, "0" * table.payload_len)
         tables.lt_eval_coherent(self.oracle, self.state, [reg, lam_reg],
-                                scratch, table, self.party)
+                                scratch, table)
         self.state.merge_registers([reg, scratch], reg)
 
     def prepend_pad(self, reg: str, pad: str) -> None:
@@ -161,7 +167,7 @@ class HonestServer:
     def derive_index_register(self, reg: str, ptable, idx_reg: str) -> str:
         """Branch index bit from which phase-table row opens (x0 row first)."""
         row0 = ptable.table.rows[0]
-        self.oracle.count(self.party, 2)
+        self.oracle.count("server", 2)
 
         def fn(old: str, val: str) -> str:
             t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
@@ -173,7 +179,7 @@ class HonestServer:
 
     def phase_and_measure(self, reg: str, ptable) -> str:
         """Apply the phase table, then Hadamard-measure the key register."""
-        tables.phase_eval(self.oracle, self.state, reg, ptable, self.party)
+        tables.phase_eval(self.oracle, self.state, reg, ptable)
         return self.state.measure_hadamard(reg, self.rng)
 
 
@@ -232,48 +238,33 @@ def basis_test_multi(oracle, pair: KeyPair, reg: str, rounds: int,
     tr = Transcript()
     for t in range(rounds):
         sub = basis_test_single(oracle, pair, reg, params, server, rng)
-        tr.messages.extend(sub.messages)
-        if not sub.passed:
-            tr.finish(False, f"round {t}: {sub.fail_reason}")
+        if not tr.absorb(sub, f"round {t}"):
             return tr
     tr.finish(True)
     return tr
 
 
-def basis_test_two(oracle, pair1: KeyPair, reg1: str, pair3: KeyPair,
-                   reg3: str, rounds: int, params: ProtocolParams,
-                   server, rng) -> Transcript:
-    """Multi-round test on the second pair, then one round on the first."""
-    tr = basis_test_multi(oracle, pair3, reg3, rounds, params, server, rng)
-    if not tr.passed:
-        return tr
-    tr2 = basis_test_multi(oracle, pair1, reg1, 1, params, server, rng)
-    tr2.messages[:0] = tr.messages
-    return tr2
-
-
 def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
-            params: ProtocolParams, server, rng, improved: bool = True):
+            params: ProtocolParams, server, rng):
     """Combine two gadgets into one by measuring the subscript XOR.
 
+    The output keys are prefixed by a fresh pad per output subscript.
     Returns (new KeyPair or None, Transcript, output register name).
     """
     tr = Transcript()
     tag_a0 = oracle.tag(pair_a.x0)
     tag_b0 = oracle.tag(pair_b.x0)
     tr.send("client", "cb.tags", tag_a0 + "," + tag_b0)
-    pads = ("", "")
-    if improved:
-        pads = (random_bits(rng, params.pad_len), random_bits(rng, params.pad_len))
-        # binding commitments of the four keys under fresh pads
-        commits = []
-        for p in (pair_a, pair_b):
-            for b in (0, 1):
-                rpad = random_bits(rng, params.pad_len)
-                commits.append(rpad + ":" + oracle.query_classical(
-                    rpad + p[b], params.kappa_out))
-        tr.send("client", "cb.commits", ";".join(commits))
-        tr.send("client", "cb.pads", pads[0] + "," + pads[1])
+    pads = (random_bits(rng, params.pad_len), random_bits(rng, params.pad_len))
+    # binding commitments of the four keys under fresh pads
+    commits = []
+    for p in (pair_a, pair_b):
+        for b in (0, 1):
+            rpad = random_bits(rng, params.pad_len)
+            commits.append(rpad + ":" + oracle.query_classical(
+                rpad + p[b], params.kappa_out))
+    tr.send("client", "cb.commits", ";".join(commits))
+    tr.send("client", "cb.pads", pads[0] + "," + pads[1])
     name = f"cb_{reg_a}_{reg_b}"
     outcome = server.respond_combine(reg_a, reg_b, tag_a0, tag_b0, pads, name)
     tr.send("server", "cb.outcome", str(outcome))

@@ -65,23 +65,21 @@ class PreparedQubit:
 def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     """One gadget -> one 8-basis qubit on the server.
 
-    Returns (PreparedQubit | None, index register name, Transcript). The
-    finished qubit is unentangled from the rest of the server state, so it
-    is extracted into explicit amplitudes for the computation layer.
+    Returns (PreparedQubit | None, Transcript). The finished qubit is
+    unentangled from the rest of the server state, so it is extracted into
+    explicit amplitudes for the computation layer.
     """
     tr = Transcript()
     pair, reg = gadget
 
     bt = basis_test_multi(oracle, pair, reg, params.test_rounds, params,
                           server, rng)
-    tr.messages.extend(bt.messages)
-    if not bt.passed:
-        tr.finish(False, f"basis test: {bt.fail_reason}")
-        return None, "", tr
+    if not tr.absorb(bt, "basis test"):
+        return None, tr
 
     t2, t3 = rng.randrange(2), rng.randrange(2)
     ptable = tables.phase_lt_build(oracle, pair, 2 * t2 + t3, 4,
-                                   params.pad_len, rng, ordered=True)
+                                   params.pad_len, rng)
     tr.send("client", "qf.phase_table", tables.serialize_table(ptable.table))
 
     idx_reg = server.state.fresh_name("qb")
@@ -90,13 +88,13 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     tr.send("server", "qf.d", d)
     if not is_bitstring(d, pair.width):
         tr.finish(False, "malformed d")
-        return None, idx_reg, tr
+        return None, tr
 
     t1 = dot(d, pair.delta())
     tr.finish(True)
     angle = AngleOctant(t1, t2, t3)
     alpha, beta = server.state.extract_qubit(idx_reg)
-    return PreparedQubit(alpha, beta, angle), idx_reg, tr
+    return PreparedQubit(alpha, beta, angle), tr
 
 
 # -- dense circuit oracle --------------------------------------------------
@@ -212,9 +210,7 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
     """
     tr = Transcript()
     gadgets, sub, _ = gdgprep_full(oracle, config, server, rng)
-    tr.messages.extend(sub.messages)
-    if not sub.passed:
-        tr.finish(False, sub.fail_reason)
+    if not tr.absorb(sub):
         return None, [], tr
 
     need = len(circuit_octants) + 1
@@ -224,10 +220,8 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
     params = config.params_for_round(config.rounds() or 1)
     qubits = []
     for g in gadgets[:need]:
-        qb, _, qtr = qfac8(oracle, g, params, server, rng)
-        tr.messages.extend(qtr.messages)
-        if qb is None:
-            tr.finish(False, "qfactory failed")
+        qb, qtr = qfac8(oracle, g, params, server, rng)
+        if not tr.absorb(qtr, "qfactory"):
             return None, [], tr
         qubits.append(qb)
 

@@ -91,9 +91,8 @@ def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
 # -- plain lookup tables ---------------------------------------------------
 
 
-def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng,
-             shuffle: bool = True) -> LookupTable:
-    """Build a table from [(key or key-tuple, payload), ...].
+def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng) -> LookupTable:
+    """Build a table from [(key or key-tuple, payload), ...], rows shuffled.
 
     Multi-key entries are concatenated before encryption.
     """
@@ -107,8 +106,7 @@ def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng,
         seen.add(key)
         rows.append(enc(oracle, key, payload, pad_len, tag_len, rng))
         payload_len, key_len = len(payload), len(key)
-    if shuffle:
-        rng.shuffle(rows)
+    rng.shuffle(rows)
     return LookupTable(rows, payload_len, key_len)
 
 
@@ -121,14 +119,14 @@ def lt_decrypt(oracle, table: LookupTable, key: str, party: str = "client"):
 
 
 def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
-                     table: LookupTable, party: str = "server") -> None:
+                     table: LookupTable) -> None:
     """XOR each branch's decrypted payload into out_reg.
 
     One superposed query per row check plus one per payload unmask is
-    charged to the evaluating party. Raises on any branch whose keys open
-    no row (honest evaluation must abort there).
+    charged to the server. Raises on any branch whose keys open no row
+    (honest evaluation must abort there).
     """
-    oracle.count(party, 2 * len(table.rows))
+    oracle.count("server", 2 * len(table.rows))
 
     def decrypt(out: str, key: str) -> str:
         for row in table.rows:
@@ -169,8 +167,7 @@ def revlt_build(oracle, in_pairs: list[KeyPair], out_pairs: list[KeyPair],
 
 
 def rev_eval(oracle, state, controls: list[str], in_regs: list[str],
-             table: ReversibleTable, out_reg: str,
-             party: str = "server") -> str:
+             table: ReversibleTable, out_reg: str) -> str:
     """Coherently re-encode gadget registers through a reversible table.
 
     |c>|x_b>|0>  ->  |c>|x_b>|y_b>  ->  |c>|0>|y_b>: the forward pass is
@@ -180,10 +177,10 @@ def rev_eval(oracle, state, controls: list[str], in_regs: list[str],
     """
     state.add_register(out_reg, "0" * table.forward.payload_len)
     lt_eval_coherent(oracle, state, controls + in_regs, out_reg,
-                     table.forward, party)
+                     table.forward)
     merged = state.merge_registers(in_regs, state.fresh_name("zin"))
     lt_eval_coherent(oracle, state, controls + [out_reg], merged,
-                     table.backward, party)
+                     table.backward)
     state.discard_register(merged)
     return out_reg
 
@@ -221,36 +218,31 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
 
 
 def phase_lt_build(oracle, pair: KeyPair, n: int, denominator: int,
-                   pad_len: int, rng, ordered: bool = False) -> PhaseTable:
+                   pad_len: int, rng) -> PhaseTable:
     """Table realizing the relative phase exp(i*pi*n/D) on a gadget.
 
     The secret offset m is sampled from [0, D); payloads are m and m + n
     without modular reduction so the evaluated phases are exact for every
-    m. With ``ordered`` the x0 row comes first, which lets the evaluating
-    server derive the branch index from which row opens.
+    m. The x0 row comes first, which lets the evaluating server derive the
+    branch index from which row opens.
     """
     m = rng.randrange(denominator)
     width = max((2 * denominator - 1).bit_length(),
                 (denominator - 1 + n).bit_length())
-    mapping = [
-        (pair.x0, format(m, f"0{width}b")),
-        (pair.x1, format(m + n, f"0{width}b")),
-    ]
-    table = lt_build(oracle, mapping, pad_len, pad_len, rng,
-                     shuffle=not ordered)
-    return PhaseTable(table, denominator)
+    rows = [enc(oracle, pair[b], format(m + b * n, f"0{width}b"), pad_len,
+                pad_len, rng) for b in (0, 1)]
+    return PhaseTable(LookupTable(rows, width, pair.width), denominator)
 
 
-def phase_eval(oracle, state, reg: str, ptable: PhaseTable,
-               party: str = "server") -> None:
+def phase_eval(oracle, state, reg: str, ptable: PhaseTable) -> None:
     """Decrypt the offset, phase each branch, then un-decrypt the scratch."""
     scratch = state.fresh_name("ph")
     state.add_register(scratch, "0" * ptable.table.payload_len)
-    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table, party)
+    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table)
     state.apply_phase_per_branch(
         scratch, lambda v: math.pi * int(v, 2) / ptable.denominator
     )
-    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table, party)
+    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table)
     state.discard_register(scratch)
 
 

@@ -84,7 +84,7 @@ def test_honest_exact_all_protocols():
         sb, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((hb, sb))
     lams = gadgets(srv, rng, 1, prefix="lam")
-    out, tr, _ = gp.gdgprep_oneround(o, [blocks], [lams], params, srv, rng)
+    out, tr, _ = gp.gdgprep_oneround(o, blocks, lams, params, srv, rng)
     assert tr.passed and exact(srv, out)
 
     # simple drivers on kappa_out up to 24 and key widths 4..8
@@ -115,7 +115,7 @@ def test_honest_exact_qfac8():
     o, srv, rng, params = fresh(10, kappa_out=12)
     p = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", p)
-    qb, _, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+    qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
     assert tr.passed and qb.fidelity_vs_angle() >= EXACT
 
 
@@ -172,8 +172,8 @@ def test_pad_hadamard_honest_rate_matches_analytic():
     kout = 16
     trials = 10000
     params = ProtocolParams(pad_len=6, kappa_out=kout, test_rounds=1)
-    st = estimate(lambda v, s: v == "pass", HonestServer, "pad_hadamard",
-                  params, trials, experiment="honest_ph")
+    st = estimate(HonestServer, "pad_hadamard", params, trials,
+                  experiment="honest_ph")
     p_exp = 1 - 2.0 ** -kout  # only the all-zero tail is rejected
     sigma = math.sqrt(p_exp * (1 - p_exp) / trials)
     assert abs(st.p_hat - p_exp) <= 3 * sigma + 1e-12
@@ -181,8 +181,8 @@ def test_pad_hadamard_honest_rate_matches_analytic():
 
 def test_pad_hadamard_cheater_rate_half():
     params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1)
-    st = estimate(lambda v, s: v == "pass", MeasureThenRandomD,
-                  "pad_hadamard", params, 10000, experiment="cheat_ph")
+    st = estimate(MeasureThenRandomD, "pad_hadamard", params, 10000,
+                  experiment="cheat_ph")
     assert 0.48 <= st.p_hat <= 0.52
 
 
@@ -218,7 +218,7 @@ def test_qfac8_500_runs_exact():
         params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
         p = sample_key_pair(rng, 5)
         reg = srv.prepare_gadget("g", p)
-        qb, _, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+        qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
         assert tr.passed
         assert qb.fidelity_vs_angle() >= EXACT
         # theta1 is exactly the parity the protocol defines
@@ -236,7 +236,7 @@ def test_qfac8_theta1_uniform():
         params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
         p = sample_key_pair(rng, 5)
         reg = srv.prepare_gadget("g", p)
-        qb, _, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+        qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
         total += qb.angle.t1
     assert abs(total / trials - 0.5) <= 0.03
 

@@ -42,26 +42,22 @@ def test_run_with_adversary_unknown_protocol():
 
 def test_estimate_fresh_oracle_per_trial():
     # if the oracle were shared, every pad-hadamard d would repeat
-    seen = set()
-
-    def event(verdict, secrets):
-        seen.add(secrets["pair"].x0)
-        return verdict == "pass"
-
-    st = estimate(event, HonestServer, "pad_hadamard", PARAMS, 20)
-    assert st.trials == 20 and st.passes == 20
+    st = estimate(HonestServer, "pad_hadamard", PARAMS, 20)
+    assert st.trials == 20 and st.successes == 20
+    # the trials estimate ran, one seed each (seed0 + 1000 * t)
+    seen = {run_with_adversary("pad_hadamard", HonestServer, PARAMS,
+                               1000 * t)[1]["pair"].x0 for t in range(20)}
     assert len(seen) > 10
 
 
 def test_hadamard_cheater_near_half():
-    st = estimate(lambda v, s: v == "pass", MeasureThenRandomD,
-                  "pad_hadamard", PARAMS, 1500, experiment="cheat")
+    st = estimate(MeasureThenRandomD, "pad_hadamard", PARAMS, 1500,
+                  experiment="cheat")
     assert 0.45 < st.p_hat < 0.55
 
 
 def test_basis_cheater_near_zero():
-    st = estimate(lambda v, s: v == "pass", RandomGuessBasisTest,
-                  "basis_test", PARAMS, 300)
+    st = estimate(RandomGuessBasisTest, "basis_test", PARAMS, 300)
     assert st.p_hat < 0.05
 
 

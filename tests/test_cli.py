@@ -167,6 +167,26 @@ def test_mode_only_for_run_and_ubqc(tmp_path):
     assert not (tmp_path / "hadamard-cheat.tsv").exists()
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("run gdgprep-full", "N=0"),
+    ("run gdgprep-full", "L=6"),
+    ("run gdgprep-full", "key_width=0"),
+    ("run gdgprep-full", "kappa_out=0"),
+    ("run gdgprep-full", "pad_base=0"),
+    ("run basis-test", "pad_len=0"),
+    ("ubqc CIRCUIT", "N=0"),
+])
+def test_out_of_range_config_exit_two(tmp_path, capsys, command, setting):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3\n")
+    argv = [str(circ) if a == "CIRCUIT" else a for a in command.split()]
+    out = tmp_path / "out"
+    assert run(argv + ["--set", setting, "--seed", "1",
+                       "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_attack_rejects_fewer_than_one_trial(tmp_path):
     for trials in ("0", "-3"):
         assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
@@ -174,8 +194,8 @@ def test_attack_rejects_fewer_than_one_trial(tmp_path):
     assert not (tmp_path / "hadamard-cheat.tsv").exists()
 
 
-# sha256 of every output file of three fixed runs. Refactors must keep them;
-# a change that moves them changes transcripts for a given seed on purpose.
+# sha256 of every output file of fixed runs. Refactors must keep them; a
+# change that moves them changes transcripts for a given seed on purpose.
 GOLDEN = {
     "gdgprep-full": (["run", "gdgprep-full", "--seed", "1"], {
         "gdgprep-full.log":
@@ -183,10 +203,29 @@ GOLDEN = {
         "gdgprep-full.stages.tsv":
             "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
     }),
+    "gdgprep-1pn": (["run", "gdgprep-1pn", "--seed", "1"], {
+        "gdgprep-1pn.log":
+            "9615dc8db02b4728e99fb98c5ed55d48cc246b99820ff3cdae473e03d155da0d",
+        "gdgprep-1pn.stages.tsv":
+            "874a8db594ee6336b3a947a39c796cc6e256c2362a17b11573322f982b8bc6d5",
+    }),
+    "combine": (["run", "combine", "--seed", "1"], {
+        "combine.log":
+            "350185525d74572a91c089729c657b1fdce2a92541d986e7f282447ff06d1474",
+    }),
+    "qfac8": (["run", "qfac8", "--seed", "1"], {
+        "qfac8.log":
+            "2a781fe9a77195f65f2311aa5fa79cbc29fbfd8e27e8ab8791b99eccb60830e3",
+    }),
     "hadamard-cheat": (["attack", "hadamard-cheat", "--seed", "1",
                         "--trials", "40"], {
         "hadamard-cheat.tsv":
             "1257bdf2b034b626c963de5b9b421ec598978895fcfc8ad679ef81405fd03721",
+    }),
+    "basis-cheat": (["attack", "basis-cheat", "--seed", "1",
+                     "--trials", "40"], {
+        "basis-cheat.tsv":
+            "f70117e5fc8cd687a1aadd3d3dd1d47e5ee6b56c6702352025113d737d6a76f3",
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":

@@ -194,28 +194,9 @@ def test_oneround_single_sweep():
         s, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((h, s))
     lams = gadgets(srv, rng, 1, prefix="lam")
-    out, tr, reps = gp.gdgprep_oneround(o, [blocks], [lams], params, srv, rng)
+    out, tr, reps = gp.gdgprep_oneround(o, blocks, lams, params, srv, rng)
     assert tr.passed
     assert len(out) == 4
-    assert_exact(srv, out)
-
-
-def test_oneround_two_sweeps_combines_by_position():
-    o, srv, rng, params = setup(501)
-    sweeps, lam_sweeps = [], []
-    for s in range(2):
-        blocks = []
-        for m in range(2):
-            h = gadgets(srv, rng, 1, prefix=f"s{s}h{m}")
-            g, = gadgets(srv, rng, 1, prefix=f"s{s}g{m}")
-            blocks.append((h, g))
-        sweeps.append(blocks)
-        lam_sweeps.append(gadgets(srv, rng, 1, prefix=f"s{s}lam"))
-    out, tr, reps = gp.gdgprep_oneround(o, sweeps, lam_sweeps, params,
-                                        srv, rng)
-    assert tr.passed
-    assert len(out) == 4  # combined pairwise, not concatenated
-    assert any(t == "cb.outcome" for _, t, _ in tr.messages)
     assert_exact(srv, out)
 
 

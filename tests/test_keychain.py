@@ -29,14 +29,14 @@ def test_sampling_distinct_keys():
 def test_combine_outcome_zero_pairs_same_subscripts():
     a = KeyPair("00", "11")
     b = KeyPair("01", "10")
-    c = combine_keys(a, b, 0)
+    c = combine_keys(a, b, 0, ("", ""))
     assert (c.x0, c.x1) == ("0001", "1110")
 
 
 def test_combine_outcome_one_pairs_opposite_subscripts():
     a = KeyPair("00", "11")
     b = KeyPair("01", "10")
-    c = combine_keys(a, b, 1)
+    c = combine_keys(a, b, 1, ("", ""))
     assert (c.x0, c.x1) == ("0010", "1101")
 
 

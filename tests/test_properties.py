@@ -118,7 +118,7 @@ def test_combine_keys_widths_and_membership(seed, outcome):
     rng = random.Random(seed)
     a = sample_key_pair(rng, 4)
     b = sample_key_pair(rng, 4)
-    c = combine_keys(a, b, int(outcome))
+    c = combine_keys(a, b, int(outcome), ("", ""))
     assert c.width == 8
     assert c.x0[:4] == a.x0 and c.x1[:4] == a.x1
     assert {c.x0[4:], c.x1[4:]} == {b.x0, b.x1}

@@ -9,7 +9,7 @@ from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import (HonestServer, ProtocolParams, Transcript,
                               basis_test_multi, basis_test_single,
-                              basis_test_two, combine, pad_hadamard)
+                              combine, pad_hadamard)
 from bqcsim.state import gadget_state
 
 
@@ -32,6 +32,23 @@ def test_transcript_single_verdict():
     with pytest.raises(RuntimeError):
         tr.finish(False)
     assert tr.serialize().endswith("verdict\tpass\t\n")
+
+
+def test_transcript_absorb_appends_and_prefixes_failures():
+    def sub(ok):
+        s = Transcript()
+        s.send("server", "y", "0")
+        s.finish(ok, None if ok else "wrong r")
+        return s
+
+    tr = Transcript()
+    assert tr.absorb(sub(True), "ignored") and tr.verdict is None
+    assert not tr.absorb(sub(False), "round 1")
+    assert tr.messages == [("server", "y", "0")] * 2
+    assert (tr.verdict, tr.fail_reason) == ("fail", "round 1: wrong r")
+    bare = Transcript()
+    assert not bare.absorb(sub(False))
+    assert bare.fail_reason == "wrong r"
 
 
 def test_pad_hadamard_honest_passes():
@@ -117,8 +134,9 @@ def test_basis_test_two_runs_both_pairs():
     p3 = sample_key_pair(rng, 6)
     r1 = srv.prepare_gadget("a", p1)
     r3 = srv.prepare_gadget("b", p3)
-    tr = basis_test_two(o, p1, r1, p3, r3, 2, params, srv, rng)
-    assert tr.passed
+    # the gdgprep_1pn order: the input for two rounds, then the helper once
+    assert basis_test_multi(o, p3, r3, 2, params, srv, rng).passed
+    assert basis_test_multi(o, p1, r1, 1, params, srv, rng).passed
     expect = gadget_state([("a", p1.x0, p1.x1), ("b", p3.x0, p3.x1)])
     assert srv.state.fidelity(expect) > 1 - 1e-9
 
@@ -151,8 +169,7 @@ def test_combine_outcome_distribution():
         pb = sample_key_pair(rng, 5)
         ra = srv.prepare_gadget("a", pa)
         rb = srv.prepare_gadget("b", pb)
-        _, tr, _ = combine(o, pa, pb, ra, rb, params, srv, rng,
-                           improved=False)
+        _, tr, _ = combine(o, pa, pb, ra, rb, params, srv, rng)
         outcomes.append(int(tr.messages[-1][2]))
     ones = sum(outcomes)
     assert 70 < ones < 130  # ~Bin(200, 1/2)

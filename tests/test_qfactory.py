@@ -35,8 +35,8 @@ def test_qfac8_fails_closed_on_malformed_d(answer):
     rng = random.Random(5)
     params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=1)
     pair = sample_key_pair(rng, 5)
-    qb, _, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
-                         srv, rng)
+    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
+                      srv, rng)
     assert qb is None
     assert (tr.verdict, tr.fail_reason) == ("fail", "malformed d")
 
@@ -56,7 +56,7 @@ def test_angle_octant_decomposition():
 
 def test_qfac8_prepares_the_claimed_plus_state():
     for seed in range(40):
-        qb, _, tr = make_qfac(seed)
+        qb, tr = make_qfac(seed)
         assert tr.passed, tr.fail_reason
         assert qb.fidelity_vs_angle() > 1 - 1e-9
 
@@ -264,3 +264,20 @@ def test_succ_ubqc_rejects_oversized_circuit():
     cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
     ones, _, tr = qf.succ_ubqc(o, cfg, [1] * 9, srv, random.Random(1))
     assert ones is None and not tr.passed
+
+
+def test_succ_ubqc_keeps_the_qfactory_fail_reason():
+    from bqcsim.gadget_prep import PipelineConfig
+
+    class BadD(HonestServer):
+        def phase_and_measure(self, reg, ptable):
+            super().phase_and_measure(reg, ptable)
+            return "01x10"
+
+    o = RandomOracle(21)
+    srv = BadD(o, seed=22)
+    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
+    assert (ones, deltas) == (None, [])
+    assert (tr.verdict, tr.fail_reason) == ("fail", "qfactory: malformed d")
+    assert tr.messages[-1] == ("server", "qf.d", "01x10")

@@ -203,7 +203,7 @@ def test_ordered_phase_table_puts_x0_row_first():
     for seed in range(10):
         rng = random.Random(seed)
         pair = sample_key_pair(rng, 4)
-        pt = tables.phase_lt_build(o, pair, 1, 4, 8, rng, ordered=True)
+        pt = tables.phase_lt_build(o, pair, 1, 4, 8, rng)
         row0 = pt.table.rows[0]
         assert tables.dec_row(o, row0, pair.x0) is not None
 

@@ -45,3 +45,22 @@ def test_tracer_installs_and_reports_metrics():
     assert m["oracle.queries.server"] == 1  # one superposed query
     assert m["state.map_branches"] > 0  # the value map is still counted
     assert m["protocols.messages"] == len(tr.messages)
+
+
+def test_every_pipeline_stage_the_bench_names_is_timed():
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        tracer.begin_op(0)
+        oracle = bqcsim.oracle.RandomOracle(1)
+        server = bqcsim.protocols.HonestServer(oracle, seed=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        _, tr, _ = bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
+                                                   random.Random(3))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tr.passed
+    m = tracer.metrics()
+    for stage in ("1pn", "logk", "repeat", "refresh", "oneround", "full"):
+        assert m[f"gadget_prep.{stage}.s"] > 0, stage

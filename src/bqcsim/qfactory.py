@@ -179,23 +179,34 @@ def ubqc_run(amps: np.ndarray, angles: np.ndarray,
     return o ^ x, deltas, outcomes
 
 
+SHOT_CHUNK = 1 << 16  # shots held in memory at once
+
+
 def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
                rng, shots: int):
     """Blind shots, each on freshly re-blinded qubits.
 
     Returns (count of 1s, all delta octants shot by shot). Every draw comes
-    from one numpy Generator seeded from ``rng``, in this order: re-blinding
-    octants (shots, n+1), r bits (shots, n), uniforms (shots, n+1).
+    from one numpy Generator seeded from ``rng``. Shots run in chunks of at
+    most ``SHOT_CHUNK``, which bounds memory; each chunk draws, in this
+    order: re-blinding octants (chunk, n+1), r bits (chunk, n), uniforms
+    (chunk, n+1).
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = len(circuit_octants)
     gen = np.random.default_rng(rng.getrandbits(128))
-    amps, angles = reblind(qubits, gen.integers(8, size=(shots, len(qubits))))
-    out, deltas, _ = ubqc_run(amps, angles, circuit_octants,
-                              gen.integers(2, size=(shots, n)),
-                              gen.random((shots, n + 1)))
-    return int(out.sum()), deltas.ravel().tolist()
+    ones, deltas = 0, []
+    for start in range(0, shots, SHOT_CHUNK):
+        size = min(SHOT_CHUNK, shots - start)
+        amps, angles = reblind(qubits,
+                               gen.integers(8, size=(size, len(qubits))))
+        out, chunk_deltas, _ = ubqc_run(amps, angles, circuit_octants,
+                                        gen.integers(2, size=(size, n)),
+                                        gen.random((size, n + 1)))
+        ones += int(out.sum())
+        deltas += chunk_deltas.ravel().tolist()
+    return ones, deltas
 
 
 # -- the full stack --------------------------------------------------------

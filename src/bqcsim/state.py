@@ -1,9 +1,21 @@
 """Sparse statevector over tuples of named bitstring registers.
 
-The server's quantum memory is a normalized map from branch value-tuples to
-complex amplitudes. Honest protocol states only ever contain a small number
-of branches (at most 2 per gadget register), so every operation enumerates
-branches rather than a 2^n Hilbert space.
+The server's quantum memory is a product of *components*. A component holds
+some registers and a map from their value-tuples to complex amplitudes, kept
+at unit norm; a complex scalar holds the global phase, and the norm a
+non-unitary map leaves. Honest protocol states only ever contain a small
+number of branches per component (at most 2 per gadget register), so every
+operation enumerates one component's branches rather than a 2^n Hilbert
+space, and independent gadgets cost the sum of their sizes, not the product.
+
+Adding a register starts a new component. An operation on several registers
+first joins their components by a product. After a value map, a measurement
+or a split, every register that factors out of the touched component is
+peeled off into a component of its own, by the rank-1 test that discarding
+a register uses; a component left with no register folds into the scalar.
+:attr:`SparseState.branches` is a read-only view of the whole product,
+keyed in :attr:`SparseState.registers` order; reading its branches expands
+the product, so it is meant for tests and small states.
 
 Every coherent evaluation (oracle queries, table decryption, pads) is one
 value map, :meth:`SparseState.map_register`: a register's value becomes a
@@ -26,6 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
+from functools import cached_property
+from itertools import product
 
 from .bits import apply_perm, bits_to_int, int_to_bits, parity
 
@@ -36,10 +51,93 @@ class EntangledDiscardError(ValueError):
     pass
 
 
+class _Component:
+    """Registers that may be entangled with each other, and their branches."""
+
+    __slots__ = ("names", "branches")
+
+    def __init__(self, names: list[str], branches: dict):
+        self.names = names
+        self.branches: dict[tuple[str, ...], complex] = branches
+
+
+def _norm(branches: dict) -> float:
+    return math.sqrt(sum(abs(a) ** 2 for a in branches.values()))
+
+
+def _by_context(branches: dict, i: int) -> dict:
+    """Amplitudes grouped by the other registers' values, then by register i's."""
+    ctx_amps: dict[tuple[str, ...], dict[str, complex]] = {}
+    for k, v in branches.items():
+        ctx_amps.setdefault(k[:i] + k[i + 1:], {})[k[i]] = v
+    return ctx_amps
+
+
+def _factor(branches: dict, i: int):
+    """Split register i off ``branches`` if they are a product with it.
+
+    Returns (g, rest) with branches[ctx + s] = rest[ctx] * g[s] within 1e-7
+    and g normalized from the first context's amplitudes, or None if
+    register i is entangled with the others.
+    """
+    ctx_amps = _by_context(branches, i)
+    first = next(iter(ctx_amps.values()))
+    if any(amps.keys() != first.keys() for amps in ctx_amps.values()):
+        return None
+    gnorm = _norm(first)
+    g = {s: a / gnorm for s, a in first.items()}
+    s0 = next(iter(g))
+    rest: dict[tuple[str, ...], complex] = {}
+    for ctx, amps in ctx_amps.items():
+        r = amps[s0] / g[s0]
+        for s, gs in g.items():
+            if abs(amps[s] - r * gs) > 1e-7:
+                return None
+        rest[ctx] = r
+    return g, rest
+
+
+class _Product(Mapping):
+    """Branches of a product of components, keyed by values in ``names`` order.
+
+    A read-only snapshot: its length is the product of the component sizes,
+    and the joint branches are built the first time they are read.
+    """
+
+    def __init__(self, comps, names: list[str], amp: complex):
+        self._parts = [(tuple(c.names), c.branches) for c in comps]
+        self._names = names
+        self._amp = amp
+
+    def __len__(self) -> int:
+        return math.prod(len(b) for _, b in self._parts)
+
+    def __iter__(self):
+        return iter(self._joint)
+
+    def __getitem__(self, key):
+        return self._joint[key]
+
+    @cached_property
+    def _joint(self) -> dict[tuple[str, ...], complex]:
+        pos = {n: i for i, n in
+               enumerate(n for names, _ in self._parts for n in names)}
+        order = [pos[n] for n in self._names]
+        out = {}
+        for parts in product(*(b.items() for _, b in self._parts)):
+            values = [s for k, _ in parts for s in k]
+            a = self._amp
+            for _, v in parts:
+                a *= v
+            out[tuple([values[i] for i in order])] = a
+        return out
+
+
 class SparseState:
     def __init__(self):
         self.registers: list[tuple[str, int]] = []
-        self.branches: dict[tuple[str, ...], complex] = {(): 1.0 + 0.0j}
+        self._where: dict[str, _Component] = {}  # register -> its component
+        self._scalar = 1 + 0j
         self._name_counter = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -54,27 +152,117 @@ class SparseState:
                 return i
         raise KeyError(f"no register named {name!r}")
 
+    def _locate(self, name: str) -> tuple[_Component, int]:
+        """The component holding register ``name``, and its position there."""
+        comp = self._where.get(name)
+        if comp is None:
+            raise KeyError(f"no register named {name!r}")
+        return comp, comp.names.index(name)
+
+    def _components(self) -> list[_Component]:
+        """Every component, in the order of its first register."""
+        return list(dict.fromkeys(self._where[n] for n, _ in self.registers))
+
+    def components(self) -> list[tuple[tuple[str, ...], int]]:
+        """(register names, branch count) of every component."""
+        return [(tuple(c.names), len(c.branches)) for c in self._components()]
+
     def width(self, name: str) -> int:
         return self.registers[self._index(name)][1]
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.branches.values()))
+        return abs(self._scalar) * math.prod(
+            _norm(c.branches) for c in self._components())
 
     def renormalize(self) -> None:
-        n = self.norm()
-        if n < ATOL:
+        for comp in self._components():
+            self._normalize(comp)
+
+    def _normalize(self, comp: _Component) -> None:
+        """Scale ``comp`` to unit norm and the scalar to a phase.
+
+        Every other component already has unit norm, so the whole state
+        then has too.
+        """
+        n, size = _norm(comp.branches), abs(self._scalar)
+        if n * size < ATOL:
             raise ValueError("state has collapsed to zero norm")
-        self.branches = {k: v / n for k, v in self.branches.items()}
+        comp.branches = {k: v / n for k, v in comp.branches.items()}
+        self._scalar /= size
+
+    @property
+    def branches(self) -> Mapping[tuple[str, ...], complex]:
+        """The whole state as one map, keyed by values in ``registers`` order.
+
+        A read-only snapshot of the product of every component. Its length
+        costs one multiplication per component; reading its branches
+        expands the product, so it is meant for tests and small states.
+        """
+        return self._product([n for n, _ in self.registers], self._scalar)
+
+    @branches.setter
+    def branches(self, value: dict[tuple[str, ...], complex]) -> None:
+        """Replace the state by a unit-norm map keyed in ``registers`` order."""
+        comp = _Component([n for n, _ in self.registers], dict(value))
+        self._where = dict.fromkeys(comp.names, comp)
+        self._scalar = 1 + 0j
+        self._refactor(comp)
+
+    def _product(self, names: list[str], amp: complex) -> "_Product":
+        """``amp`` times the product of the components holding ``names``.
+
+        ``names`` must list every register of those components.
+        """
+        comps = dict.fromkeys(self._where[n] for n in names)
+        return _Product(comps, names, amp)
+
+    def _joined(self, names) -> _Component:
+        """One component over the components holding ``names``.
+
+        With more than one, a new component (their product, nested in
+        register order) that the caller installs once its operation has
+        succeeded; the state itself is left unchanged.
+        """
+        touched = list(dict.fromkeys(self._locate(n)[0] for n in names))
+        if len(touched) == 1:
+            return touched[0]
+        joined = _Component([], {(): 1})
+        for c in self._components():
+            if c in touched:
+                joined.names += c.names
+                joined.branches = {k + ck: a * ca
+                                   for k, a in joined.branches.items()
+                                   for ck, ca in c.branches.items()}
+        return joined
+
+    def _refactor(self, comp: _Component) -> None:
+        """Peel every register that factors out of ``comp`` into its own
+        component; fold a component left without registers into the scalar."""
+        if not comp.names:
+            self._scalar *= comp.branches.get((), 0)
+            return
+        for i in reversed(range(len(comp.names))):
+            if len(comp.names) == 1 or not comp.branches:
+                return
+            parts = _factor(comp.branches, i)
+            if parts is not None:
+                g, comp.branches = parts
+                name = comp.names.pop(i)
+                self._where[name] = _Component(
+                    [name], {(s,): a for s, a in g.items()})
 
     # -- construction ------------------------------------------------------
 
+    def _add(self, name: str, width: int, branches: dict) -> str:
+        if name in self._where:
+            raise ValueError(f"register {name!r} already exists")
+        self.registers.append((name, width))
+        self._where[name] = _Component([name], branches)
+        return name
+
     def add_register(self, name: str, value: str) -> str:
         """Tensor on a register in a computational basis state."""
-        if any(n == name for n, _ in self.registers):
-            raise ValueError(f"register {name!r} already exists")
-        self.registers.append((name, len(value)))
-        self.branches = {k + (value,): v for k, v in self.branches.items()}
-        return name
+        return self._add(name, len(value), {(value,): 1.0})
 
     def add_gadget(self, name: str, x0: str, x1: str) -> str:
         """Tensor on a register in state (|x0> + |x1>)/sqrt(2)."""
@@ -82,16 +270,8 @@ class SparseState:
             raise ValueError("gadget requires two different keys")
         if len(x0) != len(x1):
             raise ValueError("gadget keys must have equal width")
-        if any(n == name for n, _ in self.registers):
-            raise ValueError(f"register {name!r} already exists")
-        self.registers.append((name, len(x0)))
         s = 1 / math.sqrt(2)
-        new = {}
-        for k, v in self.branches.items():
-            new[k + (x0,)] = v * s
-            new[k + (x1,)] = v * s
-        self.branches = new
-        return name
+        return self._add(name, len(x0), {(x0,): s, (x1,): s})
 
     # -- branch maps -------------------------------------------------------
 
@@ -107,29 +287,39 @@ class SparseState:
         onto the same values add up.
         """
         j = self._index(dst)
-        ki = [self._index(r) for r in keys]
         w = self.registers[j][1] if width is None else width
+        comp = self._joined([dst, *keys])
+        d = comp.names.index(dst)
+        ki = [comp.names.index(r) for r in keys]
         images: dict[tuple[str, str], str] = {}
         new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
-            arg = (k[j], "".join([k[i] for i in ki]))
+        for k, v in comp.branches.items():
+            arg = (k[d], "".join([k[i] for i in ki]))
             nv = images.get(arg)
             if nv is None:
                 nv = images[arg] = fn(*arg)
                 if len(nv) != w:
                     raise ValueError(f"map_register: image width {len(nv)}, "
                                      f"expected {w}")
-            nk = k[:j] + (nv,) + k[j + 1:]
+            nk = k[:d] + (nv,) + k[d + 1:]
             new[nk] = new.get(nk, 0) + v
         self.registers[j] = (dst, w)
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
+        kept = {k: v for k, v in new.items() if abs(v) > ATOL}
+        if len(kept) < len(comp.branches):
+            # branches met, so the norm changed: the scalar takes it
+            n = _norm(kept)
+            self._scalar *= n
+            kept = {k: v / n for k, v in kept.items()}
+        comp.branches = kept
+        for name in comp.names:
+            self._where[name] = comp
+        self._refactor(comp)
 
     def apply_phase_per_branch(self, name: str, phase_fn) -> None:
         """Multiply each branch amplitude by exp(i * phase_fn(value))."""
-        i = self._index(name)
-        self.branches = {
-            k: v * cmath.exp(1j * phase_fn(k[i])) for k, v in self.branches.items()
-        }
+        comp, i = self._locate(name)
+        comp.branches = {k: v * cmath.exp(1j * phase_fn(k[i]))
+                         for k, v in comp.branches.items()}
 
     def apply_bitwise_permutation(self, name: str, perm) -> None:
         if len(perm) != self.width(name):
@@ -145,18 +335,20 @@ class SparseState:
         With ``observable``, the measured quantity is ``observable(value)``
         (any sortable function of the register's value) instead of the value.
         """
-        i = self._index(name)
-        outs = [k[i] for k in self.branches]
+        comp, i = self._locate(name)
+        outs = [k[i] for k in comp.branches]
         if observable is not None:
             outs = [observable(o) for o in outs]
         weights: dict = {}
-        for o, v in zip(outs, self.branches.values()):
+        for o, v in zip(outs, comp.branches.values()):
             weights[o] = weights.get(o, 0.0) + abs(v) ** 2
         values = sorted(weights)
         outcome = values[self._inverse_cdf([weights[o] for o in values], rng)]
-        self.branches = {k: v for o, (k, v) in zip(outs, self.branches.items())
+        comp.branches = {k: v for o, (k, v) in zip(outs, comp.branches.items())
                          if o == outcome}
-        self.renormalize()
+        self._normalize(comp)
+        if len(comp.names) > 1:
+            self._refactor(comp)
         return outcome
 
     def measure_hadamard(self, name: str, rng) -> str:
@@ -167,9 +359,10 @@ class SparseState:
         Raises ValueError if the register holds more than two values: an
         honest register holds a gadget.
         """
-        i = self._index(name)
-        w = self.registers[i][1]
-        values = sorted({k[i] for k in self.branches})
+        j = self._index(name)
+        w = self.registers[j][1]
+        comp, i = self._locate(name)
+        values = sorted({k[i] for k in comp.branches})
         if len(values) > 2:
             raise ValueError(f"register {name!r} holds {len(values)} values; "
                              "a Hadamard measurement takes at most two")
@@ -177,7 +370,7 @@ class SparseState:
         lead = diff.bit_length() - 1  # -1 for a single value
 
         # interference weight of the parity d . (s0 xor s1) = 0, then = 1
-        ctx_amps = self._by_context(i)
+        ctx_amps = _by_context(comp.branches, i)
         weights = []
         for p in range(len(values)):
             wsum = 0.0
@@ -206,9 +399,12 @@ class SparseState:
             for s, a in amps.items():
                 acc += a * sign[s]
             new[ctx] = acc
-        self.registers.pop(i)
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
-        self.renormalize()
+        self.registers.pop(j)
+        del self._where[name]
+        comp.names.pop(i)
+        comp.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
+        self._normalize(comp)
+        self._refactor(comp)
         return d
 
     @staticmethod
@@ -233,14 +429,20 @@ class SparseState:
         if sum(widths) != self.registers[i][1]:
             raise ValueError("split widths must sum to register width")
         self.registers[i:i + 1] = list(zip(new_names, widths))
+        comp, c = self._locate(name)
+        del self._where[name]
+        comp.names[c:c + 1] = new_names
         new: dict[tuple[str, ...], complex] = {}
-        for k, v in self.branches.items():
+        for k, v in comp.branches.items():
             parts, off = [], 0
             for w in widths:
-                parts.append(k[i][off:off + w])
+                parts.append(k[c][off:off + w])
                 off += w
-            new[k[:i] + tuple(parts) + k[i + 1:]] = v
-        self.branches = new
+            new[k[:c] + tuple(parts) + k[c + 1:]] = v
+        comp.branches = new
+        for n in new_names:
+            self._where[n] = comp
+        self._refactor(comp)
         return new_names
 
     def merge_registers(self, names: list[str], new_name: str) -> str:
@@ -252,46 +454,44 @@ class SparseState:
         pos = min(idxs)
         rest = [j for j in range(pos + 1, len(self.registers)) if j not in idxs]
         total = sum(self.registers[i][1] for i in idxs)
+        comp = self._joined(names)
         self.registers = (self.registers[:pos] + [(new_name, total)]
                           + [self.registers[j] for j in rest])
-        self.branches = {
-            k[:pos] + ("".join([k[i] for i in idxs]),)
-            + tuple([k[j] for j in rest]): v
-            for k, v in self.branches.items()
+        ci = [comp.names.index(n) for n in names]
+        keep = [j for j in range(len(comp.names)) if j not in ci]
+        comp.branches = {
+            ("".join([k[i] for i in ci]),) + tuple([k[j] for j in keep]): v
+            for k, v in comp.branches.items()
         }
+        for n in names:
+            self._where.pop(n, None)
+        comp.names = [new_name] + [comp.names[j] for j in keep]
+        for n in comp.names:
+            self._where[n] = comp
         return new_name
-
-    def _by_context(self, i: int) -> dict[tuple[str, ...], dict[str, complex]]:
-        """Amplitudes grouped by the other registers' values, then by register i's."""
-        ctx_amps: dict[tuple[str, ...], dict[str, complex]] = {}
-        for k, v in self.branches.items():
-            ctx_amps.setdefault(k[:i] + k[i + 1:], {})[k[i]] = v
-        return ctx_amps
 
     def discard_register(self, name: str) -> dict[str, complex]:
         """Remove an unentangled register (constant or factorizable).
 
-        Returns the register's normalized amplitudes by value. Raises
-        EntangledDiscardError unless the state is a product of the register
-        and the rest.
+        Returns the register's normalized amplitudes by value; their
+        global phase is arbitrary, the rest of the state keeps the inverse
+        phase. Raises EntangledDiscardError unless the state is a product
+        of the register and the rest.
         """
-        i = self._index(name)
-        ctx_amps = self._by_context(i)
-        first = next(iter(ctx_amps.values()))
-        gnorm = math.sqrt(sum(abs(a) ** 2 for a in first.values()))
-        g = {s: a / gnorm for s, a in first.items()}
-        s0 = next(iter(g))
-        out: dict[tuple[str, ...], complex] = {}
-        for ctx, amps in ctx_amps.items():
-            if amps.keys() != g.keys():
-                raise EntangledDiscardError("entangled discard")
-            r = amps[s0] / g[s0]
-            for s, gs in g.items():
-                if abs(amps[s] - r * gs) > 1e-7:
-                    raise EntangledDiscardError("entangled discard")
-            out[ctx] = r
-        self.registers.pop(i)
-        self.branches = out
+        j = self._index(name)
+        comp, i = self._locate(name)
+        if len(comp.names) == 1:  # nothing to factor: skip the rank-1 test
+            n = _norm(comp.branches)
+            parts = {s: a / n for (s,), a in comp.branches.items()}, {(): n}
+        else:
+            parts = _factor(comp.branches, i)
+        if parts is None:
+            raise EntangledDiscardError("entangled discard")
+        g, comp.branches = parts
+        self.registers.pop(j)
+        del self._where[name]
+        comp.names.pop(i)
+        self._refactor(comp)
         return g
 
     def extract_qubit(self, name: str) -> tuple[complex, complex]:
@@ -304,18 +504,29 @@ class SparseState:
     # -- comparison --------------------------------------------------------
 
     def fidelity(self, other: "SparseState") -> float:
-        """|<other|self>|^2, matching registers by name."""
+        """|<other|self>|^2, matching registers by name.
+
+        The inner product factors over the coarsest partition of the
+        registers that both states' components refine, so only each part
+        of it is expanded.
+        """
         mine = {n: w for n, w in self.registers}
         theirs = {n: w for n, w in other.registers}
         if mine != theirs:
             raise ValueError("register mismatch between states")
-        order = [other._index(n) for n, _ in self.registers]
-        inner = 0j
-        for k, v in other.branches.items():
-            mk = tuple(k[i] for i in order)
-            a = self.branches.get(mk)
-            if a is not None:
-                inner += a * v.conjugate()
+        pos = {n: i for i, n in enumerate(mine)}
+        block = {n: [n] for n in mine}
+        for st in (self, other):
+            for c in st._components():
+                merged = sorted({m for n in c.names for m in block[n]},
+                                key=pos.get)
+                for n in merged:
+                    block[n] = merged
+        inner = self._scalar * other._scalar.conjugate()
+        for names in {id(b): b for b in block.values()}.values():
+            amps = self._product(names, 1)
+            inner *= sum(amps.get(k, 0) * v.conjugate()
+                         for k, v in other._product(names, 1).items())
         return abs(inner) ** 2
 
 

@@ -239,3 +239,36 @@ def test_full_pipeline_single_quantum_message():
 def test_stage_report_line_format():
     r = gp.StageReport("basic", 2, 2, 1, "pass", 10)
     assert r.line() == "basic\t2\t2\t1\tpass\t10"
+
+
+@pytest.mark.parametrize("l, n, j, kappa_out, seed", [
+    (64, 2, 1, 16, 1), (64, 2, 1, 16, 2),
+    (8, 1, 2, 16, 5),  # one seed gadget: the largest entangled component
+], ids=["L64-seed1", "L64-seed2", "L8-N1-J2"])
+def test_full_pipeline_exact_at_scale(monkeypatch, l, n, j, kappa_out, seed):
+    # independent gadgets stay separate components, so the server state
+    # grows with L instead of multiplying: no component ever holds more
+    # than 8 branches
+    largest = []
+
+    def watch(method):
+        def call(self, *args, **kwargs):
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                largest.append(max([c for _, c in self.components()] or [0]))
+        return call
+
+    for name, fn in list(vars(SparseState).items()):
+        if callable(fn) and not name.startswith("_") and name != "components":
+            monkeypatch.setattr(SparseState, name, watch(fn))
+    o = RandomOracle(seed)
+    srv = HonestServer(o, seed=seed)
+    cfg = gp.PipelineConfig(L=l, N=n, J=j, kappa_out=kappa_out)
+    out, tr, reps = gp.gdgprep_full(o, cfg, srv, random.Random(seed))
+    assert tr.passed, tr.fail_reason
+    assert len(out) == l
+    assert reps[-1].helpers_consumed == gp.expected_helper_count(cfg)
+    monkeypatch.undo()
+    assert_exact(srv, out)
+    assert 0 < max(largest) <= 8

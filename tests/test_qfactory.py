@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ def test_ubqc_run_needs_matching_qubit_count():
     with pytest.raises(ValueError):
         qf.ubqc_run(amps, angles, [1, 2], np.zeros((5, 2), int),
                     np.zeros((5, 3)))
+
+
+def test_ubqc_shots_memory_stays_within_one_chunk():
+    # shots run in chunks, so four chunks' worth of shots needs little more
+    # memory than one chunk (only the returned deltas grow)
+    qubits = [perfect_qubit(k) for k in (1, 3, 6, 0)]
+    peaks = []
+    for shots in (qf.SHOT_CHUNK, 4 * qf.SHOT_CHUNK):
+        tracemalloc.start()
+        try:
+            qf.ubqc_shots(qubits, [1, 3, 6], random.Random(5), shots)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_ubqc_shots_chunks_continue_one_generator(monkeypatch):
+    # the first chunk draws what an unchunked run of as many shots draws;
+    # later chunks go on drawing from the same generator
+    qubits = [perfect_qubit(k) for k in (2, 5, 7)]
+    one_chunk = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 100)
+    monkeypatch.setattr(qf, "SHOT_CHUNK", 100)
+    ones, deltas = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 250)
+    assert deltas[:200] == one_chunk[1] and len(deltas) == 500
+    assert deltas[200:400] != deltas[:200]
+    assert 0 <= ones <= 250
 
 
 def test_ubqc_shots_rejects_fewer_than_one_shot():

@@ -18,7 +18,9 @@ def random_bits(rng, n: int) -> str:
 def xor(a: str, b: str) -> str:
     if len(a) != len(b):
         raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    if not a:
+        return ""
+    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
 
 
 def dot(a: str, b: str) -> int:

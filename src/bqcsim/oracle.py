@@ -35,6 +35,14 @@ class RandomOracle:
     # -- raw PRF -----------------------------------------------------------
 
     def _prf(self, inp: str, out_len: int) -> str:
+        """The first ``out_len`` output bits for ``inp``, as a {0,1} string.
+
+        Block ``b`` is the 32-byte BLAKE2b digest of
+        ``f"{seed}|0|{out_len}|{b}|{inp}"``, written as its 256 bits, most
+        significant bit of the first byte first (the digest read as one
+        big-endian integer). Blocks 0, 1, ... are concatenated and the
+        result is truncated to ``out_len`` bits.
+        """
         out = []
         need = out_len
         block = 0
@@ -45,9 +53,8 @@ class RandomOracle:
                 f"{self.seed}|0|{out_len}|{block}|{inp}".encode(),
                 digest_size=32,
             ).digest()
-            chunk = "".join(format(b, "08b") for b in h)
-            out.append(chunk[:need])
-            need -= len(chunk)
+            out.append(format(int.from_bytes(h, "big"), "0256b")[:need])
+            need -= 256
             block += 1
         return "".join(out)
 

@@ -9,10 +9,11 @@ operation enumerates one component's branches rather than a 2^n Hilbert
 space, and independent gadgets cost the sum of their sizes, not the product.
 
 Adding a register starts a new component. An operation on several registers
-first joins their components by a product. After a value map, a measurement
-or a split, every register that factors out of the touched component is
-peeled off into a component of its own, by the rank-1 test that discarding
-a register uses; a component left with no register folds into the scalar.
+first joins their components by a product. After a value map, a measurement,
+a split or a merge, every register that factors out of the touched
+component is peeled off into a component of its own, by the rank-1 test
+that discarding a register uses; a component left with no register folds
+into the scalar.
 :attr:`SparseState.branches` is a read-only view of the whole product,
 keyed in :attr:`SparseState.registers` order; reading its branches expands
 the product, so it is meant for tests and small states.
@@ -135,7 +136,12 @@ class _Product(Mapping):
 
 class SparseState:
     def __init__(self):
-        self.registers: list[tuple[str, int]] = []
+        # register -> (order key, width). Order keys sort in register order
+        # and never change while the register lives: an added register
+        # takes (n,) from a counter, the parts of a split one extend its
+        # key, and a merged one takes the least key of its parts.
+        self._regs: dict[str, tuple[tuple[int, ...], int]] = {}
+        self._added = 0
         self._where: dict[str, _Component] = {}  # register -> its component
         self._scalar = 1 + 0j
         self._name_counter = 0
@@ -146,11 +152,18 @@ class SparseState:
         self._name_counter += 1
         return f"{prefix}{self._name_counter}"
 
-    def _index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.registers):
-            if n == name:
-                return i
-        raise KeyError(f"no register named {name!r}")
+    def _reg(self, name: str) -> tuple[tuple[int, ...], int]:
+        """The order key and width of register ``name``."""
+        reg = self._regs.get(name)
+        if reg is None:
+            raise KeyError(f"no register named {name!r}")
+        return reg
+
+    @property
+    def registers(self) -> list[tuple[str, int]]:
+        """(name, width) of every register, in order."""
+        return [(n, w) for n, (_, w) in
+                sorted(self._regs.items(), key=lambda r: r[1][0])]
 
     def _locate(self, name: str) -> tuple[_Component, int]:
         """The component holding register ``name``, and its position there."""
@@ -168,7 +181,7 @@ class SparseState:
         return [(tuple(c.names), len(c.branches)) for c in self._components()]
 
     def width(self, name: str) -> int:
-        return self.registers[self._index(name)][1]
+        return self._reg(name)[1]
 
     def norm(self) -> float:
         return abs(self._scalar) * math.prod(
@@ -219,20 +232,20 @@ class SparseState:
     def _joined(self, names) -> _Component:
         """One component over the components holding ``names``.
 
-        With more than one, a new component (their product, nested in
-        register order) that the caller installs once its operation has
-        succeeded; the state itself is left unchanged.
+        With more than one, a new component (their product, nested in the
+        order of each one's first register) that the caller installs once
+        its operation has succeeded; the state itself is left unchanged.
         """
         touched = list(dict.fromkeys(self._locate(n)[0] for n in names))
         if len(touched) == 1:
             return touched[0]
+        touched.sort(key=lambda c: min(self._regs[n][0] for n in c.names))
         joined = _Component([], {(): 1})
-        for c in self._components():
-            if c in touched:
-                joined.names += c.names
-                joined.branches = {k + ck: a * ca
-                                   for k, a in joined.branches.items()
-                                   for ck, ca in c.branches.items()}
+        for c in touched:
+            joined.names += c.names
+            joined.branches = {k + ck: a * ca
+                               for k, a in joined.branches.items()
+                               for ck, ca in c.branches.items()}
         return joined
 
     def _refactor(self, comp: _Component) -> None:
@@ -256,7 +269,8 @@ class SparseState:
     def _add(self, name: str, width: int, branches: dict) -> str:
         if name in self._where:
             raise ValueError(f"register {name!r} already exists")
-        self.registers.append((name, width))
+        self._regs[name] = ((self._added,), width)
+        self._added += 1
         self._where[name] = _Component([name], branches)
         return name
 
@@ -286,8 +300,9 @@ class SparseState:
         ``width`` bits wide (default: the width of dst); branches mapped
         onto the same values add up.
         """
-        j = self._index(dst)
-        w = self.registers[j][1] if width is None else width
+        order, w = self._reg(dst)
+        if width is not None:
+            w = width
         comp = self._joined([dst, *keys])
         d = comp.names.index(dst)
         ki = [comp.names.index(r) for r in keys]
@@ -303,7 +318,7 @@ class SparseState:
                                      f"expected {w}")
             nk = k[:d] + (nv,) + k[d + 1:]
             new[nk] = new.get(nk, 0) + v
-        self.registers[j] = (dst, w)
+        self._regs[dst] = (order, w)
         kept = {k: v for k, v in new.items() if abs(v) > ATOL}
         if len(kept) < len(comp.branches):
             # branches met, so the norm changed: the scalar takes it
@@ -359,8 +374,7 @@ class SparseState:
         Raises ValueError if the register holds more than two values: an
         honest register holds a gadget.
         """
-        j = self._index(name)
-        w = self.registers[j][1]
+        w = self.width(name)
         comp, i = self._locate(name)
         values = sorted({k[i] for k in comp.branches})
         if len(values) > 2:
@@ -399,7 +413,7 @@ class SparseState:
             for s, a in amps.items():
                 acc += a * sign[s]
             new[ctx] = acc
-        self.registers.pop(j)
+        del self._regs[name]
         del self._where[name]
         comp.names.pop(i)
         comp.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
@@ -425,10 +439,12 @@ class SparseState:
 
     def split_register(self, name: str, widths: list[int],
                        new_names: list[str]) -> list[str]:
-        i = self._index(name)
-        if sum(widths) != self.registers[i][1]:
+        order, w = self._reg(name)
+        if sum(widths) != w:
             raise ValueError("split widths must sum to register width")
-        self.registers[i:i + 1] = list(zip(new_names, widths))
+        del self._regs[name]
+        for i, (n, nw) in enumerate(zip(new_names, widths)):
+            self._regs[n] = (order + (i,), nw)
         comp, c = self._locate(name)
         del self._where[name]
         comp.names[c:c + 1] = new_names
@@ -450,13 +466,8 @@ class SparseState:
 
         The merged register takes the position of the first of them.
         """
-        idxs = [self._index(n) for n in names]
-        pos = min(idxs)
-        rest = [j for j in range(pos + 1, len(self.registers)) if j not in idxs]
-        total = sum(self.registers[i][1] for i in idxs)
+        regs = [self._reg(n) for n in names]
         comp = self._joined(names)
-        self.registers = (self.registers[:pos] + [(new_name, total)]
-                          + [self.registers[j] for j in rest])
         ci = [comp.names.index(n) for n in names]
         keep = [j for j in range(len(comp.names)) if j not in ci]
         comp.branches = {
@@ -465,9 +476,15 @@ class SparseState:
         }
         for n in names:
             self._where.pop(n, None)
+            self._regs.pop(n, None)
+        self._regs[new_name] = (min(o for o, _ in regs),
+                                sum(w for _, w in regs))
         comp.names = [new_name] + [comp.names[j] for j in keep]
         for n in comp.names:
             self._where[n] = comp
+        # registers entangled only with each other merge into one that may
+        # factor out of the rest
+        self._refactor(comp)
         return new_name
 
     def discard_register(self, name: str) -> dict[str, complex]:
@@ -478,7 +495,6 @@ class SparseState:
         phase. Raises EntangledDiscardError unless the state is a product
         of the register and the rest.
         """
-        j = self._index(name)
         comp, i = self._locate(name)
         if len(comp.names) == 1:  # nothing to factor: skip the rank-1 test
             n = _norm(comp.branches)
@@ -488,7 +504,7 @@ class SparseState:
         if parts is None:
             raise EntangledDiscardError("entangled discard")
         g, comp.branches = parts
-        self.registers.pop(j)
+        del self._regs[name]
         del self._where[name]
         comp.names.pop(i)
         self._refactor(comp)

@@ -22,8 +22,18 @@ def reference_prf(seed, salt, out_len, inp):
 
 
 def test_matches_reference_construction():
-    o = RandomOracle(1234)
-    assert o.query_classical("0110", 40) == reference_prf(1234, 0, 40, "0110")
+    # lengths around the 8-bit byte and the 256-bit block boundaries
+    lengths = (1, 7, 8, 40, 63, 255, 256, 257, 300, 512, 513)
+    for seed in (0, 1234, 2**64 - 1):
+        o = RandomOracle(seed)
+        for inp in ("", "0", "0110", "1" * 97):
+            for n in lengths:
+                assert o._prf(inp, n) == reference_prf(seed, 0, n, inp)
+        assert (o.query_classical("0110", 40)
+                == reference_prf(seed, 0, 40, "0110"))
+        # global tags live on the "#" domain of the same construction
+        for x in ("1", "0110", "01" * 150):
+            assert o.tag(x) == reference_prf(seed, 0, 2 * len(x), "#" + x)
 
 
 def test_deterministic_across_instances():

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqcsim import tables
@@ -28,6 +29,19 @@ def test_xor_involution(a, b):
     a, b = a[:n], b[:n]
     assert xor(xor(a, b), b) == a
     assert dot(a, b) in (0, 1)
+
+
+equal_length_pairs = st.integers(min_value=0, max_value=300).flatmap(
+    lambda n: st.tuples(st.text(alphabet="01", min_size=n, max_size=n),
+                        st.text(alphabet="01", min_size=n, max_size=n)))
+
+
+@given(equal_length_pairs)
+def test_xor_matches_per_character_definition(pair):
+    a, b = pair
+    assert xor(a, b) == "".join("1" if x != y else "0" for x, y in zip(a, b))
+    with pytest.raises(ValueError, match="length mismatch"):
+        xor(a, b + "0")
 
 
 @given(seeds, st.integers(min_value=2, max_value=16))

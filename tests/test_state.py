@@ -102,6 +102,20 @@ def test_split_merge_roundtrip():
     assert st.branches == before
 
 
+def test_merge_peels_a_register_that_factors_out():
+    # two Bell pairs in one component: merging one pair gives a register
+    # that is a product with the other pair
+    st = SparseState()
+    for g, parts in (("g", ["a", "b"]), ("h", ["c", "d"])):
+        st.add_gadget(g, "00", "11")
+        st.split_register(g, [1, 1], parts)
+    st.map_register("c", lambda v, _: v, keys=["a"])
+    assert st.components() == [(("a", "b", "c", "d"), 4)]
+    st.merge_registers(["a", "b"], "ab")
+    assert st.components() == [(("ab",), 2), (("c", "d"), 2)]
+    assert st.registers == [("ab", 2), ("c", 1), ("d", 1)]
+
+
 def test_discard_constant_register():
     st = SparseState()
     st.add_gadget("g", "01", "10")
@@ -207,7 +221,8 @@ def test_hadamard_measure_matches_dense_reference():
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         amps = {k: a / norm for k, a in amps.items()}
         st = SparseState()
-        st.registers = [("c", cw), ("v", vw)]
+        st.add_register("c", "0" * cw)
+        st.add_register("v", "0" * vw)
         st.branches = dict(amps)
         d = st.measure_hadamard("v", rng)
         post = dense_hadamard_post(amps, cw, vw, d)
@@ -221,7 +236,8 @@ def test_hadamard_measure_matches_dense_reference():
 
 def spread_state(values):
     st = SparseState()
-    st.registers = [("c", 1), ("v", len(values[0]))]
+    st.add_register("c", "0")
+    st.add_register("v", values[0])
     amps = [(c, v) for c in "01" for v in values]
     st.branches = {a: 1 / math.sqrt(len(amps)) for a in amps}
     return st

@@ -243,7 +243,7 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
         for i, (pair, reg) in enumerate(gadgets):
             y = sample_key_pair(rng, kout)
             mapping = [
-                ((cur[i][b], lam_pair[b2]), y[b])
+                (cur[i][b] + lam_pair[b2], y[b])
                 for b in (0, 1) for b2 in (0, 1)
             ]
             table = tables.lt_build(oracle, mapping, params.pad_len, kout, rng)

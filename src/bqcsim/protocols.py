@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import tables
-from .bits import dot, invert_perm, random_bits
+from .bits import apply_perm, dot, invert_perm, random_bits
 from .keychain import KeyPair, combine_keys
 from .state import SparseState
 
@@ -146,7 +146,8 @@ class HonestServer:
 
     def depermute_split(self, out_reg: str, perm: list[int],
                         width2: int, names: tuple[str, str]) -> None:
-        self.state.apply_bitwise_permutation(out_reg, invert_perm(perm))
+        inv = invert_perm(perm)
+        self.state.map_register(out_reg, lambda s, _: apply_perm(s, inv))
         total = self.state.width(out_reg)
         self.state.split_register(out_reg, [width2, total - width2], list(names))
 

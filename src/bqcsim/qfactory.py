@@ -93,7 +93,8 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     t1 = dot(d, pair.delta())
     tr.finish(True)
     angle = AngleOctant(t1, t2, t3)
-    alpha, beta = server.state.extract_qubit(idx_reg)
+    g = server.state.discard_register(idx_reg)
+    alpha, beta = g.get("0", 0j), g.get("1", 0j)
     return PreparedQubit(alpha, beta, angle), tr
 
 

@@ -2,30 +2,31 @@
 
 The server's quantum memory is a product of *components*. A component holds
 some registers and a map from their value-tuples to complex amplitudes, kept
-at unit norm; a complex scalar holds the global phase, and the norm a
-non-unitary map leaves. Honest protocol states only ever contain a small
-number of branches per component (at most 2 per gadget register), so every
-operation enumerates one component's branches rather than a 2^n Hilbert
-space, and independent gadgets cost the sum of their sizes, not the product.
+at unit norm, and the state is known up to a global phase. Honest protocol
+states only ever contain a small number of branches per component (at most
+2 per gadget register), so every operation enumerates one component's
+branches rather than a 2^n Hilbert space, and independent gadgets cost the
+sum of their sizes, not the product.
 
 Adding a register starts a new component. An operation on several registers
 first joins their components by a product. After a value map, a measurement,
 a split or a merge, every register that factors out of the touched
 component is peeled off into a component of its own, by the rank-1 test
-that discarding a register uses; a component left with no register folds
-into the scalar.
+that discarding a register uses; a component left with no register is only
+a global phase, and is dropped.
 :attr:`SparseState.branches` is a read-only view of the whole product,
 keyed in :attr:`SparseState.registers` order; reading its branches expands
 the product, so it is meant for tests and small states.
 
 Every coherent evaluation (oracle queries, table decryption, pads) is one
-value map, :meth:`SparseState.map_register`: a register's value becomes a
-function of itself and of the concatenated values of key registers, and
-the function is evaluated once per distinct pair of values, however many
-branches share it. Both measurements draw their outcome with one
-``rng.random()`` through the same inverse-CDF sampler, and discarding a
-register factors it out of the amplitudes grouped by the other registers'
-values.
+reversible value map, :meth:`SparseState.map_register`: a register's value
+becomes a function of itself and of the concatenated values of key
+registers, and the function is evaluated once per distinct pair of values,
+however many branches share it. A map under which two branches would meet
+is refused, so every map is unitary. Both measurements draw their outcome
+with one ``rng.random()`` through the same inverse-CDF sampler, and
+discarding a register factors it out of the amplitudes grouped by the other
+registers' values.
 
 The one non-obvious primitive is :meth:`SparseState.measure_hadamard`. A
 register can be hundreds of bits wide, so the outcome ``d`` is never sampled
@@ -43,7 +44,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
 
-from .bits import apply_perm, bits_to_int, int_to_bits, parity
+from .bits import bits_to_int, int_to_bits, parity
 
 ATOL = 1e-9
 
@@ -105,10 +106,9 @@ class _Product(Mapping):
     and the joint branches are built the first time they are read.
     """
 
-    def __init__(self, comps, names: list[str], amp: complex):
+    def __init__(self, comps, names: list[str]):
         self._parts = [(tuple(c.names), c.branches) for c in comps]
         self._names = names
-        self._amp = amp
 
     def __len__(self) -> int:
         return math.prod(len(b) for _, b in self._parts)
@@ -127,10 +127,8 @@ class _Product(Mapping):
         out = {}
         for parts in product(*(b.items() for _, b in self._parts)):
             values = [s for k, _ in parts for s in k]
-            a = self._amp
-            for _, v in parts:
-                a *= v
-            out[tuple([values[i] for i in order])] = a
+            out[tuple([values[i] for i in order])] = math.prod(
+                [v for _, v in parts])
         return out
 
 
@@ -143,7 +141,6 @@ class SparseState:
         self._regs: dict[str, tuple[tuple[int, ...], int]] = {}
         self._added = 0
         self._where: dict[str, _Component] = {}  # register -> its component
-        self._scalar = 1 + 0j
         self._name_counter = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -184,24 +181,19 @@ class SparseState:
         return self._reg(name)[1]
 
     def norm(self) -> float:
-        return abs(self._scalar) * math.prod(
-            _norm(c.branches) for c in self._components())
+        return math.prod(_norm(c.branches) for c in self._components())
 
-    def renormalize(self) -> None:
-        for comp in self._components():
-            self._normalize(comp)
-
-    def _normalize(self, comp: _Component) -> None:
-        """Scale ``comp`` to unit norm and the scalar to a phase.
+    @staticmethod
+    def _normalize(comp: _Component) -> None:
+        """Scale ``comp`` to unit norm.
 
         Every other component already has unit norm, so the whole state
         then has too.
         """
-        n, size = _norm(comp.branches), abs(self._scalar)
-        if n * size < ATOL:
+        n = _norm(comp.branches)
+        if n < ATOL:
             raise ValueError("state has collapsed to zero norm")
         comp.branches = {k: v / n for k, v in comp.branches.items()}
-        self._scalar /= size
 
     @property
     def branches(self) -> Mapping[tuple[str, ...], complex]:
@@ -211,23 +203,22 @@ class SparseState:
         costs one multiplication per component; reading its branches
         expands the product, so it is meant for tests and small states.
         """
-        return self._product([n for n, _ in self.registers], self._scalar)
+        return self._product([n for n, _ in self.registers])
 
     @branches.setter
     def branches(self, value: dict[tuple[str, ...], complex]) -> None:
         """Replace the state by a unit-norm map keyed in ``registers`` order."""
         comp = _Component([n for n, _ in self.registers], dict(value))
         self._where = dict.fromkeys(comp.names, comp)
-        self._scalar = 1 + 0j
         self._refactor(comp)
 
-    def _product(self, names: list[str], amp: complex) -> "_Product":
-        """``amp`` times the product of the components holding ``names``.
+    def _product(self, names: list[str]) -> "_Product":
+        """The product of the components holding ``names``.
 
         ``names`` must list every register of those components.
         """
         comps = dict.fromkeys(self._where[n] for n in names)
-        return _Product(comps, names, amp)
+        return _Product(comps, names)
 
     def _joined(self, names) -> _Component:
         """One component over the components holding ``names``.
@@ -250,12 +241,10 @@ class SparseState:
 
     def _refactor(self, comp: _Component) -> None:
         """Peel every register that factors out of ``comp`` into its own
-        component; fold a component left without registers into the scalar."""
-        if not comp.names:
-            self._scalar *= comp.branches.get((), 0)
-            return
+        component. A component left without registers is only a global
+        phase; nothing refers to it, so it is gone."""
         for i in reversed(range(len(comp.names))):
-            if len(comp.names) == 1 or not comp.branches:
+            if len(comp.names) == 1:
                 return
             parts = _factor(comp.branches, i)
             if parts is not None:
@@ -297,8 +286,9 @@ class SparseState:
         ("" without keys). ``fn`` must be pure: it is called once per
         distinct (dst value, key) pair, in branch order, and its image is
         reused for every branch with that pair. Every image must be
-        ``width`` bits wide (default: the width of dst); branches mapped
-        onto the same values add up.
+        ``width`` bits wide (default: the width of dst). The map must be
+        reversible on the branches present: if two of them would meet, it
+        raises ValueError and the state is left as it was.
         """
         order, w = self._reg(dst)
         if width is not None:
@@ -316,16 +306,12 @@ class SparseState:
                 if len(nv) != w:
                     raise ValueError(f"map_register: image width {len(nv)}, "
                                      f"expected {w}")
-            nk = k[:d] + (nv,) + k[d + 1:]
-            new[nk] = new.get(nk, 0) + v
+            new[k[:d] + (nv,) + k[d + 1:]] = v
+        if len(new) < len(comp.branches):
+            raise ValueError("map_register: two branches map onto the same "
+                             "values")
         self._regs[dst] = (order, w)
-        kept = {k: v for k, v in new.items() if abs(v) > ATOL}
-        if len(kept) < len(comp.branches):
-            # branches met, so the norm changed: the scalar takes it
-            n = _norm(kept)
-            self._scalar *= n
-            kept = {k: v / n for k, v in kept.items()}
-        comp.branches = kept
+        comp.branches = new
         for name in comp.names:
             self._where[name] = comp
         self._refactor(comp)
@@ -335,11 +321,6 @@ class SparseState:
         comp, i = self._locate(name)
         comp.branches = {k: v * cmath.exp(1j * phase_fn(k[i]))
                          for k, v in comp.branches.items()}
-
-    def apply_bitwise_permutation(self, name: str, perm) -> None:
-        if len(perm) != self.width(name):
-            raise ValueError("permutation length mismatch")
-        self.map_register(name, lambda s, _: apply_perm(s, perm))
 
     # -- measurements ------------------------------------------------------
 
@@ -442,6 +423,13 @@ class SparseState:
         order, w = self._reg(name)
         if sum(widths) != w:
             raise ValueError("split widths must sum to register width")
+        if len(widths) != len(new_names) or min(widths, default=0) < 1:
+            raise ValueError("split_register: one positive width per new name")
+        if len(set(new_names)) < len(new_names):
+            raise ValueError(f"split_register: repeated name in {new_names}")
+        for n in new_names:
+            if n != name and n in self._regs:
+                raise ValueError(f"register {n!r} already exists")
         del self._regs[name]
         for i, (n, nw) in enumerate(zip(new_names, widths)):
             self._regs[n] = (order + (i,), nw)
@@ -462,11 +450,17 @@ class SparseState:
         return new_names
 
     def merge_registers(self, names: list[str], new_name: str) -> str:
-        """Concatenate registers (in ``names`` order) into one register.
+        """Concatenate registers into one register.
 
-        The merged register takes the position of the first of them.
+        The merged register takes the earliest position, in register order,
+        of the registers it replaces, and its value joins their values in
+        ``names`` order. ``new_name`` may be one of ``names``.
         """
         regs = [self._reg(n) for n in names]
+        if len(set(names)) < len(names):
+            raise ValueError(f"merge_registers: repeated name in {names}")
+        if new_name in self._regs and new_name not in names:
+            raise ValueError(f"register {new_name!r} already exists")
         comp = self._joined(names)
         ci = [comp.names.index(n) for n in names]
         keep = [j for j in range(len(comp.names)) if j not in ci]
@@ -510,13 +504,6 @@ class SparseState:
         self._refactor(comp)
         return g
 
-    def extract_qubit(self, name: str) -> tuple[complex, complex]:
-        """Remove an unentangled 1-bit register and return its (alpha, beta)."""
-        if self.width(name) != 1:
-            raise ValueError("extract_qubit needs a 1-bit register")
-        g = self.discard_register(name)
-        return g.get("0", 0j), g.get("1", 0j)
-
     # -- comparison --------------------------------------------------------
 
     def fidelity(self, other: "SparseState") -> float:
@@ -538,11 +525,11 @@ class SparseState:
                                 key=pos.get)
                 for n in merged:
                     block[n] = merged
-        inner = self._scalar * other._scalar.conjugate()
+        inner = 1
         for names in {id(b): b for b in block.values()}.values():
-            amps = self._product(names, 1)
+            amps = self._product(names)
             inner *= sum(amps.get(k, 0) * v.conjugate()
-                         for k, v in other._product(names, 1).items())
+                         for k, v in other._product(names).items())
         return abs(inner) ** 2
 
 

@@ -92,15 +92,11 @@ def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
 
 
 def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng) -> LookupTable:
-    """Build a table from [(key or key-tuple, payload), ...], rows shuffled.
-
-    Multi-key entries are concatenated before encryption.
-    """
+    """Build a table from [(key, payload), ...], rows shuffled."""
     rows = []
     payload_len = key_len = 0
     seen = set()
-    for keys, payload in mapping:
-        key = "".join(keys) if isinstance(keys, (tuple, list)) else keys
+    for key, payload in mapping:
         if key in seen:
             raise ValueError("duplicate input key in table mapping")
         seen.add(key)

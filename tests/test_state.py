@@ -143,12 +143,14 @@ def test_discard_product_register():
 
 
 def test_extract_qubit_amplitudes():
+    # a finished qubit is read out as the amplitudes its discard returns
     st = SparseState()
     st.add_gadget("q", "0", "1")
     st.apply_phase_per_branch("q", lambda v: math.pi / 2 if v == "1" else 0.0)
-    a, b = st.extract_qubit("q")
-    assert abs(a - 1 / math.sqrt(2)) < 1e-9
-    assert abs(b - 1j / math.sqrt(2)) < 1e-9
+    g = st.discard_register("q")
+    assert abs(g["0"] - 1 / math.sqrt(2)) < 1e-9
+    assert abs(g["1"] - 1j / math.sqrt(2)) < 1e-9
+    assert st.registers == []
 
 
 def test_fidelity_matches_by_name_not_order():
@@ -195,6 +197,66 @@ def test_map_register_calls_fn_once_per_distinct_pair():
     assert len(st.branches) == 8
     assert calls == [("01", "0"), ("01", "1")]
     assert all(d == a + a for a, b, c, d in st.branches)
+
+
+def snapshot(st):
+    return st.registers, st.components(), dict(st.branches)
+
+
+def test_map_register_refuses_a_collision_on_its_own_register():
+    st = gadget_state([("a", "00", "11"), ("b", "0", "1")])
+    before = snapshot(st)
+    with pytest.raises(ValueError, match="same values"):
+        st.map_register("a", lambda v, _: "01")
+    with pytest.raises(ValueError, match="same values"):
+        st.map_register("a", lambda v, _: "101", width=3)
+    assert snapshot(st) == before
+    st.map_register("a", lambda v, _: v[::-1] + "1", width=3)  # injective
+    assert set(st.branches) == {("001", "0"), ("111", "0"), ("001", "1"),
+                                ("111", "1")}
+
+
+def test_map_register_refuses_a_collision_across_joined_components():
+    # keying on b joins a's and b's components; a map that ignores a's
+    # value collides, and no joined component may be left behind
+    st = gadget_state([("a", "0", "1"), ("b", "0", "1")])
+    st.add_register("c", "00")
+    before = snapshot(st)
+    assert before[1] == [(("a",), 2), (("b",), 2), (("c",), 1)]
+    with pytest.raises(ValueError, match="same values"):
+        st.map_register("a", lambda v, key: key[:1], keys=["b", "c"])
+    assert snapshot(st) == before
+    for name in ("a", "b", "c"):  # each register still stands alone
+        st.discard_register(name)
+    assert st.registers == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: st.merge_registers(["a", "a"], "aa"),
+    lambda st: st.merge_registers(["a"], "b"),
+    lambda st: st.split_register("b", [1, 1], ["a", "x"]),
+    lambda st: st.split_register("g", [1, 3], ["y"]),
+    lambda st: st.split_register("g", [5, -1], ["y", "z"]),
+    lambda st: st.split_register("g", [2, 2], ["y", "y"]),
+], ids=["merge-repeats-a-name", "merge-onto-a-live-register",
+        "split-onto-a-live-register", "split-width-without-a-name",
+        "split-negative-width", "split-repeats-a-name"])
+def test_register_plumbing_refuses_before_any_change(call):
+    st = gadget_state([("a", "0", "1"), ("b", "01", "10"),
+                       ("g", "0110", "1001")])
+    before = snapshot(st)
+    with pytest.raises(ValueError):
+        call(st)
+    assert snapshot(st) == before
+
+
+def test_register_plumbing_may_reuse_a_consumed_name():
+    st = gadget_state([("a", "0", "1"), ("b", "01", "10")])
+    st.merge_registers(["a", "b"], "a")
+    assert st.registers == [("a", 3)]
+    st.split_register("a", [1, 2], ["b", "a"])
+    assert st.registers == [("b", 1), ("a", 2)]
+    assert abs(st.norm() - 1) < ATOL
 
 
 def dense_hadamard_post(amps, cw, vw, d):
@@ -257,14 +319,17 @@ def test_hadamard_measure_refuses_more_than_two_values(values):
 
 
 def test_bitwise_permutation_and_inverse():
-    from bqcsim.bits import invert_perm
+    from bqcsim.bits import apply_perm, invert_perm
 
     st = SparseState()
     st.add_gadget("g", "0011", "1100")
     perm = [2, 0, 3, 1]
     before = dict(st.branches)
-    st.apply_bitwise_permutation("g", perm)
-    st.apply_bitwise_permutation("g", invert_perm(perm))
+    st.map_register("g", lambda s, _: apply_perm(s, perm))
+    assert set(st.branches) == {("0101",), ("1010",)}
+    with pytest.raises(ValueError, match="length mismatch"):
+        st.map_register("g", lambda s, _: apply_perm(s, perm[:3]))
+    st.map_register("g", lambda s, _: apply_perm(s, invert_perm(perm)))
     assert st.branches == before
 
 
@@ -276,7 +341,8 @@ class ReferenceState:
 
     One map from value-tuples over every register to amplitudes, copied
     from the earlier ``state.py`` (the methods the sequences below call),
-    so independent registers multiply its size.
+    so independent registers multiply its size. Its ``map_register``, like
+    the store's, refuses a map under which two branches meet.
     """
 
     def __init__(self):
@@ -335,10 +401,12 @@ class ReferenceState:
                 if len(nv) != w:
                     raise ValueError(f"map_register: image width {len(nv)}, "
                                      f"expected {w}")
-            nk = k[:j] + (nv,) + k[j + 1:]
-            new[nk] = new.get(nk, 0) + v
+            new[k[:j] + (nv,) + k[j + 1:]] = v
+        if len(new) < len(self.branches):
+            raise ValueError("map_register: two branches map onto the same "
+                             "values")
         self.registers[j] = (dst, w)
-        self.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
+        self.branches = new
 
     def apply_phase_per_branch(self, name, phase_fn):
         i = self._index(name)
@@ -474,7 +542,7 @@ def pure_fn(salt, width, kind):
     def fn(v, key):
         if kind == "xor":  # a permutation of v for each key, like a query
             return format(int(v, 2) ^ h(key) % (1 << len(v)), f"0{len(v)}b")
-        if kind == "table":  # any function: branches may meet
+        if kind == "table":  # any function: branches may meet, which raises
             return format(h(v, key) % (1 << width), f"0{width}b")
         return "0" * (width + 1)  # the wrong width
     return fn
@@ -576,8 +644,6 @@ def test_component_store_matches_single_dict_reference(data):
             assert got == want
         assert new.registers == ref.registers
         assert_same_state(new.branches, ref.branches)
-        if ref.norm() < ATOL:  # every amplitude cancelled: no state is left
-            return
         # no register of a joint component factors out of it
         for names, _ in new.components():
             for name in names if len(names) > 1 else ():

@@ -2,10 +2,15 @@
 
 The oracle is a keyed PRF: output bits for a query ``(input, out_len)`` are
 derived deterministically from ``(seed, input, out_len)`` with BLAKE2b, so
-two instances with equal seeds agree on every query without storing a table.
-``RandomOracle._prf`` is that function, uncounted; the coherent evaluators
-call it directly and charge their queries themselves. On top of it the
-module provides:
+two instances with equal seeds agree on every query. ``RandomOracle._prf``
+is that function, uncounted; the coherent evaluators call it directly and
+charge their queries themselves. Each instance keeps a bounded memo of the
+outputs it has computed: the server re-derives the tag and mask of every
+table row the client hashed when building it, so in gadget preparation and
+delegation a third to a half of all queries repeat one the same instance
+already answered. The memo holds at most ``_MEMO_LIMIT`` entries and is
+cleared when full; it changes no output and no query count. On top of the
+PRF the module provides:
 
 * superposed queries -- branch-wise XOR of ``H(input)`` into a target
   register of a :class:`~bqcsim.state.SparseState` (one counted query per
@@ -18,11 +23,24 @@ module provides:
 
 from __future__ import annotations
 
-import hashlib
+from functools import cache
+from hashlib import blake2b
 
 from .bits import xor
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
+_MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
+
+
+@cache
+def _shape(out_len: int) -> tuple[range, int, int, str]:
+    """Blocks after the first, digest bytes used, right shift, format spec.
+
+    Shared by every instance: only the hash-input prefix depends on the seed.
+    """
+    nbytes = -(-out_len // 8)
+    return (range(1, -(-out_len // 256)), nbytes, 8 * nbytes - out_len,
+            f"0{out_len}b")
 
 
 class RandomOracle:
@@ -31,6 +49,8 @@ class RandomOracle:
     def __init__(self, seed: int):
         self.seed = seed
         self.counters: dict[str, int] = {}
+        self._heads: dict[int, str] = {}  # out_len -> block-0 input prefix
+        self._memo: dict[str, str] = {}  # block-0 hash input -> output bits
 
     # -- raw PRF -----------------------------------------------------------
 
@@ -43,20 +63,26 @@ class RandomOracle:
         big-endian integer). Blocks 0, 1, ... are concatenated and the
         result is truncated to ``out_len`` bits.
         """
-        out = []
-        need = out_len
-        block = 0
-        while need > 0:
+        if out_len <= 0:
+            return ""
+        head = self._heads.get(out_len)
+        if head is None:
             # the fixed "0" field is part of the domain: every output depends
             # on it, so it stays even though nothing varies it
-            h = hashlib.blake2b(
-                f"{self.seed}|0|{out_len}|{block}|{inp}".encode(),
-                digest_size=32,
-            ).digest()
-            out.append(format(int.from_bytes(h, "big"), "0256b")[:need])
-            need -= 256
-            block += 1
-        return "".join(out)
+            head = self._heads[out_len] = f"{self.seed}|0|{out_len}|0|"
+        key = head + inp
+        out = self._memo.get(key)
+        if out is None:
+            more_blocks, nbytes, shift, spec = _shape(out_len)
+            h = blake2b(key.encode(), digest_size=32).digest()
+            for b in more_blocks:
+                h += blake2b(f"{self.seed}|0|{out_len}|{b}|{inp}".encode(),
+                             digest_size=32).digest()
+            out = format(int.from_bytes(h[:nbytes], "big") >> shift, spec)
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = out
+        return out
 
     # -- accounting --------------------------------------------------------
 

@@ -6,7 +6,9 @@ intended quantum behavior on a SparseState; adversaries subclass it and
 override individual responses (see :mod:`bqcsim.adversary`).
 
 Every run appends its messages to a :class:`Transcript`, which serializes to
-line records so equal seeds replay byte-identically.
+tab-separated records so equal seeds replay byte-identically. A record
+usually takes one line, but table payloads contain newlines, so a record
+may span several lines (ROADMAP item 3 moves transcripts to JSON Lines).
 """
 
 from __future__ import annotations
@@ -229,7 +231,10 @@ def basis_test_single(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
     tr.send("client", "bt.table", tables.serialize_table(table))
     answer = server.respond_basis_test([reg], table)
     tr.send("server", "bt.r", answer)
-    tr.finish(answer == r, None if answer == r else "wrong r")
+    if not is_bitstring(answer, params.kappa_out):
+        tr.finish(False, "malformed r")
+    else:
+        tr.finish(answer == r, None if answer == r else "wrong r")
     return tr
 
 
@@ -269,7 +274,8 @@ def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
     name = f"cb_{reg_a}_{reg_b}"
     outcome = server.respond_combine(reg_a, reg_b, tag_a0, tag_b0, pads, name)
     tr.send("server", "cb.outcome", str(outcome))
-    if outcome not in (0, 1):
+    # bool and float answers compare equal to 0 or 1 but are not bits
+    if type(outcome) is not int or outcome not in (0, 1):
         tr.finish(False, "non-bit response")
         return None, tr, name
     new_pair = combine_keys(pair_a, pair_b, outcome, pads)

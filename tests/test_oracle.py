@@ -1,10 +1,12 @@
 """Random oracle: determinism, counters, tags."""
 
 import hashlib
+import random
 
 import pytest
 
-from bqcsim.oracle import RandomOracle
+from bqcsim import tables
+from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
 from bqcsim.state import SparseState
 
 
@@ -23,17 +25,55 @@ def reference_prf(seed, salt, out_len, inp):
 
 def test_matches_reference_construction():
     # lengths around the 8-bit byte and the 256-bit block boundaries
-    lengths = (1, 7, 8, 40, 63, 255, 256, 257, 300, 512, 513)
+    lengths = (0, 1, 7, 8, 40, 63, 255, 256, 257, 300, 512, 513)
     for seed in (0, 1234, 2**64 - 1):
         o = RandomOracle(seed)
         for inp in ("", "0", "0110", "1" * 97):
             for n in lengths:
-                assert o._prf(inp, n) == reference_prf(seed, 0, n, inp)
+                # the second read comes from the memo
+                for _ in range(2):
+                    assert o._prf(inp, n) == reference_prf(seed, 0, n, inp)
         assert (o.query_classical("0110", 40)
                 == reference_prf(seed, 0, 40, "0110"))
         # global tags live on the "#" domain of the same construction
         for x in ("1", "0110", "01" * 150):
             assert o.tag(x) == reference_prf(seed, 0, 2 * len(x), "#" + x)
+
+
+def test_memo_stays_bounded_and_transparent():
+    o = RandomOracle(21)
+    inputs = [format(i, "016b") for i in range(_MEMO_LIMIT + 50)]
+    for inp in inputs:
+        assert o._prf(inp, 12) == reference_prf(21, 0, 12, inp)
+        assert len(o._memo) <= _MEMO_LIMIT
+    # inputs from before and after the memo was cleared
+    for inp in inputs[:10] + inputs[-10:]:
+        assert o._prf(inp, 12) == reference_prf(21, 0, 12, inp)
+
+
+def test_repeated_classical_query_charges_each_time():
+    o = RandomOracle(8)
+    first = o.query_classical("0101", 16, party="server")
+    for _ in range(3):
+        assert o.query_classical("0101", 16, party="server") == first
+    assert o.counters == {"server": 4}
+
+
+def test_repeated_coherent_eval_charges_every_row():
+    o = RandomOracle(12)
+    rng = random.Random(13)
+    table = tables.lt_build(o, [("0011", "101"), ("1100", "101")], 4, 8, rng)
+    st = SparseState()
+    st.add_gadget("k", "0011", "1100")
+    st.add_register("out", "000")
+    o.counters.clear()
+    tables.lt_eval_coherent(o, st, ["k"], "out", table)
+    assert o.counters == {"server": 4}
+    assert {v[1] for v in st.branches} == {"101"}
+    # the second evaluation reads every row hash from the memo
+    tables.lt_eval_coherent(o, st, ["k"], "out", table)
+    assert o.counters == {"server": 8}
+    assert {v[1] for v in st.branches} == {"000"}
 
 
 def test_deterministic_across_instances():

@@ -125,6 +125,22 @@ def test_basis_test_catches_wrong_answer():
     assert not tr.passed
 
 
+@pytest.mark.parametrize("answer", ["0" * 7, "0" * 9, "0120" * 2, None])
+def test_basis_test_rejects_malformed_r(answer):
+    class Malformed(HonestServer):
+        def respond_basis_test(self, regs, table):
+            return answer
+
+    o = RandomOracle(3)
+    srv = Malformed(o, seed=4)
+    rng = random.Random(2)
+    params = ProtocolParams(pad_len=6, kappa_out=8)
+    pair = sample_key_pair(rng, 6)
+    reg = srv.prepare_gadget("g", pair)
+    tr = basis_test_single(o, pair, reg, params, srv, rng)
+    assert (tr.verdict, tr.fail_reason) == ("fail", "malformed r")
+
+
 def test_basis_test_two_runs_both_pairs():
     o = RandomOracle(5)
     srv = HonestServer(o, seed=6)
@@ -156,6 +172,26 @@ def test_combine_produces_matching_gadget():
         assert new.width == params.pad_len + pa.width + pb.width
         expect = gadget_state([(out_reg, new.x0, new.x1)])
         assert srv.state.fidelity(expect) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("outcome", [True, 1.0, 0.0, "1", None, 2])
+def test_combine_rejects_non_bit_outcome(outcome):
+    class NonBit(HonestServer):
+        def respond_combine(self, *args):
+            super().respond_combine(*args)
+            return outcome
+
+    o = RandomOracle(6)
+    srv = NonBit(o, seed=7)
+    rng = random.Random(8)
+    params = ProtocolParams(pad_len=5, kappa_out=8)
+    pa = sample_key_pair(rng, 6)
+    pb = sample_key_pair(rng, 6)
+    ra = srv.prepare_gadget("a", pa)
+    rb = srv.prepare_gadget("b", pb)
+    new, tr, _ = combine(o, pa, pb, ra, rb, params, srv, rng)
+    assert new is None
+    assert (tr.verdict, tr.fail_reason) == ("fail", "non-bit response")
 
 
 def test_combine_outcome_distribution():

@@ -27,7 +27,7 @@ def dot(a: str, b: str) -> int:
     """Inner product mod 2."""
     if len(a) != len(b):
         raise ValueError(f"dot length mismatch: {len(a)} vs {len(b)}")
-    return sum(x == "1" and y == "1" for x, y in zip(a, b)) & 1
+    return parity(bits_to_int(a) & bits_to_int(b))
 
 
 def bits_to_int(s: str) -> int:

@@ -63,9 +63,9 @@ class Transcript:
         return self.verdict == "pass"
 
     def serialize(self) -> str:
-        lines = [f"{s}\t{t}\t{p}" for s, t, p in self.messages]
-        lines.append(f"verdict\t{self.verdict}\t{self.fail_reason or ''}")
-        return "\n".join(lines) + "\n"
+        records = [f"{s}\t{t}\t{p}\n" for s, t, p in self.messages]
+        records.append(f"verdict\t{self.verdict}\t{self.fail_reason or ''}\n")
+        return "".join(records)
 
 
 class HonestServer:

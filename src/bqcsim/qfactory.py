@@ -8,10 +8,11 @@ the server's Hadamard outcome on the key register.
 On top of the prepared qubits, ``ubqc_run`` executes a 1D-cluster
 measurement-based computation of a J-gate circuit (J(phi) = H Rz(phi)) with
 blinded measurement angles, for all shots (>= 1) of a delegation in one
-numpy pass, each shot on freshly re-blinded qubits. ``succ_ubqc`` chains the
-full gadget pipeline, the qfactory, and the cluster computation end to end.
-A dense statevector evaluator of the same circuits serves as the comparison
-oracle.
+numpy pass, each shot on freshly re-blinded qubits. Re-blinding changes only
+the blinded angles delta, as its phase cancels in the measurement at delta,
+so shots never copy the prepared amplitudes. ``succ_ubqc`` chains the full
+gadget pipeline, the qfactory, and the cluster computation end to end. A
+dense statevector evaluator of the same circuits is the comparison oracle.
 """
 
 from __future__ import annotations
@@ -118,66 +119,66 @@ def dense_output_prob(circuit_octants: list[int]) -> float:
 
 # -- blind 1D-cluster computation ------------------------------------------
 
-_PHASES = np.exp(-1j * OCTANT * np.arange(8))  # exp(-i*pi*delta/4) per octant
+_PHASES = np.exp(-1j * OCTANT * np.arange(8))  # exp(-i*pi*s/4) per octant
 
 
-def reblind(qubits: list[PreparedQubit], shifts: np.ndarray):
+def reblind(qubits: list[PreparedQubit], shifts: np.ndarray) -> np.ndarray:
     """Re-blind every qubit of every shot by a random octant.
 
-    Models preparing fresh qubits for each shot without rerunning the
-    factory: ``shifts[s, i]`` is the extra Rz(k*pi/4) on qubit i in shot s,
-    which shifts its secret angle by k and leaves any preparation
-    imperfection untouched. Returns (amplitudes of shape (shots, n+1, 2),
-    angle octants of shape (shots, n+1)).
+    ``shifts[s, i]`` = k models a fresh qubit i in shot s, rotated by an
+    extra Rz(k*pi/4): its secret angle gains k and its |1> amplitude
+    exp(i*pi*k/4), a phase that cancels in ``ubqc_run``. So only the angles
+    change: returns the blinded angle octants, shape (shots, n+1).
     """
-    amps = np.empty(shifts.shape + (2,), dtype=complex)
-    amps[..., 0] = [q.alpha for q in qubits]
-    amps[..., 1] = np.array([q.beta for q in qubits]) * _PHASES[shifts].conj()
-    angles = (np.array([q.angle.index for q in qubits]) + shifts) % 8
-    return amps, angles
+    return (np.array([q.angle.index for q in qubits]) + shifts) & 7
 
 
-def ubqc_run(amps: np.ndarray, angles: np.ndarray,
+def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
              circuit_octants: list[int], r: np.ndarray, u: np.ndarray):
     """All blind shots of the circuit in one pass, one row per shot.
 
     Qubit i is entangled to its successor and measured at the blinded angle
+    delta_i = theta_i - (-1)^x * phi_i + pi*r_i (octants mod 8, theta_i from
+    ``angles``). With e = exp(-i*pi*delta/4), CZ and the projection of the
+    carrier (c0, c1) onto (|0> +/- exp(i*delta)|1>)/sqrt(2) leave
+    ((c0 +/- e*c1)*alpha, (c0 -/+ e*c1)*beta)/sqrt(2) on the next qubit.
+    Re-blinding by k puts exp(i*pi*k/4) on c1 and adds k to delta, which
+    cancel in e*c1: the carrier sees only s = delta - k, the octant of the
+    qubit's own angle, so only delta depends on k.
 
-        delta_i = theta_i - (-1)^x * phi_i + pi*r_i
-
-    (as an octant index mod 8). With e = exp(-i*pi*delta/4), CZ and the
-    projection of the carrier (c0, c1) onto (|0> +/- exp(i*delta)|1>)/sqrt(2)
-    leave ((c0 +/- e*c1)*q0, (c0 -/+ e*c1)*q1)/sqrt(2) on the next qubit. A
-    uniform u[:, i] above P(m=0) gives outcome m=1; the final Z measurement
-    gives 1 iff u[:, n] < P(1). Byproduct frame: x' = m xor z xor r, z' = x;
-    the output bit is corrected by x. Returns (output bits, delta octants,
-    raw outcomes) of shapes (shots,), (shots, n), (shots, n).
+    The carrier is kept as its Bloch vector: bz = |c0|^2 - |c1|^2 and a
+    complex bxy = 2*conj(c0)*c1. With w0, w1 = |alpha|^2, |beta|^2, sign = +1
+    (m=0) or -1 (m=1) and g + i*h = exp(-i*pi*s/4)*bxy, outcome m has weight
+    p_m = w0 + w1 + sign*g*(w0 - w1); a uniform u[:, i] above P(m=0) =
+    p0 / (p0 + p1) gives m=1. The kept branch is bz = (w0 - w1 +
+    sign*g*(w0 + w1))/p_m and bxy = 2*conj(alpha)*beta*(bz - sign*i*h)/p_m.
+    The final Z measurement gives 1 iff u[:, n] < (1 - bz)/2. Byproduct
+    frame: x' = m xor z xor r, z' = x, and x corrects the output bit. Returns
+    (output bits, delta octants, raw outcomes): (shots,), (shots, n) twice.
     """
-    shots, n = len(amps), len(circuit_octants)
-    if amps.shape[1] != n + 1:
+    shots, n = len(u), len(circuit_octants)
+    if len(qubits) != n + 1 or angles.shape[1] != n + 1:
         raise ValueError("need n+1 qubits for an n-gate circuit")
-    c0, c1 = amps[:, 0, 0], amps[:, 0, 1]
+    w0, w1 = abs(qubits[0].alpha) ** 2, abs(qubits[0].beta) ** 2
+    bz = (w0 - w1) / (w0 + w1)
+    bxy = 2 * qubits[0].alpha.conjugate() * qubits[0].beta / (w0 + w1)
     x = z = np.zeros(shots, dtype=np.int64)
-    deltas = np.empty((shots, n), dtype=np.int64)
-    outcomes = np.empty((shots, n), dtype=np.int64)
-    for i, phi in enumerate(circuit_octants):
-        delta = (angles[:, i] + np.where(x == 0, -phi, phi) + 4 * r[:, i]) % 8
-        deltas[:, i] = delta
-        e_c1 = _PHASES[delta] * c1
-        plus, minus = c0 + e_c1, c0 - e_c1
-        q0, q1 = amps[:, i + 1, 0], amps[:, i + 1, 1]
-        w0, w1 = abs(q0) ** 2, abs(q1) ** 2
-        p0 = abs(plus) ** 2 * w0 + abs(minus) ** 2 * w1  # 2 * P(m=0)
-        p1 = abs(minus) ** 2 * w0 + abs(plus) ** 2 * w1
-        m = (u[:, i] * (p0 + p1) > p0).astype(np.int64)
-        outcomes[:, i] = m
-        c0 = np.where(m == 0, plus, minus) * q0
-        c1 = np.where(m == 0, minus, plus) * q1
-        norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-        c0, c1 = c0 / norm, c1 / norm
+    turns = np.empty((n, shots), dtype=np.int64)  # -/+ phi_i + 4*r_i
+    outcomes = np.empty((n, shots), dtype=bool)
+    for i, (phi, q) in enumerate(zip(circuit_octants, qubits[1:])):
+        turns[i] = turn = 4 * r[:, i] + 2 * phi * x - phi
+        e_bxy = _PHASES[(qubits[i].angle.index + turn) & 7] * bxy
+        w0, w1 = abs(q.alpha) ** 2, abs(q.beta) ** 2
+        tilt = e_bxy.real * (w0 - w1)
+        outcomes[i] = m = u[:, i] * (2 * (w0 + w1)) > w0 + w1 + tilt
+        sign = 1.0 - 2.0 * m
+        p_m = w0 + w1 + sign * tilt
+        bz, bxy = ((w0 - w1 + sign * e_bxy.real * (w0 + w1)) / p_m,
+                   2 * q.alpha.conjugate() * q.beta
+                   * (bz - 1j * sign * e_bxy.imag) / p_m)
         x, z = m ^ z ^ r[:, i], x
-    o = (u[:, n] < abs(c1) ** 2).astype(np.int64)
-    return o ^ x, deltas, outcomes
+    o = u[:, n] < (1 - bz) / 2
+    return o ^ x, (angles[:, :n] + turns.T) & 7, outcomes.T
 
 
 SHOT_CHUNK = 1 << 16  # shots held in memory at once
@@ -200,9 +201,8 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
     ones, deltas = 0, []
     for start in range(0, shots, SHOT_CHUNK):
         size = min(SHOT_CHUNK, shots - start)
-        amps, angles = reblind(qubits,
-                               gen.integers(8, size=(size, len(qubits))))
-        out, chunk_deltas, _ = ubqc_run(amps, angles, circuit_octants,
+        angles = reblind(qubits, gen.integers(8, size=(size, len(qubits))))
+        out, chunk_deltas, _ = ubqc_run(qubits, angles, circuit_octants,
                                         gen.integers(2, size=(size, n)),
                                         gen.random((size, n + 1)))
         ones += int(out.sum())

@@ -94,6 +94,15 @@ def skewed_qubit(octant, t):
         qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
 
 
+def complex_qubit(octant, t):
+    """An imperfect preparation whose alpha is complex too, as qfac8 can
+    extract it from the server state (skewed_qubit's alpha is real)."""
+    return qf.PreparedQubit(
+        math.cos(t) * cmath.exp(1j * (0.9 - 2 * t)),
+        math.sin(t) * cmath.exp(1j * (qf.OCTANT * octant + 0.4 + t)),
+        qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
+
+
 # -- per-shot reference for the batched kernel -----------------------------
 
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -149,13 +158,14 @@ def replay_draws(seed, shots, n):
             gen.integers(2, size=(shots, n)), gen.random((shots, n + 1)))
 
 
-@pytest.mark.parametrize("make_qubit", [
-    lambda k, i: perfect_qubit(k),
-    lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i),
-], ids=["perfect", "skewed"])
-def test_batched_kernel_matches_per_shot_reference(make_qubit):
+@pytest.mark.parametrize("make_qubit, gates", [
+    (lambda k, i: perfect_qubit(k), 3),
+    (lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i), 3),
+    (lambda k, i: complex_qubit(k, 0.2 + 0.23 * i), 6),
+], ids=["perfect", "skewed", "complex-6-gates"])
+def test_batched_kernel_matches_per_shot_reference(make_qubit, gates):
     setup = random.Random(31)
-    circ = [setup.randrange(8) for _ in range(3)]
+    circ = [setup.randrange(8) for _ in range(gates)]
     n, shots, seed = len(circ), 300, 17
     qubits = [make_qubit(setup.randrange(8), i) for i in range(n + 1)]
     shifts, r, u = replay_draws(seed, shots, n)
@@ -171,8 +181,8 @@ def test_batched_kernel_matches_per_shot_reference(make_qubit):
 
     assert qf.ubqc_shots(qubits, circ, random.Random(seed), shots) == (
         int(ref_out.sum()), ref_deltas.ravel().tolist())
-    amps, angles = qf.reblind(qubits, shifts)
-    out, deltas, outcomes = qf.ubqc_run(amps, angles, circ, r, u)
+    angles = qf.reblind(qubits, shifts)
+    out, deltas, outcomes = qf.ubqc_run(qubits, angles, circ, r, u)
     assert out.tolist() == ref_out.tolist()
     assert deltas.tolist() == ref_deltas.tolist()
     assert outcomes.tolist() == [row[2] for row in ref]
@@ -183,8 +193,8 @@ def test_batched_kernel_matches_per_shot_reference(make_qubit):
         below, above = u.copy(), u.copy()
         below[:, j] = ref_probs[:, j] - 1e-12
         above[:, j] = ref_probs[:, j] + 1e-12
-        out_b, _, m_b = qf.ubqc_run(amps, angles, circ, r, below)
-        out_a, _, m_a = qf.ubqc_run(amps, angles, circ, r, above)
+        out_b, _, m_b = qf.ubqc_run(qubits, angles, circ, r, below)
+        out_a, _, m_a = qf.ubqc_run(qubits, angles, circ, r, above)
         if j < n:
             assert (m_b[:, j] == 0).all() and (m_a[:, j] == 1).all()
         else:
@@ -192,9 +202,10 @@ def test_batched_kernel_matches_per_shot_reference(make_qubit):
 
 
 def test_ubqc_run_needs_matching_qubit_count():
-    amps, angles = qf.reblind([perfect_qubit(0)], np.zeros((5, 1), int))
+    qubits = [perfect_qubit(0)]
+    angles = qf.reblind(qubits, np.zeros((5, 1), int))
     with pytest.raises(ValueError):
-        qf.ubqc_run(amps, angles, [1, 2], np.zeros((5, 2), int),
+        qf.ubqc_run(qubits, angles, [1, 2], np.zeros((5, 2), int),
                     np.zeros((5, 3)))
 
 
@@ -257,15 +268,21 @@ def test_ubqc_deltas_uniform_with_fresh_angles():
 
 
 def test_reblind_shifts_angle_and_keeps_fidelity():
-    shifts = np.arange(16).reshape(8, 2) % 8
-    amps, angles = qf.reblind([perfect_qubit(3), skewed_qubit(6, 0.4)],
-                              shifts)
-    assert (angles == (np.array([3, 6]) + shifts) % 8).all()
-    fid = abs(amps[..., 0] + np.exp(-1j * qf.OCTANT * angles)
-              * amps[..., 1]) ** 2 / 2
-    assert (abs(fid[:, 0] - 1) < 1e-9).all()
-    # an imperfect preparation stays exactly as imperfect
-    assert np.allclose(fid[:, 1], skewed_qubit(6, 0.4).fidelity_vs_angle())
+    qubits = [perfect_qubit(3), skewed_qubit(6, 0.4), complex_qubit(1, 0.7)]
+    shifts = np.arange(24).reshape(8, 3) % 8
+    angles = qf.reblind(qubits, shifts)
+    assert angles.tolist() == ((np.array([3, 6, 1]) + shifts) % 8).tolist()
+    # the shifted preparation the angles stand for keeps the amplitudes'
+    # moduli and the fidelity: an imperfect one stays exactly as imperfect
+    for q, column, ks in zip(qubits, angles.T, shifts.T):
+        for angle, k in zip(column, ks):
+            shifted = ref_reblind(q, int(k))
+            assert shifted.angle.index == angle
+            assert abs(abs(shifted.alpha) - abs(q.alpha)) < 1e-15
+            assert abs(abs(shifted.beta) - abs(q.beta)) < 1e-15
+            assert abs(shifted.fidelity_vs_angle()
+                       - q.fidelity_vs_angle()) < 1e-12
+    assert abs(qubits[0].fidelity_vs_angle() - 1) < 1e-12
 
 
 def test_succ_ubqc_end_to_end():

@@ -64,3 +64,24 @@ def test_every_pipeline_stage_the_bench_names_is_timed():
     m = tracer.metrics()
     for stage in ("1pn", "logk", "repeat", "refresh", "oneround", "full"):
         assert m[f"gadget_prep.{stage}.s"] > 0, stage
+
+
+def test_blind_shot_names_the_bench_reads_are_timed():
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        tracer.begin_op(0)
+        oracle = bqcsim.oracle.RandomOracle(21)
+        server = bqcsim.protocols.HonestServer(oracle, seed=22)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2, key_width=4,
+                                                kappa_out=8, pad_base=4, J=1)
+        ones, _, tr = bqcsim.qfactory.succ_ubqc(oracle, cfg, [2, 5], server,
+                                                random.Random(7), shots=10)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tr.passed and 0 <= ones <= 10
+    m = tracer.metrics()
+    assert m["qfactory.shots"] == 1  # one ubqc_run pass per delegation
+    assert m["qfactory.ubqc_run_s"] > 0
+    assert "qfactory.reblind_s" in m and m["qfactory.reblind_s"] > 0

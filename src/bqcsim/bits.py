@@ -12,7 +12,7 @@ def random_bits(rng, n: int) -> str:
     """n uniformly random bits from an rng with a getrandbits method."""
     if n == 0:
         return ""
-    return format(rng.getrandbits(n), f"0{n}b")
+    return bin(rng.getrandbits(n))[2:].zfill(n)
 
 
 def xor(a: str, b: str) -> str:
@@ -20,7 +20,7 @@ def xor(a: str, b: str) -> str:
         raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")
     if not a:
         return ""
-    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
+    return bin(int(a, 2) ^ int(b, 2))[2:].zfill(len(a))
 
 
 def dot(a: str, b: str) -> int:
@@ -35,7 +35,8 @@ def bits_to_int(s: str) -> int:
 
 
 def int_to_bits(v: int, width: int) -> str:
-    return format(v, f"0{width}b") if width else ""
+    """``v`` >= 0 as ``width`` bits, most significant first."""
+    return bin(v)[2:].zfill(width) if width else ""
 
 
 def parity(v: int) -> int:
@@ -46,7 +47,7 @@ def apply_perm(s: str, perm: list[int] | tuple[int, ...]) -> str:
     """Bitwise permutation: output bit i is input bit perm[i]."""
     if len(s) != len(perm):
         raise ValueError("permutation length mismatch")
-    return "".join(s[p] for p in perm)
+    return "".join([s[p] for p in perm])
 
 
 def invert_perm(perm: list[int] | tuple[int, ...]) -> list[int]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import random_bits
+from .bits import random_bits, xor
 
 MAX_RESAMPLE = 64
 
@@ -28,8 +28,6 @@ class KeyPair:
         return self.x1 if b else self.x0
 
     def delta(self) -> str:
-        from .bits import xor
-
         return xor(self.x0, self.x1)
 
 

@@ -3,14 +3,15 @@
 The oracle is a keyed PRF: output bits for a query ``(input, out_len)`` are
 derived deterministically from ``(seed, input, out_len)`` with BLAKE2b, so
 two instances with equal seeds agree on every query. ``RandomOracle._prf``
-is that function, uncounted; the coherent evaluators call it directly and
-charge their queries themselves. Each instance keeps a bounded memo of the
-outputs it has computed: the server re-derives the tag and mask of every
-table row the client hashed when building it, so in gadget preparation and
-delegation a third to a half of all queries repeat one the same instance
-already answered. The memo holds at most ``_MEMO_LIMIT`` entries and is
-cleared when full; it changes no output and no query count. On top of the
-PRF the module provides:
+is that function, uncounted; it returns the output bits as one integer,
+and ``int_to_bits`` writes them as a {0,1} string. The table primitives call
+it directly and charge their queries themselves. Each instance keeps a
+bounded memo of the outputs it has computed: the server re-derives the tag
+and mask of every table row the client hashed when building it, so in gadget
+preparation and delegation a third to a half of all queries repeat one the
+same instance already answered. The memo holds at most ``_MEMO_LIMIT``
+entries and is cleared when full; it changes no output and no query count.
+On top of the PRF the module provides:
 
 * superposed queries -- branch-wise XOR of ``H(input)`` into a target
   register of a :class:`~bqcsim.state.SparseState` (one counted query per
@@ -26,21 +27,20 @@ from __future__ import annotations
 from functools import cache
 from hashlib import blake2b
 
-from .bits import xor
+from .bits import bits_to_int, int_to_bits
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 _MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
 
 
 @cache
-def _shape(out_len: int) -> tuple[range, int, int, str]:
-    """Blocks after the first, digest bytes used, right shift, format spec.
+def _shape(out_len: int) -> tuple[range, int, int]:
+    """Blocks after the first, digest bytes used, right shift.
 
     Shared by every instance: only the hash-input prefix depends on the seed.
     """
     nbytes = -(-out_len // 8)
-    return (range(1, -(-out_len // 256)), nbytes, 8 * nbytes - out_len,
-            f"0{out_len}b")
+    return range(1, -(-out_len // 256)), nbytes, 8 * nbytes - out_len
 
 
 class RandomOracle:
@@ -50,21 +50,21 @@ class RandomOracle:
         self.seed = seed
         self.counters: dict[str, int] = {}
         self._heads: dict[int, str] = {}  # out_len -> block-0 input prefix
-        self._memo: dict[str, str] = {}  # block-0 hash input -> output bits
+        self._memo: dict[str, int] = {}  # block-0 hash input -> output bits
 
     # -- raw PRF -----------------------------------------------------------
 
-    def _prf(self, inp: str, out_len: int) -> str:
-        """The first ``out_len`` output bits for ``inp``, as a {0,1} string.
+    def _prf(self, inp: str, out_len: int) -> int:
+        """The first ``out_len`` output bits for ``inp``, as an integer.
 
         Block ``b`` is the 32-byte BLAKE2b digest of
         ``f"{seed}|0|{out_len}|{b}|{inp}"``, written as its 256 bits, most
         significant bit of the first byte first (the digest read as one
         big-endian integer). Blocks 0, 1, ... are concatenated and the
-        result is truncated to ``out_len`` bits.
+        result is truncated to ``out_len`` bits: ``int_to_bits(out, out_len)``.
         """
         if out_len <= 0:
-            return ""
+            return 0
         head = self._heads.get(out_len)
         if head is None:
             # the fixed "0" field is part of the domain: every output depends
@@ -73,12 +73,12 @@ class RandomOracle:
         key = head + inp
         out = self._memo.get(key)
         if out is None:
-            more_blocks, nbytes, shift, spec = _shape(out_len)
+            more_blocks, nbytes, shift = _shape(out_len)
             h = blake2b(key.encode(), digest_size=32).digest()
             for b in more_blocks:
                 h += blake2b(f"{self.seed}|0|{out_len}|{b}|{inp}".encode(),
                              digest_size=32).digest()
-            out = format(int.from_bytes(h[:nbytes], "big") >> shift, spec)
+            out = int.from_bytes(h[:nbytes], "big") >> shift
             if len(self._memo) >= _MEMO_LIMIT:
                 self._memo.clear()
             self._memo[key] = out
@@ -95,7 +95,7 @@ class RandomOracle:
         if out_len < 1:
             raise ValueError("out_len must be >= 1")
         self.count(party)
-        return self._prf(inp, out_len)
+        return int_to_bits(self._prf(inp, out_len), out_len)
 
     def query_superposed(self, state, in_reg: str, out_reg: str,
                          prefix: str = "") -> None:
@@ -107,12 +107,13 @@ class RandomOracle:
         """
         out_len = state.width(out_reg)
         self.count("server")
-        state.map_register(out_reg, lambda vout, vin: xor(
-            vout, self._prf(prefix + vin, out_len)), keys=[in_reg])
+        state.map_register(out_reg, lambda vout, vin: int_to_bits(
+            bits_to_int(vout) ^ self._prf(prefix + vin, out_len), out_len),
+            keys=[in_reg])
 
     def tag(self, x: str, party: str = "client") -> str:
         """Global tag H(tag-prefix || x), twice as long as x."""
         if not x:
             raise ValueError("cannot tag the empty string")
         self.count(party)
-        return self._prf(_TAG_PREFIX + x, 2 * len(x))
+        return int_to_bits(self._prf(_TAG_PREFIX + x, 2 * len(x)), 2 * len(x))

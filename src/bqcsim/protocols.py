@@ -170,11 +170,12 @@ class HonestServer:
     def derive_index_register(self, reg: str, ptable, idx_reg: str) -> str:
         """Branch index bit from which phase-table row opens (x0 row first)."""
         row0 = ptable.table.rows[0]
+        tag0 = int(row0.tag, 2)
         self.oracle.count("server", 2)
 
         def fn(old: str, val: str) -> str:
             t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
-            return "0" if t == row0.tag else "1"
+            return "0" if t == tag0 else "1"
 
         self.state.add_register(idx_reg, "0")
         self.state.map_register(idx_reg, fn, keys=[reg])

@@ -5,11 +5,12 @@ Every table row is an encryption under one (possibly concatenated) key:
     row = (ct_pad, H(ct_pad || key) xor payload, tag_pad, H(tag_pad || key))
 
 A holder of the key finds its row by the tag and unmasks the payload; the
-pads make every row's hash inputs fresh. On top of single rows the module
-builds plain lookup tables, reversible (forward + backward) tables, the
-branching two-gadget reversible table with its secret output permutation
-(a reversible table whose rows are also keyed by a helper gadget), and
-phase tables.
+pads make every row's hash inputs fresh. The row primitives compare and XOR
+the integer hashes of ``RandomOracle._prf`` and charge their queries with
+``oracle.count``. On top of single rows the module builds plain lookup
+tables, reversible (forward + backward) tables, the branching two-gadget
+reversible table with its secret output permutation (a reversible table
+whose rows are also keyed by a helper gadget), and phase tables.
 
 Server-side evaluators act on a SparseState branch by branch: the decrypted
 payload is XORed into a target register, which keeps every evaluation an
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bits import apply_perm, random_bits, xor
+from .bits import apply_perm, int_to_bits, random_bits
 from .keychain import KeyPair
 
 
@@ -37,8 +39,7 @@ class UndecryptableBranch(ValueError):
 TAG_MIN = 64
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     ct_pad: str
     ct: str
     tag_pad: str
@@ -71,34 +72,42 @@ def enc(oracle, key: str, payload: str, pad_len: int, tag_len: int,
         rng) -> TableRow:
     if pad_len < 1:
         raise ValueError("pad length must be >= 1")
+    if not payload:
+        raise ValueError("cannot encrypt an empty payload")
     tag_len = max(tag_len, TAG_MIN)
     ct_pad = random_bits(rng, pad_len)
     tag_pad = random_bits(rng, pad_len)
-    mask = oracle.query_classical(ct_pad + key, len(payload))
-    tag = oracle.query_classical(tag_pad + key, tag_len)
-    return TableRow(ct_pad, xor(mask, payload), tag_pad, tag)
+    n = len(payload)
+    oracle.count("client", 2)
+    ct = oracle._prf(ct_pad + key, n) ^ int(payload, 2)
+    tag = oracle._prf(tag_pad + key, tag_len)
+    return TableRow(ct_pad, int_to_bits(ct, n), tag_pad,
+                    int_to_bits(tag, tag_len))
 
 
 def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
     """Payload if the key opens this row, else None."""
-    tag = oracle.query_classical(row.tag_pad + key, len(row.tag), party)
-    if tag != row.tag:
+    oracle.count(party)
+    if oracle._prf(row.tag_pad + key, len(row.tag)) != int(row.tag, 2):
         return None
-    mask = oracle.query_classical(row.ct_pad + key, len(row.ct), party)
-    return xor(mask, row.ct)
+    oracle.count(party)
+    n = len(row.ct)
+    return int_to_bits(oracle._prf(row.ct_pad + key, n) ^ int(row.ct, 2), n)
 
 
 # -- plain lookup tables ---------------------------------------------------
 
 
 def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng) -> LookupTable:
-    """Build a table from [(key, payload), ...], rows shuffled."""
+    """Table from [(key, payload), ...] of uniform widths, rows shuffled."""
     rows = []
     payload_len = key_len = 0
     seen = set()
     for key, payload in mapping:
         if key in seen:
             raise ValueError("duplicate input key in table mapping")
+        if rows and (len(key), len(payload)) != (key_len, payload_len):
+            raise ValueError("mixed key or payload widths in table mapping")
         seen.add(key)
         rows.append(enc(oracle, key, payload, pad_len, tag_len, rng))
         payload_len, key_len = len(payload), len(key)
@@ -120,15 +129,20 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
 
     One superposed query per row check plus one per payload unmask is
     charged to the server. Raises on any branch whose keys open no row
-    (honest evaluation must abort there).
+    (honest evaluation must abort there), and raises ValueError if out_reg
+    is not as wide as the payload of the row that opens.
     """
     oracle.count("server", 2 * len(table.rows))
+    prf = oracle._prf
+    rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
+             int(r.ct, 2)) for r in table.rows]
 
     def decrypt(out: str, key: str) -> str:
-        for row in table.rows:
-            if oracle._prf(row.tag_pad + key, len(row.tag)) == row.tag:
-                mask = oracle._prf(row.ct_pad + key, len(row.ct))
-                return xor(out, xor(mask, row.ct))
+        for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
+            if prf(tag_pad + key, tag_len) == tag:
+                if len(out) != n:
+                    raise ValueError(f"width mismatch: {len(out)} vs {n}")
+                return int_to_bits(int(out, 2) ^ prf(ct_pad + key, n) ^ ct, n)
         raise UndecryptableBranch("no row opens under branch key")
 
     state.map_register(out_reg, decrypt, keys=key_regs)

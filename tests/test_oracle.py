@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bqcsim import tables
+from bqcsim.bits import int_to_bits
 from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
 from bqcsim.state import SparseState
 
@@ -32,7 +33,8 @@ def test_matches_reference_construction():
             for n in lengths:
                 # the second read comes from the memo
                 for _ in range(2):
-                    assert o._prf(inp, n) == reference_prf(seed, 0, n, inp)
+                    assert (int_to_bits(o._prf(inp, n), n)
+                            == reference_prf(seed, 0, n, inp))
         assert (o.query_classical("0110", 40)
                 == reference_prf(seed, 0, 40, "0110"))
         # global tags live on the "#" domain of the same construction
@@ -44,11 +46,13 @@ def test_memo_stays_bounded_and_transparent():
     o = RandomOracle(21)
     inputs = [format(i, "016b") for i in range(_MEMO_LIMIT + 50)]
     for inp in inputs:
-        assert o._prf(inp, 12) == reference_prf(21, 0, 12, inp)
+        assert int_to_bits(o._prf(inp, 12), 12) == reference_prf(21, 0, 12,
+                                                                 inp)
         assert len(o._memo) <= _MEMO_LIMIT
     # inputs from before and after the memo was cleared
     for inp in inputs[:10] + inputs[-10:]:
-        assert o._prf(inp, 12) == reference_prf(21, 0, 12, inp)
+        assert int_to_bits(o._prf(inp, 12), 12) == reference_prf(21, 0, 12,
+                                                                 inp)
 
 
 def test_repeated_classical_query_charges_each_time():
@@ -129,8 +133,10 @@ def test_superposed_query_matches_classical_values():
     st.add_register("h", "000")
     o.query_superposed(st, "k", "h", prefix="11")
     vals = {k[0]: k[1] for k in st.branches}
-    assert vals["01"] == o._prf("1101", 3)
-    assert vals["10"] == o._prf("1110", 3)
+    assert vals["01"] == int_to_bits(o._prf("1101", 3), 3)
+    assert vals["10"] == int_to_bits(o._prf("1110", 3), 3)
+    assert vals["01"] == reference_prf(9, 0, 3, "1101")
+    assert vals["10"] == reference_prf(9, 0, 3, "1110")
 
 
 def test_tag_default_length_and_domain_separation():

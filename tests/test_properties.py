@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqcsim import tables
-from bqcsim.bits import apply_perm, dot, invert_perm, xor
+from bqcsim.bits import (apply_perm, dot, int_to_bits, invert_perm,
+                         random_bits, xor)
 from bqcsim.keychain import KeyPair, combine_keys, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import ATOL, SparseState, gadget_state
@@ -42,6 +43,30 @@ def test_xor_matches_per_character_definition(pair):
     assert xor(a, b) == "".join("1" if x != y else "0" for x, y in zip(a, b))
     with pytest.raises(ValueError, match="length mismatch"):
         xor(a, b + "0")
+
+
+def format_bits(v, n):
+    # the format-spec definition the bit helpers had before
+    return format(v, f"0{n}b") if n else ""
+
+
+width_and_values = st.integers(min_value=0, max_value=300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1),
+                        st.integers(0, (1 << n) - 1)))
+
+
+@given(width_and_values, seeds)
+def test_bit_formatters_match_format_spec(nvw, seed):
+    n, v, w = nvw
+    assert int_to_bits(v, n) == format_bits(v, n)
+    assert xor(format_bits(v, n), format_bits(w, n)) == format_bits(v ^ w, n)
+    # random_bits draws the same bits from the same stream
+    ref = random.Random(seed)
+    assert (random_bits(random.Random(seed), n)
+            == (format_bits(ref.getrandbits(n), n) if n else ""))
+    # leading zeros survive at every width
+    assert int_to_bits(0, n) == "0" * n
+    assert int_to_bits(1, n) == format_bits(1, n)
 
 
 @given(seeds, st.integers(min_value=2, max_value=16))

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from bqcsim import tables
-from bqcsim.bits import apply_perm, xor
+from bqcsim.bits import apply_perm, int_to_bits, random_bits, xor
 from bqcsim.keychain import KeyPair, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import SparseState, gadget_state
+from test_oracle import reference_prf
 
 
 def test_row_encrypts_and_opens_with_the_key():
@@ -19,6 +20,8 @@ def test_row_encrypts_and_opens_with_the_key():
     row = tables.enc(o, "110011", "10101", 8, 16, rng)
     assert tables.dec_row(o, row, "110011") == "10101"
     assert tables.dec_row(o, row, "110010") is None
+    with pytest.raises(ValueError, match="empty payload"):
+        tables.enc(o, "110011", "", 8, 16, rng)
 
 
 def test_row_ciphertext_is_masked():
@@ -28,7 +31,8 @@ def test_row_ciphertext_is_masked():
     row = tables.enc(o, "0" * 8, "1" * 32, 8, 16, rng)
     assert row.ct != "1" * 32
     # independent re-derivation of the mask
-    mask = o._prf(row.ct_pad + "0" * 8, 32)
+    mask = int_to_bits(o._prf(row.ct_pad + "0" * 8, 32), 32)
+    assert mask == reference_prf(2, 0, 32, row.ct_pad + "0" * 8)
     assert xor(row.ct, mask) == "1" * 32
 
 
@@ -46,6 +50,66 @@ def test_lt_build_rejects_duplicate_keys():
     o = RandomOracle(4)
     with pytest.raises(ValueError):
         tables.lt_build(o, [("0", "1"), ("0", "0")], 4, 8, random.Random(0))
+
+
+@pytest.mark.parametrize("mapping", [
+    [("00", "1"), ("011", "0")],  # key widths differ
+    [("00", "1"), ("01", "00")],  # payload widths differ
+])
+def test_lt_build_rejects_mixed_widths(mapping):
+    # the header records one key and one payload width for every row
+    with pytest.raises(ValueError, match="mixed key or payload widths"):
+        tables.lt_build(RandomOracle(4), mapping, 4, 8, random.Random(0))
+
+
+def reference_decrypt(o, row, key):
+    # the string-level row decrypt: compare tag strings, then xor(mask, ct)
+    if o.query_classical(row.tag_pad + key, len(row.tag)) != row.tag:
+        return None
+    return xor(o.query_classical(row.ct_pad + key, len(row.ct)), row.ct)
+
+
+def test_integer_row_paths_match_string_reference_and_fail_closed():
+    for seed in range(40):
+        rng = random.Random(seed)
+        o = RandomOracle(seed)
+        kw, pw = rng.randint(2, 8), rng.randint(1, 80)
+        keys = [int_to_bits(v, kw) for v in rng.sample(range(1 << kw), 4)]
+        wrong, keys = keys[0], keys[1:]
+        mapping = [(k, random_bits(rng, pw)) for k in keys]
+        t = tables.lt_build(o, mapping, rng.randint(1, 8),
+                            rng.choice((8, 64, 100)), rng)
+        for key, payload in mapping + [(wrong, None)]:
+            assert tables.lt_decrypt(o, t, key) == payload
+            for row in t.rows:
+                assert (tables.dec_row(o, row, key)
+                        == reference_decrypt(o, row, key))
+        # coherent: each branch gets out xor its row's payload
+        out0 = random_bits(rng, pw)
+        st = SparseState()
+        st.add_gadget("k", keys[0], keys[1])
+        st.add_register("out", out0)
+        tables.lt_eval_coherent(o, st, ["k"], "out", t)
+        assert {k: out for k, out in st.branches} == {
+            k: xor(out0, p) for k, p in mapping[:2]}
+        # a branch whose key opens no row fails, and installs nothing
+        st = SparseState()
+        st.add_gadget("k", keys[0], wrong)
+        st.add_register("out", out0)
+        before = dict(st.branches)
+        with pytest.raises(tables.UndecryptableBranch):
+            tables.lt_eval_coherent(o, st, ["k"], "out", t)
+        assert st.branches == before
+        # an out register of another width fails, and installs nothing
+        for out in ("1" * (pw + 1), "0" * (pw + 1), "1" * (pw - 1)):
+            st = SparseState()
+            st.add_gadget("k", keys[0], keys[1])
+            st.add_register("out", out)
+            before = dict(st.branches)
+            with pytest.raises(ValueError) as err:
+                tables.lt_eval_coherent(o, st, ["k"], "out", t)
+            assert not isinstance(err.value, tables.UndecryptableBranch)
+            assert st.branches == before
 
 
 def test_lt_rows_are_shuffled_but_ordered_mode_keeps_first():

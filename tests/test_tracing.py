@@ -85,3 +85,43 @@ def test_blind_shot_names_the_bench_reads_are_timed():
     assert m["qfactory.shots"] == 1  # one ubqc_run pass per delegation
     assert m["qfactory.ubqc_run_s"] > 0
     assert "qfactory.reblind_s" in m and m["qfactory.reblind_s"] > 0
+
+
+def traced(run):
+    """``run()`` as one traced operation: its result and the metrics."""
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        tracer.begin_op(0)
+        result = run()
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    return result, tracer.metrics()
+
+
+def hash_work(m):
+    return (m["oracle.prf_calls"], m["oracle.queries.client"],
+            m["oracle.queries.server"], m["oracle.queries.attacker"])
+
+
+def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
+    # every hash evaluation and every charged query, as the bench counts
+    # them: a faster row path may not skip or add a single one
+    def pipeline():
+        oracle = bqcsim.oracle.RandomOracle(1)
+        server = bqcsim.protocols.HonestServer(oracle, seed=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        return bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
+                                               random.Random(3))[1]
+
+    tr, m = traced(pipeline)
+    assert tr.passed
+    assert hash_work(m) == (488, 152, 164, 0)
+
+    params = bqcsim.protocols.ProtocolParams(pad_len=8, kappa_out=20)
+    won, m = traced(lambda: bqcsim.adversary.free_lunch_attack(
+        5, "permuted", params, 64))
+    assert won is False
+    assert hash_work(m) == (618, 96, 0, 522)
+    assert m["tables.rows_tried"] == 520

@@ -13,9 +13,9 @@ same instance already answered. The memo holds at most ``_MEMO_LIMIT``
 entries and is cleared when full; it changes no output and no query count.
 On top of the PRF the module provides:
 
-* superposed queries -- branch-wise XOR of ``H(input)`` into a target
-  register of a :class:`~bqcsim.state.SparseState` (one counted query per
-  call, matching the quantum-query model);
+* superposed queries -- branch-wise append of ``H(prefix || v)`` to the
+  value ``v`` of a :class:`~bqcsim.state.SparseState` register (one counted
+  query per call, matching the quantum-query model);
 * global tags -- ``H(tag-prefix || x)`` on a reserved domain that no honest
   protocol input can reach (the prefix contains a character outside
   {'0','1'});
@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from hashlib import blake2b
 
-from .bits import bits_to_int, int_to_bits
+from .bits import int_to_bits
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 _MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
@@ -97,19 +97,19 @@ class RandomOracle:
         self.count(party)
         return int_to_bits(self._prf(inp, out_len), out_len)
 
-    def query_superposed(self, state, in_reg: str, out_reg: str,
+    def query_superposed(self, state, reg: str, out_len: int,
                          prefix: str = "") -> None:
-        """XOR H(prefix || value of in_reg) into out_reg, branch by branch.
+        """|v> -> |v || H(prefix || v)> on register reg, H of out_len bits.
 
-        Amplitudes are untouched; the mapping is an XOR so applying it twice
-        restores the state. Counted as one server query regardless of branch
-        count.
+        Amplitudes are untouched and v stays as a prefix, so the map is
+        reversible. Counted as one server query regardless of branch count.
         """
-        out_len = state.width(out_reg)
         self.count("server")
-        state.map_register(out_reg, lambda vout, vin: int_to_bits(
-            bits_to_int(vout) ^ self._prf(prefix + vin, out_len), out_len),
-            keys=[in_reg])
+        prf = self._prf
+        state.map_register(
+            reg, lambda v, _: v + int_to_bits(prf(prefix + v, out_len),
+                                              out_len),
+            width=state.width(reg) + out_len)
 
     def tag(self, x: str, party: str = "client") -> str:
         """Global tag H(tag-prefix || x), twice as long as x."""

@@ -86,12 +86,9 @@ class HonestServer:
     # -- padded Hadamard test ---------------------------------------------
 
     def respond_pad_hadamard(self, reg: str, pad: str, kappa_out: int) -> str:
-        h = self.state.fresh_name("ph_h")
-        self.state.add_register(h, "0" * kappa_out)
-        self.oracle.query_superposed(self.state, reg, h, prefix=pad)
-        w = self.state.fresh_name("ph_w")
-        self.state.merge_registers([reg, h], w)
-        return self.state.measure_hadamard(w, self.rng)
+        """Hadamard-measure the gadget after appending H(pad || x) to it."""
+        self.oracle.query_superposed(self.state, reg, kappa_out, prefix=pad)
+        return self.state.measure_hadamard(reg, self.rng)
 
     # -- basis test --------------------------------------------------------
 
@@ -154,12 +151,9 @@ class HonestServer:
         self.state.split_register(out_reg, [width2, total - width2], list(names))
 
     def extend_gadget(self, reg: str, lam_reg: str, table) -> None:
-        """Append the decrypted refresh key to an existing gadget register."""
-        scratch = self.state.fresh_name("ext")
-        self.state.add_register(scratch, "0" * table.payload_len)
-        tables.lt_eval_coherent(self.oracle, self.state, [reg, lam_reg],
-                                scratch, table)
-        self.state.merge_registers([reg, scratch], reg)
+        """Append the key the table opens under (reg, lam_reg) to reg."""
+        tables.lt_append_coherent(self.oracle, self.state, [reg, lam_reg],
+                                  reg, table)
 
     def prepend_pad(self, reg: str, pad: str) -> None:
         self.state.map_register(reg, lambda v, _: pad + v,

@@ -180,9 +180,6 @@ class SparseState:
     def width(self, name: str) -> int:
         return self._reg(name)[1]
 
-    def norm(self) -> float:
-        return math.prod(_norm(c.branches) for c in self._components())
-
     @staticmethod
     def _normalize(comp: _Component) -> None:
         """Scale ``comp`` to unit norm.

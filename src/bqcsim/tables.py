@@ -12,11 +12,13 @@ tables, reversible (forward + backward) tables, the branching two-gadget
 reversible table with its secret output permutation (a reversible table
 whose rows are also keyed by a helper gadget), and phase tables.
 
-Server-side evaluators act on a SparseState branch by branch: the decrypted
-payload is XORed into a target register, which keeps every evaluation an
-involution and therefore reversible. ``rev_eval`` is the one evaluator of
-reversible tables, plain or branching: control registers key both passes
-and stay in place.
+Server-side evaluation acts on a SparseState with one reversible value map
+per table pass. Two evaluators share one private row opener, which charges
+the pass and parses the rows once: ``lt_eval_coherent`` XORs the decrypted
+payload into a target register (an involution), and ``lt_append_coherent``
+appends it to a register, whose old value stays as a prefix. ``rev_eval``
+is the one evaluator of reversible tables, plain or branching: control
+registers key both passes and stay in place.
 """
 
 from __future__ import annotations
@@ -123,29 +125,61 @@ def lt_decrypt(oracle, table: LookupTable, key: str, party: str = "client"):
     return None
 
 
-def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
-                     table: LookupTable) -> None:
-    """XOR each branch's decrypted payload into out_reg.
+def _row_opener(oracle, table: LookupTable):
+    """Charge a coherent pass over ``table`` and return its row opener.
 
-    One superposed query per row check plus one per payload unmask is
-    charged to the server. Raises on any branch whose keys open no row
-    (honest evaluation must abort there), and raises ValueError if out_reg
-    is not as wide as the payload of the row that opens.
+    The server pays one superposed query per row check and one per payload
+    unmask. The opener maps a branch key to (payload as an int, width) of
+    the row it opens, and raises UndecryptableBranch if no row opens.
     """
     oracle.count("server", 2 * len(table.rows))
     prf = oracle._prf
     rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
              int(r.ct, 2)) for r in table.rows]
 
-    def decrypt(out: str, key: str) -> str:
+    def open_row(key: str) -> tuple[int, int]:
         for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
             if prf(tag_pad + key, tag_len) == tag:
-                if len(out) != n:
-                    raise ValueError(f"width mismatch: {len(out)} vs {n}")
-                return int_to_bits(int(out, 2) ^ prf(ct_pad + key, n) ^ ct, n)
+                return prf(ct_pad + key, n) ^ ct, n
         raise UndecryptableBranch("no row opens under branch key")
 
+    return open_row
+
+
+def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
+                     table: LookupTable) -> None:
+    """XOR each branch's decrypted payload into out_reg.
+
+    Raises on any branch whose keys open no row (honest evaluation must
+    abort there), and raises ValueError if out_reg is not as wide as the
+    payload of the row that opens; the state is then left as it was.
+    """
+    open_row = _row_opener(oracle, table)
+
+    def decrypt(out: str, key: str) -> str:
+        payload, n = open_row(key)
+        if len(out) != n:
+            raise ValueError(f"width mismatch: {len(out)} vs {n}")
+        return int_to_bits(int(out, 2) ^ payload, n)
+
     state.map_register(out_reg, decrypt, keys=key_regs)
+
+
+def lt_append_coherent(oracle, state, key_regs: list[str], dst: str,
+                       table: LookupTable) -> None:
+    """|v>|k>  ->  |v || payload(k)>|k>, branch by branch.
+
+    dst may be one of key_regs: v stays as a prefix, so the map is
+    reversible. Fails closed like :func:`lt_eval_coherent`, with ValueError
+    for a payload that is not ``table.payload_len`` bits wide.
+    """
+    open_row = _row_opener(oracle, table)
+
+    def append(v: str, key: str) -> str:
+        return v + int_to_bits(*open_row(key))
+
+    state.map_register(dst, append, keys=key_regs,
+                       width=state.width(dst) + table.payload_len)
 
 
 # -- reversible tables -----------------------------------------------------
@@ -181,14 +215,14 @@ def rev_eval(oracle, state, controls: list[str], in_regs: list[str],
     """Coherently re-encode gadget registers through a reversible table.
 
     |c>|x_b>|0>  ->  |c>|x_b>|y_b>  ->  |c>|0>|y_b>: the forward pass is
-    keyed by ``controls + in_regs``, the backward pass by
+    keyed by ``controls + [merged inputs]``, the backward pass by
     ``controls + [out_reg]``. The control registers stay in place and the
-    zeroed input registers are discarded. Returns the output register name.
+    zeroed inputs are discarded. Returns the output register name.
     """
     state.add_register(out_reg, "0" * table.forward.payload_len)
-    lt_eval_coherent(oracle, state, controls + in_regs, out_reg,
-                     table.forward)
     merged = state.merge_registers(in_regs, state.fresh_name("zin"))
+    lt_eval_coherent(oracle, state, controls + [merged], out_reg,
+                     table.forward)
     lt_eval_coherent(oracle, state, controls + [out_reg], merged,
                      table.backward)
     state.discard_register(merged)

@@ -209,6 +209,16 @@ GOLDEN = {
         "gdgprep-1pn.stages.tsv":
             "874a8db594ee6336b3a947a39c796cc6e256c2362a17b11573322f982b8bc6d5",
     }),
+    "refresh": (["run", "refresh", "--seed", "1"], {
+        "refresh.log":
+            "e429d4d949d53bd1b4f69f301d28a0d94165d12f1acffb84f9e215e538680c95",
+        "refresh.stages.tsv":
+            "98fdda41a1e1e32ef6698283ac86b60c76759b754659716778bd615930a301e2",
+    }),
+    "pad-hadamard": (["run", "pad-hadamard", "--seed", "1"], {
+        "pad-hadamard.log":
+            "b90189904b59f5e1713b59ca0137129f23fbf2675e56b198e43c53d13384a7ca",
+    }),
     "combine": (["run", "combine", "--seed", "1"], {
         "combine.log":
             "350185525d74572a91c089729c657b1fdce2a92541d986e7f282447ff06d1474",

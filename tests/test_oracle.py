@@ -113,26 +113,28 @@ def test_counters_per_party():
     assert o.counters == {"client": 1, "server": 2}
 
 
-def test_superposed_query_is_involution_and_counts_once():
+def test_superposed_query_appends_and_counts_once():
     o = RandomOracle(3)
     st = SparseState()
     st.add_gadget("k", "00", "11")
-    st.add_register("h", "0000")
-    before = dict(st.branches)
-    o.query_superposed(st, "k", "h")
-    assert st.branches != before
-    o.query_superposed(st, "k", "h")
-    assert st.branches == before
-    assert o.counters["server"] == 2
+    for calls in (1, 2):
+        before = dict(st.branches)
+        o.query_superposed(st, "k", 4)
+        # each branch keeps its old value as a prefix and gains 4 bits
+        after = {k[0][:-4]: (k[0][-4:], a) for k, a in st.branches.items()}
+        assert after == {v: (int_to_bits(o._prf(v, 4), 4), a)
+                         for (v,), a in before.items()}
+        assert st.registers == [("k", 2 + 4 * calls)]
+        assert len(st.branches) == 2
+        assert o.counters["server"] == calls
 
 
 def test_superposed_query_matches_classical_values():
     o = RandomOracle(9)
     st = SparseState()
     st.add_gadget("k", "01", "10")
-    st.add_register("h", "000")
-    o.query_superposed(st, "k", "h", prefix="11")
-    vals = {k[0]: k[1] for k in st.branches}
+    o.query_superposed(st, "k", 3, prefix="11")
+    vals = {k[0][:2]: k[0][2:] for k in st.branches}
     assert vals["01"] == int_to_bits(o._prf("1101", 3), 3)
     assert vals["10"] == int_to_bits(o._prf("1110", 3), 3)
     assert vals["01"] == reference_prf(9, 0, 3, "1101")

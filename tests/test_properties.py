@@ -11,6 +11,7 @@ from bqcsim.bits import (apply_perm, dot, int_to_bits, invert_perm,
 from bqcsim.keychain import KeyPair, combine_keys, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import ATOL, SparseState, gadget_state
+from conftest import norm
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=24)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -87,15 +88,15 @@ def test_state_norm_preserved_by_operations(seed, width):
     q = sample_key_pair(rng, width)
     stt.add_gadget("a", p.x0, p.x1)
     stt.add_gadget("b", q.x0, q.x1)
-    assert abs(stt.norm() - 1) < ATOL
+    assert abs(norm(stt) - 1) < ATOL
     stt.merge_registers(["a", "b"], "ab")
-    assert abs(stt.norm() - 1) < ATOL
+    assert abs(norm(stt) - 1) < ATOL
     stt.split_register("ab", [width, width], ["a", "b"])
-    assert abs(stt.norm() - 1) < ATOL
+    assert abs(norm(stt) - 1) < ATOL
     stt.measure_computational("a", rng)
-    assert abs(stt.norm() - 1) < ATOL
+    assert abs(norm(stt) - 1) < ATOL
     stt.measure_hadamard("b", rng)
-    assert abs(stt.norm() - 1) < ATOL
+    assert abs(norm(stt) - 1) < ATOL
 
 
 @given(seeds, st.integers(min_value=1, max_value=8))

@@ -11,6 +11,7 @@ from bqcsim.bits import apply_perm, int_to_bits, random_bits, xor
 from bqcsim.keychain import KeyPair, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import SparseState, gadget_state
+from conftest import norm
 from test_oracle import reference_prf
 
 
@@ -227,7 +228,7 @@ def test_rev_eval_leaves_control_register_in_place():
     tables.rev_eval(o, st, ["h"], ["a", "b"], t, "out")
     names = [n for n, _ in st.registers]
     assert names == ["h", "out"]
-    assert abs(st.norm() - 1) < 1e-9
+    assert abs(norm(st) - 1) < 1e-9
     # one branch per (b1, b2, b3): the helper value keys its output value
     want = {(kh[b1], apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm))
             for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)}

@@ -7,6 +7,7 @@ them back by label, so deleting or renaming one of them breaks
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 import bqcsim
@@ -125,3 +126,31 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     assert won is False
     assert hash_work(m) == (618, 96, 0, 522)
     assert m["tables.rows_tried"] == 520
+
+
+def test_single_map_server_steps_keep_their_traced_names():
+    # the tracer wraps these server steps by name; a padded Hadamard test
+    # is one superposed query and the pipeline still evaluates tables
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        tracer.begin_op(0)
+        oracle = bqcsim.oracle.RandomOracle(1)
+        server = bqcsim.protocols.HonestServer(oracle, seed=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        _, tr, _ = bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
+                                                   random.Random(3))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tr.passed
+    m = tracer.metrics()
+    pads = sum(tag == "ph.pad" for _, tag, _ in tr.messages)
+    assert pads > 0
+    assert m["oracle.superposed_calls"] == pads
+    assert m["tables.eval_coherent_calls"] > 0
+    spans = Counter(tracer.labels[i] for i in tracer.name)
+    for label in ("protocols.extend_gadget", "protocols.respond_pad_hadamard",
+                  "oracle.query_superposed", "tables.lt_eval_coherent",
+                  "tables.rev_eval"):
+        assert spans[label] > 0, label

@@ -80,7 +80,7 @@ class MeasureThenRandomD(HonestServer):
 class RandomGuessBasisTest(HonestServer):
     """Basis-test cheater that guesses r without touching the table."""
 
-    def respond_basis_test(self, regs: list[str], table) -> str:
+    def respond_basis_test(self, reg: str, table) -> str:
         return random_bits(self.rng, table.payload_len)
 
 

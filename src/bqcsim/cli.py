@@ -157,7 +157,7 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
         g, = gp.send_gadgets(server, rng, 1, w)
         qb, tr = qf.qfac8(oracle, g, params, server, rng)
         if qb is not None:
-            tr.send("client", "qf.theta_index", str(qb.angle.index))
+            tr.send("client", "qf.theta_index", str(qb.angle))
         return tr, []
     raise ConfigError(f"unknown protocol: {name}")
 

@@ -19,9 +19,9 @@ stage runs it.
 
 Every stage returns its output gadgets as (KeyPair, register) tuples plus a
 transcript and its StageReports, whose gadget arithmetic is asserted by
-tests. A stage that runs sub-stages or sub-protocols folds each result into
-its own transcript and reports with ``_absorb``, which is also where a
-failing sub-step fails the stage.
+tests. A stage folds each sub-stage's result into its own transcript and
+reports with ``_absorb``, and each sub-protocol's transcript with
+``Transcript.absorb``; a failing sub-step fails the stage.
 """
 
 from __future__ import annotations
@@ -108,22 +108,15 @@ class PipelineConfig:
         )
 
 
-def _absorb(tr: Transcript, reports: list[StageReport], sub,
-            failed: StageReport | None = None, what: str = ""):
-    """Fold a sub-step's ``(out, transcript, reports)`` into a stage.
+def _absorb(tr: Transcript, reports: list[StageReport], sub):
+    """Fold a sub-stage's ``(out, transcript, reports)`` into a stage.
 
-    Appends the reports, absorbs the transcript and returns ``out``. A
-    failed sub-step fails ``tr`` with its reason (prefixed by the stage and
-    ``what`` when the stage's own ``failed`` report is given and appended)
-    and gives None.
+    Appends the reports, absorbs the transcript and returns ``out``; a
+    failed sub-stage fails ``tr`` with its reason and gives None.
     """
     out, sub_tr, sub_reports = sub
     reports.extend(sub_reports)
-    if failed is not None:
-        if not sub_tr.passed:
-            reports.append(failed)
-        what = f"{failed.stage}: {what}"
-    return out if tr.absorb(sub_tr, what) else None
+    return out if tr.absorb(sub_tr) else None
 
 
 # -- doubling --------------------------------------------------------------
@@ -137,7 +130,6 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
     server evaluates.
     """
     tr = Transcript()
-    reports: list[StageReport] = []
     h_pair, h_reg = helper
     n = len(k3_list)
     kout = params.kappa_out
@@ -149,9 +141,8 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         for p, r, rounds in ((pair, reg, params.test_rounds),
                              (h_pair, h_reg, 1)):
             bt = basis_test_multi(oracle, p, r, rounds, params, server, rng)
-            if _absorb(tr, reports, ((), bt, ()), failed,
-                       "basis test") is None:
-                return [], tr, reports
+            if not tr.absorb(bt, "1pn: basis test"):
+                return [], tr, [failed]
 
     plan = []
     for i, (k3_pair, k3_reg) in enumerate(k3_list):
@@ -172,8 +163,8 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         plan.append((y2, y3, perm, out_reg))
 
     ph = pad_hadamard(oracle, h_pair, h_reg, params, server, rng)
-    if _absorb(tr, reports, ((), ph, ()), failed, "pad hadamard") is None:
-        return [], tr, reports
+    if not tr.absorb(ph, "1pn: pad hadamard"):
+        return [], tr, [failed]
 
     out: list[Gadget] = []
     for i, (y2, y3, perm, out_reg) in enumerate(plan):
@@ -232,7 +223,6 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
                         params: ProtocolParams, server, rng):
     """Consume J fresh gadgets to extend and re-pad N existing ones."""
     tr = Transcript()
-    reports: list[StageReport] = []
     n, j_rounds = len(gadgets), len(lams)
     kout = params.kappa_out
     failed = StageReport("refresh", n + j_rounds, 0, 0, "fail")
@@ -252,8 +242,8 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
             server.extend_gadget(reg, lam_reg, table)
             cur[i] = KeyPair(cur[i].x0 + y.x0, cur[i].x1 + y.x1)
         ph = pad_hadamard(oracle, lam_pair, lam_reg, params, server, rng)
-        if _absorb(tr, reports, ((), ph, ()), failed, "pad hadamard") is None:
-            return [], tr, reports
+        if not tr.absorb(ph, "refresh: pad hadamard"):
+            return [], tr, [failed]
 
     out: list[Gadget] = []
     for i, (_, reg) in enumerate(gadgets):

@@ -92,15 +92,10 @@ class HonestServer:
 
     # -- basis test --------------------------------------------------------
 
-    def respond_basis_test(self, regs: list[str], table) -> str:
-        """Decrypt the test table coherently, read r, erase the scratch."""
-        scratch = self.state.fresh_name("bt")
-        self.state.add_register(scratch, "0" * table.payload_len)
-        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch, table)
-        value = self.state.measure_computational(scratch, self.rng)
-        tables.lt_eval_coherent(self.oracle, self.state, regs, scratch, table)
-        self.state.discard_register(scratch)
-        return value
+    def respond_basis_test(self, reg: str, table) -> str:
+        """Measure the r that the gadget's keys open in the test table."""
+        return tables.lt_measure_coherent(self.oracle, self.state, reg, table,
+                                          self.rng)
 
     # -- combine -----------------------------------------------------------
 
@@ -224,7 +219,7 @@ def basis_test_single(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
         params.pad_len, params.kappa_out, rng,
     )
     tr.send("client", "bt.table", tables.serialize_table(table))
-    answer = server.respond_basis_test([reg], table)
+    answer = server.respond_basis_test(reg, table)
     tr.send("server", "bt.r", answer)
     if not is_bitstring(answer, params.kappa_out):
         tr.finish(False, "malformed r")

@@ -32,34 +32,17 @@ from .protocols import (ProtocolParams, Transcript, basis_test_multi,
 OCTANT = math.pi / 4
 
 
-@dataclass(frozen=True)
-class AngleOctant:
-    """An angle k*pi/4 decomposed as pi*t1 + (pi/2)*t2 + (pi/4)*t3."""
-
-    t1: int
-    t2: int
-    t3: int
-
-    @property
-    def index(self) -> int:
-        return (4 * self.t1 + 2 * self.t2 + self.t3) % 8
-
-    @property
-    def radians(self) -> float:
-        return OCTANT * self.index
-
-
 @dataclass
 class PreparedQubit:
     """A server-held qubit plus the client's secret angle for it."""
 
     alpha: complex
     beta: complex
-    angle: AngleOctant
+    angle: int  # the octant k of theta = k*pi/4, 4*t1 + 2*t2 + t3
 
     def fidelity_vs_angle(self) -> float:
         """Overlap with the ideal (|0> + exp(i*theta)|1>)/sqrt(2)."""
-        target = cmath.exp(1j * self.angle.radians)
+        target = cmath.exp(1j * OCTANT * self.angle)
         return abs(self.alpha + target.conjugate() * self.beta) ** 2 / 2
 
 
@@ -93,10 +76,9 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
 
     t1 = dot(d, pair.delta())
     tr.finish(True)
-    angle = AngleOctant(t1, t2, t3)
     g = server.state.discard_register(idx_reg)
     alpha, beta = g.get("0", 0j), g.get("1", 0j)
-    return PreparedQubit(alpha, beta, angle), tr
+    return PreparedQubit(alpha, beta, 4 * t1 + 2 * t2 + t3), tr
 
 
 # -- dense circuit oracle --------------------------------------------------
@@ -130,7 +112,7 @@ def reblind(qubits: list[PreparedQubit], shifts: np.ndarray) -> np.ndarray:
     exp(i*pi*k/4), a phase that cancels in ``ubqc_run``. So only the angles
     change: returns the blinded angle octants, shape (shots, n+1).
     """
-    return (np.array([q.angle.index for q in qubits]) + shifts) & 7
+    return (np.array([q.angle for q in qubits]) + shifts) & 7
 
 
 def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
@@ -167,7 +149,7 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     outcomes = np.empty((n, shots), dtype=bool)
     for i, (phi, q) in enumerate(zip(circuit_octants, qubits[1:])):
         turns[i] = turn = 4 * r[:, i] + 2 * phi * x - phi
-        e_bxy = _PHASES[(qubits[i].angle.index + turn) & 7] * bxy
+        e_bxy = _PHASES[(qubits[i].angle + turn) & 7] * bxy
         w0, w1 = abs(q.alpha) ** 2, abs(q.beta) ** 2
         tilt = e_bxy.real * (w0 - w1)
         outcomes[i] = m = u[:, i] * (2 * (w0 + w1)) > w0 + w1 + tilt

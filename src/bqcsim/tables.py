@@ -12,19 +12,20 @@ tables, reversible (forward + backward) tables, the branching two-gadget
 reversible table with its secret output permutation (a reversible table
 whose rows are also keyed by a helper gadget), and phase tables.
 
-Server-side evaluation acts on a SparseState with one reversible value map
-per table pass. Two evaluators share one private row opener, which charges
-the pass and parses the rows once: ``lt_eval_coherent`` XORs the decrypted
-payload into a target register (an involution), and ``lt_append_coherent``
-appends it to a register, whose old value stays as a prefix. ``rev_eval``
-is the one evaluator of reversible tables, plain or branching: control
-registers key both passes and stay in place.
+Server-side evaluation is one SparseState call per step. Four evaluators
+share one private row opener, which charges the passes, parses the rows
+once and opens each key once: ``lt_eval_coherent`` XORs the payload into a
+register, ``lt_append_coherent`` appends it, ``lt_measure_coherent``
+measures it and ``phase_eval`` phases by it; the last two are charged as the
+compute and uncompute passes of the server's circuit. ``rev_eval`` runs
+reversible tables, plain or branching, with controls that stay in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .bits import apply_perm, int_to_bits, random_bits
@@ -125,18 +126,20 @@ def lt_decrypt(oracle, table: LookupTable, key: str, party: str = "client"):
     return None
 
 
-def _row_opener(oracle, table: LookupTable):
-    """Charge a coherent pass over ``table`` and return its row opener.
+def _row_opener(oracle, table: LookupTable, passes: int):
+    """Charge ``passes`` coherent passes over ``table``; return its row opener.
 
-    The server pays one superposed query per row check and one per payload
-    unmask. The opener maps a branch key to (payload as an int, width) of
-    the row it opens, and raises UndecryptableBranch if no row opens.
+    Each pass costs the server one superposed query per row check and one
+    per payload unmask. The opener maps a branch key to (payload as an int,
+    width) of the row it opens, hashing each distinct key once, and raises
+    UndecryptableBranch if no row opens.
     """
-    oracle.count("server", 2 * len(table.rows))
+    oracle.count("server", 2 * passes * len(table.rows))
     prf = oracle._prf
     rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
              int(r.ct, 2)) for r in table.rows]
 
+    @cache
     def open_row(key: str) -> tuple[int, int]:
         for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
             if prf(tag_pad + key, tag_len) == tag:
@@ -154,7 +157,7 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
     abort there), and raises ValueError if out_reg is not as wide as the
     payload of the row that opens; the state is then left as it was.
     """
-    open_row = _row_opener(oracle, table)
+    open_row = _row_opener(oracle, table, 1)
 
     def decrypt(out: str, key: str) -> str:
         payload, n = open_row(key)
@@ -173,13 +176,25 @@ def lt_append_coherent(oracle, state, key_regs: list[str], dst: str,
     reversible. Fails closed like :func:`lt_eval_coherent`, with ValueError
     for a payload that is not ``table.payload_len`` bits wide.
     """
-    open_row = _row_opener(oracle, table)
+    open_row = _row_opener(oracle, table, 1)
 
     def append(v: str, key: str) -> str:
         return v + int_to_bits(*open_row(key))
 
     state.map_register(dst, append, keys=key_regs,
                        width=state.width(dst) + table.payload_len)
+
+
+def lt_measure_coherent(oracle, state, reg: str, table: LookupTable,
+                        rng) -> str:
+    """Measure the payload that reg's value opens, branch by branch.
+
+    Branches whose payload differs from the outcome are dropped; fails
+    closed like :func:`lt_eval_coherent`, leaving the state as it was.
+    """
+    open_row = _row_opener(oracle, table, 2)
+    return state.measure_computational(reg, rng,
+                                       lambda v: int_to_bits(*open_row(v)))
 
 
 # -- reversible tables -----------------------------------------------------
@@ -279,15 +294,13 @@ def phase_lt_build(oracle, pair: KeyPair, n: int, denominator: int,
 
 
 def phase_eval(oracle, state, reg: str, ptable: PhaseTable) -> None:
-    """Decrypt the offset, phase each branch, then un-decrypt the scratch."""
-    scratch = state.fresh_name("ph")
-    state.add_register(scratch, "0" * ptable.table.payload_len)
-    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table)
+    """Phase each branch by exp(i*pi*p/D), p the payload its reg value opens.
+
+    One phase map on reg; fails closed like :func:`lt_measure_coherent`.
+    """
+    open_row = _row_opener(oracle, ptable.table, 2)
     state.apply_phase_per_branch(
-        scratch, lambda v: math.pi * int(v, 2) / ptable.denominator
-    )
-    lt_eval_coherent(oracle, state, [reg], scratch, ptable.table)
-    state.discard_register(scratch)
+        reg, lambda v: math.pi * open_row(v)[0] / ptable.denominator)
 
 
 def serialize_table(table: LookupTable) -> str:

@@ -223,7 +223,7 @@ def test_qfac8_500_runs_exact():
         assert qb.fidelity_vs_angle() >= EXACT
         # theta1 is exactly the parity the protocol defines
         d = [m for m in tr.messages if m[1] == "qf.d"][-1][2]
-        assert qb.angle.t1 == dot(d, p.delta())
+        assert qb.angle >> 2 == dot(d, p.delta())
 
 
 def test_qfac8_theta1_uniform():
@@ -237,7 +237,7 @@ def test_qfac8_theta1_uniform():
         p = sample_key_pair(rng, 5)
         reg = srv.prepare_gadget("g", p)
         qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
-        total += qb.angle.t1
+        total += qb.angle >> 2
     assert abs(total / trials - 0.5) <= 0.03
 
 

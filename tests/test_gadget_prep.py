@@ -98,10 +98,10 @@ def test_1pn_transcript_carries_every_evaluated_table(n):
 class HelperGuessServer(HonestServer):
     """Answers basis tests honestly, except that it guesses r for the helper."""
 
-    def respond_basis_test(self, regs, table):
-        if regs == ["h0"]:  # the helper register of these tests
+    def respond_basis_test(self, reg, table):
+        if reg == "h0":  # the helper register of these tests
             return random_bits(self.rng, table.payload_len)
-        return super().respond_basis_test(regs, table)
+        return super().respond_basis_test(reg, table)
 
 
 @pytest.mark.parametrize("n", [1, 3])

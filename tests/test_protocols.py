@@ -112,7 +112,7 @@ def test_basis_test_honest_and_non_collapsing():
 
 def test_basis_test_catches_wrong_answer():
     class Guess(HonestServer):
-        def respond_basis_test(self, regs, table):
+        def respond_basis_test(self, reg, table):
             return "0" * table.payload_len
 
     o = RandomOracle(3)
@@ -128,7 +128,7 @@ def test_basis_test_catches_wrong_answer():
 @pytest.mark.parametrize("answer", ["0" * 7, "0" * 9, "0120" * 2, None])
 def test_basis_test_rejects_malformed_r(answer):
     class Malformed(HonestServer):
-        def respond_basis_test(self, regs, table):
+        def respond_basis_test(self, reg, table):
             return answer
 
     o = RandomOracle(3)

@@ -45,14 +45,7 @@ def test_qfac8_fails_closed_on_malformed_d(answer):
 def perfect_qubit(octant):
     s = 1 / math.sqrt(2)
     return qf.PreparedQubit(
-        s, s * cmath.exp(1j * qf.OCTANT * octant),
-        qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
-
-
-def test_angle_octant_decomposition():
-    a = qf.AngleOctant(1, 0, 1)
-    assert a.index == 5
-    assert abs(a.radians - 5 * math.pi / 4) < 1e-12
+        s, s * cmath.exp(1j * qf.OCTANT * octant), octant)
 
 
 def test_qfac8_prepares_the_claimed_plus_state():
@@ -63,12 +56,12 @@ def test_qfac8_prepares_the_claimed_plus_state():
 
 
 def test_qfac8_theta1_roughly_uniform():
-    t1 = [make_qfac(seed)[0].angle.t1 for seed in range(300)]
+    t1 = [make_qfac(seed)[0].angle >> 2 for seed in range(300)]
     assert 0.4 < sum(t1) / len(t1) < 0.6
 
 
 def test_qfac8_angles_hit_all_octants():
-    seen = {make_qfac(seed)[0].angle.index for seed in range(120)}
+    seen = {make_qfac(seed)[0].angle for seed in range(120)}
     assert seen == set(range(8))
 
 
@@ -91,7 +84,7 @@ def skewed_qubit(octant, t):
     """|alpha| = cos(t), |beta| = sin(t): an imperfect preparation."""
     return qf.PreparedQubit(
         math.cos(t), math.sin(t) * cmath.exp(1j * (qf.OCTANT * octant + t)),
-        qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
+        octant)
 
 
 def complex_qubit(octant, t):
@@ -100,7 +93,7 @@ def complex_qubit(octant, t):
     return qf.PreparedQubit(
         math.cos(t) * cmath.exp(1j * (0.9 - 2 * t)),
         math.sin(t) * cmath.exp(1j * (qf.OCTANT * octant + 0.4 + t)),
-        qf.AngleOctant((octant >> 2) & 1, (octant >> 1) & 1, octant & 1))
+        octant)
 
 
 # -- per-shot reference for the batched kernel -----------------------------
@@ -109,10 +102,9 @@ _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def ref_reblind(qubit, k):
-    idx = (qubit.angle.index + k) % 8
     return qf.PreparedQubit(
         qubit.alpha, qubit.beta * cmath.exp(1j * qf.OCTANT * k),
-        qf.AngleOctant((idx >> 2) & 1, (idx >> 1) & 1, idx & 1))
+        (qubit.angle + k) % 8)
 
 
 def ref_run(qubits, circuit_octants, r, u):
@@ -126,7 +118,7 @@ def ref_run(qubits, circuit_octants, r, u):
     deltas, outcomes, probs = [], [], []
     for i, phi in enumerate(circuit_octants):
         sign = -1 if x == 0 else 1
-        delta = (qubits[i].angle.index + sign * phi + 4 * r[i]) % 8
+        delta = (qubits[i].angle + sign * phi + 4 * r[i]) % 8
         deltas.append(delta)
 
         nxt = np.array([qubits[i + 1].alpha, qubits[i + 1].beta],
@@ -277,7 +269,7 @@ def test_reblind_shifts_angle_and_keeps_fidelity():
     for q, column, ks in zip(qubits, angles.T, shifts.T):
         for angle, k in zip(column, ks):
             shifted = ref_reblind(q, int(k))
-            assert shifted.angle.index == angle
+            assert shifted.angle == angle
             assert abs(abs(shifted.alpha) - abs(q.alpha)) < 1e-15
             assert abs(abs(shifted.beta) - abs(q.beta)) < 1e-15
             assert abs(shifted.fidelity_vs_angle()

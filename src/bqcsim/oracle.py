@@ -1,16 +1,17 @@
 """Lazily-sampled random oracle.
 
 The oracle is a keyed PRF: output bits for a query ``(input, out_len)`` are
-derived deterministically from ``(seed, input, out_len)`` with BLAKE2b, so
-two instances with equal seeds agree on every query. ``RandomOracle._prf``
-is that function, uncounted; it returns the output bits as one integer,
-and ``int_to_bits`` writes them as a {0,1} string. The table primitives call
-it directly and charge their queries themselves. Each instance keeps a
-bounded memo of the outputs it has computed: the server re-derives the tag
-and mask of every table row the client hashed when building it, so in gadget
-preparation and delegation a third to a half of all queries repeat one the
-same instance already answered. The memo holds at most ``_MEMO_LIMIT``
-entries and is cleared when full; it changes no output and no query count.
+derived deterministically from ``(seed, input, out_len)`` with BLAKE2b, so two
+instances with equal seeds agree on every query; each hash copies one shared
+empty BLAKE2b state, which is never updated. ``RandomOracle._prf`` is that
+function, uncounted; it returns the output bits as one integer, which
+``int_to_bits`` writes as a {0,1} string. The table primitives call it directly
+and charge their queries themselves. Each instance keeps a bounded memo of the
+outputs it has computed: the server re-derives the tag and mask of every table
+row the client hashed when building it, so in gadget preparation and delegation
+a third to a half of all queries repeat one the same instance already answered.
+The memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full; it
+changes no output and no query count.
 On top of the PRF the module provides:
 
 * superposed queries -- branch-wise append of ``H(prefix || v)`` to the
@@ -24,23 +25,13 @@ On top of the PRF the module provides:
 
 from __future__ import annotations
 
-from functools import cache
 from hashlib import blake2b
 
 from .bits import int_to_bits
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 _MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
-
-
-@cache
-def _shape(out_len: int) -> tuple[range, int, int]:
-    """Blocks after the first, digest bytes used, right shift.
-
-    Shared by every instance: only the hash-input prefix depends on the seed.
-    """
-    nbytes = -(-out_len // 8)
-    return range(1, -(-out_len // 256)), nbytes, 8 * nbytes - out_len
+_EMPTY = blake2b(digest_size=32)  # every hash copies it; it is never updated
 
 
 class RandomOracle:
@@ -49,7 +40,9 @@ class RandomOracle:
     def __init__(self, seed: int):
         self.seed = seed
         self.counters: dict[str, int] = {}
-        self._heads: dict[int, str] = {}  # out_len -> block-0 input prefix
+        # out_len -> (block-0 input prefix, blocks after the first, right
+        # shift of their whole digest); each hash copies the shared _EMPTY
+        self._heads: dict[int, tuple[str, range, int]] = {}
         self._memo: dict[str, int] = {}  # block-0 hash input -> output bits
 
     # -- raw PRF -----------------------------------------------------------
@@ -69,16 +62,20 @@ class RandomOracle:
         if head is None:
             # the fixed "0" field is part of the domain: every output depends
             # on it, so it stays even though nothing varies it
-            head = self._heads[out_len] = f"{self.seed}|0|{out_len}|0|"
-        key = head + inp
+            head = self._heads[out_len] = (
+                f"{self.seed}|0|{out_len}|0|", range(1, -(-out_len // 256)),
+                -out_len % 256)
+        key = head[0] + inp
         out = self._memo.get(key)
         if out is None:
-            more_blocks, nbytes, shift = _shape(out_len)
-            h = blake2b(key.encode(), digest_size=32).digest()
-            for b in more_blocks:
-                h += blake2b(f"{self.seed}|0|{out_len}|{b}|{inp}".encode(),
-                             digest_size=32).digest()
-            out = int.from_bytes(h[:nbytes], "big") >> shift
+            h = _EMPTY.copy()
+            h.update(key.encode())
+            digest = h.digest()
+            for b in head[1]:
+                h = _EMPTY.copy()
+                h.update(f"{self.seed}|0|{out_len}|{b}|{inp}".encode())
+                digest += h.digest()
+            out = int.from_bytes(digest, "big") >> head[2]
             if len(self._memo) >= _MEMO_LIMIT:
                 self._memo.clear()
             self._memo[key] = out

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 from .bits import apply_perm, int_to_bits, random_bits
@@ -131,19 +130,23 @@ def _row_opener(oracle, table: LookupTable, passes: int):
 
     Each pass costs the server one superposed query per row check and one
     per payload unmask. The opener maps a branch key to (payload as an int,
-    width) of the row it opens, hashing each distinct key once, and raises
-    UndecryptableBranch if no row opens.
+    width) of the row it opens, hashing each distinct key once (a plain dict
+    of this pass keeps them), and raises UndecryptableBranch if none opens.
     """
     oracle.count("server", 2 * passes * len(table.rows))
     prf = oracle._prf
     rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
              int(r.ct, 2)) for r in table.rows]
+    opened: dict[str, tuple[int, int]] = {}
 
-    @cache
     def open_row(key: str) -> tuple[int, int]:
+        got = opened.get(key)
+        if got is not None:
+            return got
         for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
             if prf(tag_pad + key, tag_len) == tag:
-                return prf(ct_pad + key, n) ^ ct, n
+                got = opened[key] = prf(ct_pad + key, n) ^ ct, n
+                return got
         raise UndecryptableBranch("no row opens under branch key")
 
     return open_row

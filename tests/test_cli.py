@@ -1,6 +1,7 @@
 """CLI: exit codes, output files, config handling, replay determinism."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -259,20 +260,41 @@ def test_golden_digests(tmp_path, name):
     assert got == want
 
 
+# Runs each argv list (JSON, from argv[1]) through the module's __main__
+# entry point in this one interpreter; prints the exit codes as JSON.
+GOLDEN_RUNNER = """
+import json, runpy, sys
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["bqcsim.cli", *argv]
+    try:
+        runpy.run_module("bqcsim.cli", run_name="__main__")
+        codes.append(None)
+    except SystemExit as e:
+        codes.append(e.code)
+print(json.dumps(codes))
+"""
+
+
 @pytest.mark.parametrize("hashseed", ["1", "2"])
 def test_golden_digests_independent_of_hash_seed(tmp_path, hashseed):
-    # string hashing is randomized per process; no output may depend on it
+    # string hashing is randomized per process; no output may depend on it.
+    # One interpreter per hash seed runs every GOLDEN command.
     circ = tmp_path / "circ.txt"
     circ.write_text("1 3 6\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": hashseed,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for name, (argv, want) in sorted(GOLDEN.items()):
-        out = tmp_path / name
-        argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
-        subprocess.run([sys.executable, "-m", "bqcsim.cli", *argv,
-                        "--out", str(out)], env=env, check=True)
+    names = sorted(GOLDEN)
+    argvs = [[str(circ) if a == "CIRCUIT" else a for a in GOLDEN[name][0]]
+             + ["--out", str(tmp_path / name)] for name in names]
+    proc = subprocess.run(
+        [sys.executable, "-c", GOLDEN_RUNNER, json.dumps(argvs)], env=env,
+        check=True, stdout=subprocess.PIPE, text=True)
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert dict(zip(names, codes)) == dict.fromkeys(names, 0)
+    for name in names:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in out.iterdir()}
-        assert got == want, name
+               for f in (tmp_path / name).iterdir()}
+        assert got == GOLDEN[name][1], name

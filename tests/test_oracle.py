@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bqcsim import tables
+from bqcsim import oracle, tables
 from bqcsim.bits import int_to_bits
 from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
 from bqcsim.state import SparseState
@@ -25,21 +25,31 @@ def reference_prf(seed, salt, out_len, inp):
 
 
 def test_matches_reference_construction():
-    # lengths around the 8-bit byte and the 256-bit block boundaries
-    lengths = (0, 1, 7, 8, 40, 63, 255, 256, 257, 300, 512, 513)
+    # lengths around the 8-bit byte and the 256-bit block boundaries, asked
+    # shuffled and interleaved across inputs, so each seed builds its
+    # per-length records in a different order; 0 is asked after the others
+    lengths = (1, 7, 8, 40, 63, 255, 256, 257, 300, 512, 513)
+    inputs = ("", "0", "0110", "1" * 97)
+    orders = set()
     for seed in (0, 1234, 2**64 - 1):
         o = RandomOracle(seed)
-        for inp in ("", "0", "0110", "1" * 97):
-            for n in lengths:
-                # the second read comes from the memo
-                for _ in range(2):
-                    assert (int_to_bits(o._prf(inp, n), n)
-                            == reference_prf(seed, 0, n, inp))
+        queries = [(inp, n) for inp in inputs for n in lengths]
+        random.Random(seed).shuffle(queries)
+        for inp, n in queries + [(inp, 0) for inp in inputs]:
+            # the second read comes from the memo
+            for _ in range(2):
+                assert (int_to_bits(o._prf(inp, n), n)
+                        == reference_prf(seed, 0, n, inp))
+        orders.add(tuple(o._heads))
         assert (o.query_classical("0110", 40)
                 == reference_prf(seed, 0, 40, "0110"))
         # global tags live on the "#" domain of the same construction
         for x in ("1", "0110", "01" * 150):
             assert o.tag(x) == reference_prf(seed, 0, 2 * len(x), "#" + x)
+    assert len(orders) == 3
+    # every hash copies the shared empty state; none may update it
+    assert (oracle._EMPTY.digest()
+            == hashlib.blake2b(b"", digest_size=32).digest())
 
 
 def test_memo_stays_bounded_and_transparent():

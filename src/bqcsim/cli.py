@@ -27,8 +27,7 @@ from .protocols import ProtocolParams, basis_test_multi, combine, pad_hadamard
 
 DEFAULTS = {
     # protocol parameters
-    "pad_len": 8, "kappa_out": 16, "test_rounds": 2, "kappa": 8,
-    "key_width": 6,
+    "pad_len": 8, "kappa_out": 16, "test_rounds": 2, "key_width": 6,
     # pipeline shape
     "L": 8, "N": 2, "pad_base": 4, "J": 1,
     # experiment sizes
@@ -82,12 +81,11 @@ def make_params(cfg: dict) -> ProtocolParams:
                           test_rounds=cfg["test_rounds"])
 
 
-def make_pipeline(cfg: dict, mode: str) -> gp.PipelineConfig:
+def make_pipeline(cfg: dict) -> gp.PipelineConfig:
     pipeline = gp.PipelineConfig(
-        kappa=cfg["kappa"], L=cfg["L"], N=cfg["N"],
-        key_width=cfg["key_width"], kappa_out=cfg["kappa_out"],
-        pad_base=cfg["pad_base"], J=cfg["J"],
-        test_rounds=cfg["test_rounds"], mode=mode,
+        L=cfg["L"], N=cfg["N"], key_width=cfg["key_width"],
+        kappa_out=cfg["kappa_out"], pad_base=cfg["pad_base"], J=cfg["J"],
+        test_rounds=cfg["test_rounds"],
     )
     try:
         pipeline.rounds()
@@ -108,7 +106,7 @@ def write_out(args, name: str, content: str) -> None:
 # -- run -------------------------------------------------------------------
 
 
-def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
+def _run_protocol(name: str, cfg: dict, seed: int):
     """Returns (Transcript, stage reports)."""
     oracle = RandomOracle(seed)
     server = HonestServer(oracle, seed=seed + 1)
@@ -150,7 +148,7 @@ def _run_protocol(name: str, cfg: dict, mode: str, seed: int):
                                              server, rng)
         return tr, reps
     if name == "gdgprep-full":
-        pipeline = make_pipeline(cfg, mode)
+        pipeline = make_pipeline(cfg)
         _, tr, reps = gp.gdgprep_full(oracle, pipeline, server, rng)
         return tr, reps
     if name == "qfac8":
@@ -169,7 +167,7 @@ RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
 
 def cmd_run(args) -> int:
     cfg = load_config(args)
-    tr, reports = _run_protocol(args.protocol, cfg, args.mode, args.seed)
+    tr, reports = _run_protocol(args.protocol, cfg, args.seed)
     write_out(args, f"{args.protocol}.log", tr.serialize())
     if reports:
         lines = ["stage\tin\tout\thelpers\tverdict\tqueries"]
@@ -234,7 +232,7 @@ def cmd_ubqc(args) -> int:
     circuit = parse_circuit(path)
     shots = cfg["shots"]
 
-    pipeline = make_pipeline(cfg, args.mode)
+    pipeline = make_pipeline(cfg)
     if pipeline.L < len(circuit) + 1:
         raise ConfigError(
             f"pipeline L={pipeline.L} too small for {len(circuit)} gates")
@@ -264,10 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale blind-quantum-computation protocol simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, mode: bool):
+    def common(p):
         p.add_argument("--seed", type=int, required=True)
-        if mode:  # only the pipeline reads it: paper mode logs paper_values
-            p.add_argument("--mode", choices=("toy", "paper"), default="toy")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -275,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a protocol honestly")
     p.add_argument("protocol", choices=RUN_PROTOCOLS)
-    common(p, mode=True)
+    common(p)
 
     p = sub.add_parser("attack", help="run an adversary experiment")
     p.add_argument("attack", choices=ATTACKS)
     p.add_argument("--trials", type=int, default=200)
-    common(p, mode=False)
+    common(p)
 
     p = sub.add_parser("ubqc", help="delegate a circuit end to end")
     p.add_argument("circuit", help="file of measurement octants (0-7)")
-    common(p, mode=True)
+    common(p)
     return ap
 
 

@@ -64,15 +64,14 @@ class StageReport:
 
 @dataclass
 class PipelineConfig:
-    """Toy-scale pipeline parameters; everything explicit.
+    """Pipeline shape and widths.
 
-    In "paper" mode the asymptotic defaults (eta = kappa^(B4+6),
-    N = kappa * threshold, T = ceil(log(L/N)), J = eta, with B4 = threshold
-    = 1) are computed and logged, but the run still uses the explicit
-    values: the asymptotic numbers are proof-driven and astronomically large.
+    ``N`` initial gadgets of ``key_width`` bits double over ``rounds()``
+    rounds to ``L`` output gadgets; each refresh consumes ``J`` gadgets.
+    Round t (from 1) pads with ``pad_base * t`` bits, outputs ``kappa_out``-bit
+    keys and runs ``test_rounds`` basis tests per input.
     """
 
-    kappa: int = 8
     L: int = 8
     N: int = 2
     key_width: int = 4
@@ -80,25 +79,12 @@ class PipelineConfig:
     pad_base: int = 4
     J: int = 1
     test_rounds: int = 1
-    mode: str = "toy"
 
     def rounds(self) -> int:
         t = math.log2(self.L / self.N)
         if abs(t - round(t)) > 1e-9 or t < 0:
             raise ValueError("L/N must be a power of two")
         return int(round(t))
-
-    def paper_values(self) -> dict:
-        b4 = threshold = 1
-        eta = self.kappa ** (b4 + 6)
-        n = self.kappa * threshold
-        return {
-            "eta": eta,
-            "N": n,
-            "T": math.ceil(math.log2(max(self.L / max(n, 1), 1))) or 1,
-            "J": eta,
-            "test_rounds": 15000 * 3 ** (8 * max(1, self.kappa.bit_length())),
-        }
 
     def params_for_round(self, t: int) -> ProtocolParams:
         return ProtocolParams(
@@ -293,8 +279,6 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     tr = Transcript()
     reports: list[StageReport] = []
     t_rounds = config.rounds()
-    if config.mode == "paper":
-        tr.send("client", "gp.paper_values", str(config.paper_values()))
 
     # the single quantum message: every gadget the pipeline will consume
     server_q0 = oracle.counters.get("server", 0)

@@ -8,7 +8,7 @@ override individual responses (see :mod:`bqcsim.adversary`).
 Every run appends its messages to a :class:`Transcript`, which serializes to
 tab-separated records so equal seeds replay byte-identically. A record
 usually takes one line, but table payloads contain newlines, so a record
-may span several lines (ROADMAP item 3 moves transcripts to JSON Lines).
+may span several lines (the ROADMAP moves transcripts to JSON Lines).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .bits import dot
 from .gadget_prep import Gadget, PipelineConfig, gdgprep_full
 from .protocols import (ProtocolParams, Transcript, basis_test_multi,
                         is_bitstring)
+from .state import EntangledDiscardError
 
 OCTANT = math.pi / 4
 
@@ -40,18 +41,13 @@ class PreparedQubit:
     beta: complex
     angle: int  # the octant k of theta = k*pi/4, 4*t1 + 2*t2 + t3
 
-    def fidelity_vs_angle(self) -> float:
-        """Overlap with the ideal (|0> + exp(i*theta)|1>)/sqrt(2)."""
-        target = cmath.exp(1j * OCTANT * self.angle)
-        return abs(self.alpha + target.conjugate() * self.beta) ** 2 / 2
-
 
 def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     """One gadget -> one 8-basis qubit on the server.
 
-    Returns (PreparedQubit | None, Transcript). The finished qubit is
-    unentangled from the rest of the server state, so it is extracted into
-    explicit amplitudes for the computation layer.
+    Returns (PreparedQubit | None, Transcript). The finished qubit must be
+    unentangled from the rest of the server state: it is extracted into
+    explicit amplitudes for the computation layer, or the run fails.
     """
     tr = Transcript()
     pair, reg = gadget
@@ -75,8 +71,12 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
         return None, tr
 
     t1 = dot(d, pair.delta())
+    try:
+        g = server.state.discard_register(idx_reg)
+    except (KeyError, EntangledDiscardError) as e:
+        tr.finish(False, f"hand-off: {e.args[0]}")
+        return None, tr
     tr.finish(True)
-    g = server.state.discard_register(idx_reg)
     alpha, beta = g.get("0", 0j), g.get("1", 0j)
     return PreparedQubit(alpha, beta, 4 * t1 + 2 * t2 + t3), tr
 

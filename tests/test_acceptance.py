@@ -18,6 +18,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import (HonestServer, ProtocolParams, basis_test_multi,
                               combine, pad_hadamard)
 from bqcsim.state import SparseState, gadget_state
+from conftest import fidelity_vs_angle
 
 EXACT = 1 - 1e-9
 
@@ -116,7 +117,7 @@ def test_honest_exact_qfac8():
     p = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", p)
     qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
-    assert tr.passed and qb.fidelity_vs_angle() >= EXACT
+    assert tr.passed and fidelity_vs_angle(qb) >= EXACT
 
 
 # -- criterion: gadget arithmetic ------------------------------------------
@@ -220,7 +221,7 @@ def test_qfac8_500_runs_exact():
         reg = srv.prepare_gadget("g", p)
         qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
         assert tr.passed
-        assert qb.fidelity_vs_angle() >= EXACT
+        assert fidelity_vs_angle(qb) >= EXACT
         # theta1 is exactly the parity the protocol defines
         d = [m for m in tr.messages if m[1] == "qf.d"][-1][2]
         assert qb.angle >> 2 == dot(d, p.delta())

@@ -156,16 +156,48 @@ def test_ubqc_seed_replay_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_mode_only_for_run_and_ubqc(tmp_path):
+# For each config key, a command and a value other than its default that
+# change the command's output bytes: no key is inert.
+KEY_PROBES = {
+    "pad_len": ("run pad-hadamard", 5),
+    "kappa_out": ("run pad-hadamard", 12),
+    "test_rounds": ("run basis-test", 3),
+    "key_width": ("run pad-hadamard", 5),
+    "L": ("run gdgprep-full", 4),
+    "N": ("run gdgprep-full", 4),
+    "pad_base": ("run gdgprep-full", 3),
+    "J": ("run gdgprep-full", 2),
+    "shots": ("ubqc CIRCUIT", 10),
+    "guesses": ("attack free-lunch-permuted --trials 20 --set kappa_out=2",
+                0),
+}
+
+
+def test_no_config_key_is_inert(tmp_path):
+    assert set(KEY_PROBES) == set(DEFAULTS)
     circ = tmp_path / "circ.txt"
-    circ.write_text("3\n")
-    for command in (["run", "pad-hadamard"],
-                    ["ubqc", str(circ), "--set", "shots=10", "--set", "L=2"]):
-        assert run(command + ["--seed", "1", "--out", str(tmp_path),
-                              "--mode", "paper"]) == 0
-    assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials", "5",
-                "--out", str(tmp_path), "--mode", "paper"]) == 2
-    assert not (tmp_path / "hadamard-cheat.tsv").exists()
+    circ.write_text("1 3 6\n")
+
+    def outputs(argv, out):
+        argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    for key, (command, value) in KEY_PROBES.items():
+        argv = command.split()
+        base = outputs(argv, tmp_path / key / "default")
+        changed = outputs(argv + ["--set", f"{key}={value}"],
+                          tmp_path / key / "set")
+        assert changed != base, key
+
+    cfg = tmp_path / "kappa.txt"
+    cfg.write_text("kappa=8\n")
+    out = tmp_path / "rejected"
+    for argv in (["run", "gdgprep-full", "--mode", "paper"],
+                 ["ubqc", str(circ), "--mode", "toy"],
+                 ["run", "gdgprep-full", "--config", str(cfg)]):
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,setting", [

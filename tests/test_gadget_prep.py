@@ -206,12 +206,6 @@ def test_pipeline_config_rounds():
         gp.PipelineConfig(L=6, N=2).rounds()
 
 
-def test_pipeline_config_paper_values():
-    vals = gp.PipelineConfig(kappa=8).paper_values()
-    assert vals["eta"] == 8 ** 7
-    assert vals["J"] == vals["eta"]
-
-
 @pytest.mark.parametrize("n,l", [(2, 4), (2, 8), (1, 4)])
 def test_full_pipeline_exact(n, l):
     o = RandomOracle(1000 + l * 10 + n)

@@ -12,6 +12,7 @@ from bqcsim import qfactory as qf
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
+from conftest import fidelity_vs_angle
 
 
 def make_qfac(seed, width=5):
@@ -42,6 +43,39 @@ def test_qfac8_fails_closed_on_malformed_d(answer):
     assert (tr.verdict, tr.fail_reason) == ("fail", "malformed d")
 
 
+class NoMeasure(HonestServer):
+    """Answers with a well-formed d but leaves the key register unmeasured,
+    so the prepared qubit stays entangled with it."""
+
+    def phase_and_measure(self, reg, ptable):
+        return "0" * self.state.width(reg)
+
+
+class NoIndexRegister(HonestServer):
+    """Never creates the register that should hold the prepared qubit."""
+
+    def derive_index_register(self, reg, ptable, idx_reg):
+        return idx_reg
+
+
+HAND_OFF_CHEATS = [(NoMeasure, "hand-off: entangled discard"),
+                   (NoIndexRegister, "hand-off: no register named 'qb1'")]
+
+
+@pytest.mark.parametrize("server_cls,reason", HAND_OFF_CHEATS)
+def test_qfac8_fails_closed_when_the_qubit_cannot_be_handed_off(server_cls,
+                                                               reason):
+    o = RandomOracle(3)
+    srv = server_cls(o, seed=4)
+    rng = random.Random(5)
+    params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=1)
+    pair = sample_key_pair(rng, 5)
+    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
+                      srv, rng)
+    assert qb is None
+    assert (tr.verdict, tr.fail_reason) == ("fail", reason)
+
+
 def perfect_qubit(octant):
     s = 1 / math.sqrt(2)
     return qf.PreparedQubit(
@@ -52,7 +86,7 @@ def test_qfac8_prepares_the_claimed_plus_state():
     for seed in range(40):
         qb, tr = make_qfac(seed)
         assert tr.passed, tr.fail_reason
-        assert qb.fidelity_vs_angle() > 1 - 1e-9
+        assert fidelity_vs_angle(qb) > 1 - 1e-9
 
 
 def test_qfac8_theta1_roughly_uniform():
@@ -272,9 +306,9 @@ def test_reblind_shifts_angle_and_keeps_fidelity():
             assert shifted.angle == angle
             assert abs(abs(shifted.alpha) - abs(q.alpha)) < 1e-15
             assert abs(abs(shifted.beta) - abs(q.beta)) < 1e-15
-            assert abs(shifted.fidelity_vs_angle()
-                       - q.fidelity_vs_angle()) < 1e-12
-    assert abs(qubits[0].fidelity_vs_angle() - 1) < 1e-12
+            assert abs(fidelity_vs_angle(shifted)
+                       - fidelity_vs_angle(q)) < 1e-12
+    assert abs(fidelity_vs_angle(qubits[0]) - 1) < 1e-12
 
 
 def test_succ_ubqc_end_to_end():
@@ -318,3 +352,17 @@ def test_succ_ubqc_keeps_the_qfactory_fail_reason():
     assert (ones, deltas) == (None, [])
     assert (tr.verdict, tr.fail_reason) == ("fail", "qfactory: malformed d")
     assert tr.messages[-1] == ("server", "qf.d", "01x10")
+
+
+@pytest.mark.parametrize("server_cls", [cls for cls, _ in HAND_OFF_CHEATS])
+def test_succ_ubqc_fails_closed_when_the_qubit_cannot_be_handed_off(
+        server_cls):
+    from bqcsim.gadget_prep import PipelineConfig
+
+    o = RandomOracle(21)
+    srv = server_cls(o, seed=22)
+    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
+    assert (ones, deltas) == (None, [])
+    assert tr.verdict == "fail"
+    assert tr.fail_reason.startswith("qfactory: hand-off: ")

@@ -156,23 +156,24 @@ class HonestServer:
 
     # -- 8-basis qfactory --------------------------------------------------
 
-    def derive_index_register(self, reg: str, ptable, idx_reg: str) -> str:
-        """Branch index bit from which phase-table row opens (x0 row first)."""
-        row0 = ptable.table.rows[0]
+    def respond_phase_table(self, reg: str, table, qubit_reg: str) -> str:
+        """Turn the gadget into the qubit ``qubit_reg`` and return ``d``.
+
+        The qubit holds each branch's index, 0 where the phase table's
+        first row (the x0 row) opens; the table then phases the gadget
+        register, which is Hadamard-measured into ``d``.
+        """
+        row0 = table.rows[0]
         tag0 = int(row0.tag, 2)
         self.oracle.count("server", 2)
 
-        def fn(old: str, val: str) -> str:
+        def index(old: str, val: str) -> str:
             t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
             return "0" if t == tag0 else "1"
 
-        self.state.add_register(idx_reg, "0")
-        self.state.map_register(idx_reg, fn, keys=[reg])
-        return idx_reg
-
-    def phase_and_measure(self, reg: str, ptable) -> str:
-        """Apply the phase table, then Hadamard-measure the key register."""
-        tables.phase_eval(self.oracle, self.state, reg, ptable)
+        self.state.add_register(qubit_reg, "0")
+        self.state.map_register(qubit_reg, index, keys=[reg])
+        tables.phase_eval(self.oracle, self.state, reg, table)
         return self.state.measure_hadamard(reg, self.rng)
 
 

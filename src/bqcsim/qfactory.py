@@ -58,21 +58,22 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
         return None, tr
 
     t2, t3 = rng.randrange(2), rng.randrange(2)
-    ptable = tables.phase_lt_build(oracle, pair, 2 * t2 + t3, 4,
+    ptable = tables.phase_lt_build(oracle, pair, 2 * t2 + t3,
                                    params.pad_len, rng)
-    tr.send("client", "qf.phase_table", tables.serialize_table(ptable.table))
+    tr.send("client", "qf.phase_table", tables.serialize_table(ptable))
 
-    idx_reg = server.state.fresh_name("qb")
-    server.derive_index_register(reg, ptable, idx_reg)
-    d = server.phase_and_measure(reg, ptable)
+    qubit_reg = f"{reg}_q"
+    d = server.respond_phase_table(reg, ptable, qubit_reg)
     tr.send("server", "qf.d", d)
     if not is_bitstring(d, pair.width):
         tr.finish(False, "malformed d")
         return None, tr
 
     t1 = dot(d, pair.delta())
+    # the one simulator step outside the protocol: the qubit leaves the
+    # server state as amplitudes for the computation layer
     try:
-        g = server.state.discard_register(idx_reg)
+        g = server.state.discard_register(qubit_reg)
     except (KeyError, EntangledDiscardError) as e:
         tr.finish(False, f"hand-off: {e.args[0]}")
         return None, tr

@@ -21,12 +21,12 @@ the product, so it is meant for tests and small states.
 Every coherent evaluation (oracle queries, table decryption, pads) is one
 reversible value map, :meth:`SparseState.map_register`: a register's value
 becomes a function of itself and of the concatenated values of key
-registers, and the function is evaluated once per distinct pair of values,
-however many branches share it. A map under which two branches would meet
-is refused, so every map is unitary. Both measurements draw their outcome
-with one ``rng.random()`` through the same inverse-CDF sampler, and
-discarding a register factors it out of the amplitudes grouped by the other
-registers' values.
+registers, evaluated once per branch of the components that hold those
+registers, never over the whole product. A map under which two branches
+would meet is refused, so every map is unitary. Both measurements draw
+their outcome with one ``rng.random()`` through the same inverse-CDF
+sampler, and discarding a register factors it out of the amplitudes grouped
+by the other registers' values.
 
 The one non-obvious primitive is :meth:`SparseState.measure_hadamard`. A
 register can be hundreds of bits wide, so the outcome ``d`` is never sampled
@@ -202,13 +202,6 @@ class SparseState:
         """
         return self._product([n for n, _ in self.registers])
 
-    @branches.setter
-    def branches(self, value: dict[tuple[str, ...], complex]) -> None:
-        """Replace the state by a unit-norm map keyed in ``registers`` order."""
-        comp = _Component([n for n, _ in self.registers], dict(value))
-        self._where = dict.fromkeys(comp.names, comp)
-        self._refactor(comp)
-
     def _product(self, names: list[str]) -> "_Product":
         """The product of the components holding ``names``.
 
@@ -281,11 +274,11 @@ class SparseState:
 
         ``key`` is the concatenation of the values of the ``keys`` registers
         ("" without keys). ``fn`` must be pure: it is called once per
-        distinct (dst value, key) pair, in branch order, and its image is
-        reused for every branch with that pair. Every image must be
-        ``width`` bits wide (default: the width of dst). The map must be
-        reversible on the branches present: if two of them would meet, it
-        raises ValueError and the state is left as it was.
+        branch of the components that hold dst and the keys registers, in
+        branch order. Every image must be ``width`` bits wide (default: the
+        width of dst). The map must be reversible on the branches present:
+        if two of them would meet, it raises ValueError and the state is
+        left as it was.
         """
         order, w = self._reg(dst)
         if width is not None:
@@ -293,16 +286,12 @@ class SparseState:
         comp = self._joined([dst, *keys])
         d = comp.names.index(dst)
         ki = [comp.names.index(r) for r in keys]
-        images: dict[tuple[str, str], str] = {}
         new: dict[tuple[str, ...], complex] = {}
         for k, v in comp.branches.items():
-            arg = (k[d], "".join([k[i] for i in ki]))
-            nv = images.get(arg)
-            if nv is None:
-                nv = images[arg] = fn(*arg)
-                if len(nv) != w:
-                    raise ValueError(f"map_register: image width {len(nv)}, "
-                                     f"expected {w}")
+            nv = fn(k[d], "".join([k[i] for i in ki]))
+            if len(nv) != w:
+                raise ValueError(f"map_register: image width {len(nv)}, "
+                                 f"expected {w}")
             new[k[:d] + (nv,) + k[d + 1:]] = v
         if len(new) < len(comp.branches):
             raise ValueError("map_register: two branches map onto the same "

@@ -10,15 +10,18 @@ the integer hashes of ``RandomOracle._prf`` and charge their queries with
 ``oracle.count``. On top of single rows the module builds plain lookup
 tables, reversible (forward + backward) tables, the branching two-gadget
 reversible table with its secret output permutation (a reversible table
-whose rows are also keyed by a helper gadget), and phase tables.
+whose rows are also keyed by a helper gadget), and phase tables (plain
+lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
 Server-side evaluation is one SparseState call per step. Four evaluators
-share one private row opener, which charges the passes, parses the rows
-once and opens each key once: ``lt_eval_coherent`` XORs the payload into a
-register, ``lt_append_coherent`` appends it, ``lt_measure_coherent``
-measures it and ``phase_eval`` phases by it; the last two are charged as the
-compute and uncompute passes of the server's circuit. ``rev_eval`` runs
-reversible tables, plain or branching, with controls that stay in place.
+share one private row opener, which charges the passes and parses the rows
+once; it opens a row for every branch it is asked about, and a key it has
+seen before is answered by ``RandomOracle``'s memo, the one cache on this
+path. ``lt_eval_coherent`` XORs the payload into a register,
+``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it and
+``phase_eval`` phases by it; the last two are charged as the compute and
+uncompute passes of the server's circuit. ``rev_eval`` runs reversible
+tables, plain or branching, with controls that stay in place.
 """
 
 from __future__ import annotations
@@ -59,12 +62,6 @@ class LookupTable:
 class ReversibleTable:
     forward: LookupTable
     backward: LookupTable
-
-
-@dataclass
-class PhaseTable:
-    table: LookupTable
-    denominator: int
 
 
 # -- row primitives --------------------------------------------------------
@@ -129,24 +126,20 @@ def _row_opener(oracle, table: LookupTable, passes: int):
     """Charge ``passes`` coherent passes over ``table``; return its row opener.
 
     Each pass costs the server one superposed query per row check and one
-    per payload unmask. The opener maps a branch key to (payload as an int,
-    width) of the row it opens, hashing each distinct key once (a plain dict
-    of this pass keeps them), and raises UndecryptableBranch if none opens.
+    per payload unmask. The rows are parsed to integers once. The opener
+    maps a branch key to (payload as an int, width) of the row it opens,
+    and raises UndecryptableBranch if none opens; a key opened again is
+    answered by the oracle's memo, not by a cache here.
     """
     oracle.count("server", 2 * passes * len(table.rows))
     prf = oracle._prf
     rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
              int(r.ct, 2)) for r in table.rows]
-    opened: dict[str, tuple[int, int]] = {}
 
     def open_row(key: str) -> tuple[int, int]:
-        got = opened.get(key)
-        if got is not None:
-            return got
         for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
             if prf(tag_pad + key, tag_len) == tag:
-                got = opened[key] = prf(ct_pad + key, n) ^ ct, n
-                return got
+                return prf(ct_pad + key, n) ^ ct, n
         raise UndecryptableBranch("no row opens under branch key")
 
     return open_row
@@ -279,31 +272,29 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
 # -- phase tables ----------------------------------------------------------
 
 
-def phase_lt_build(oracle, pair: KeyPair, n: int, denominator: int,
-                   pad_len: int, rng) -> PhaseTable:
-    """Table realizing the relative phase exp(i*pi*n/D) on a gadget.
+def phase_lt_build(oracle, pair: KeyPair, n: int, pad_len: int,
+                   rng) -> LookupTable:
+    """Table realizing the relative phase exp(i*pi*n/4) on a gadget.
 
-    The secret offset m is sampled from [0, D); payloads are m and m + n
+    The secret offset m is sampled from [0, 4); payloads are m and m + n
     without modular reduction so the evaluated phases are exact for every
     m. The x0 row comes first, which lets the evaluating server derive the
     branch index from which row opens.
     """
-    m = rng.randrange(denominator)
-    width = max((2 * denominator - 1).bit_length(),
-                (denominator - 1 + n).bit_length())
+    m = rng.randrange(4)
+    width = max((2 * 4 - 1).bit_length(), (4 - 1 + n).bit_length())
     rows = [enc(oracle, pair[b], format(m + b * n, f"0{width}b"), pad_len,
                 pad_len, rng) for b in (0, 1)]
-    return PhaseTable(LookupTable(rows, width, pair.width), denominator)
+    return LookupTable(rows, width, pair.width)
 
 
-def phase_eval(oracle, state, reg: str, ptable: PhaseTable) -> None:
-    """Phase each branch by exp(i*pi*p/D), p the payload its reg value opens.
+def phase_eval(oracle, state, reg: str, table: LookupTable) -> None:
+    """Phase each branch by exp(i*pi*p/4), p the payload its reg value opens.
 
     One phase map on reg; fails closed like :func:`lt_measure_coherent`.
     """
-    open_row = _row_opener(oracle, ptable.table, 2)
-    state.apply_phase_per_branch(
-        reg, lambda v: math.pi * open_row(v)[0] / ptable.denominator)
+    open_row = _row_opener(oracle, table, 2)
+    state.apply_phase_per_branch(reg, lambda v: math.pi * open_row(v)[0] / 4)
 
 
 def serialize_table(table: LookupTable) -> str:

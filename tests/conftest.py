@@ -4,11 +4,19 @@ import cmath
 import math
 
 from bqcsim.qfactory import OCTANT
+from bqcsim.state import _Component
 
 
 def norm(state) -> float:
     """The norm of a SparseState, over the whole product of its components."""
     return math.sqrt(sum(abs(a) ** 2 for a in state.branches.values()))
+
+
+def set_branches(state, mapping) -> None:
+    """Replace a SparseState by a unit-norm map, keyed in register order."""
+    comp = _Component([n for n, _ in state.registers], dict(mapping))
+    state._where = dict.fromkeys(comp.names, comp)
+    state._refactor(comp)
 
 
 def fidelity_vs_angle(qb) -> float:

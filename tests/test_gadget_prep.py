@@ -230,6 +230,44 @@ def test_full_pipeline_single_quantum_message():
     assert init and init[0] == 0
 
 
+class ZeroTailAt(HonestServer):
+    """Honest, except that its k-th padded Hadamard answer (from 1) has an
+    all-zero tail, which the client rejects."""
+
+    def __init__(self, oracle, k, seed=0):
+        super().__init__(oracle, seed)
+        self.left = k
+
+    def respond_pad_hadamard(self, reg, pad, kappa_out):
+        d = super().respond_pad_hadamard(reg, pad, kappa_out)
+        self.left -= 1
+        return d[:-kappa_out] + "0" * kappa_out if self.left == 0 else d
+
+
+@pytest.mark.parametrize("k, reason, last_reports", [
+    # a round-1 helper: 1pn -> logk -> repeat -> oneround -> full
+    (1, "1pn: pad hadamard", [("1pn", "fail")]),
+    # oneround's refresh: refresh -> oneround -> full
+    (3, "refresh: pad hadamard", [("repeat", "pass"), ("refresh", "fail")]),
+    # the round's second refresh: refresh -> full
+    (4, "refresh: pad hadamard", [("oneround", "pass"), ("refresh", "fail")]),
+    # a round-2 helper, after a whole round passed
+    (5, "1pn: pad hadamard", [("refresh", "pass"), ("1pn", "fail")]),
+])
+def test_full_pipeline_fails_closed_through_every_stage(k, reason,
+                                                        last_reports):
+    o = RandomOracle(1)
+    srv = ZeroTailAt(o, k, seed=2)
+    out, tr, reps = gp.gdgprep_full(o, gp.PipelineConfig(L=8, N=2), srv,
+                                    random.Random(3))
+    assert out == []
+    assert (tr.verdict, tr.fail_reason) == ("fail", f"{reason}: all-zero tail")
+    assert [(r.stage, r.verdict) for r in reps[-2:]] == last_reports
+    # the rejected answer is the last record: the client sent nothing after
+    assert tr.messages[-1][:2] == ("server", "ph.d")
+    assert sum(t == "ph.d" for _, t, _ in tr.messages) == k
+
+
 def test_stage_report_line_format():
     r = gp.StageReport("basic", 2, 2, 1, "pass", 10)
     assert r.line() == "basic\t2\t2\t1\tpass\t10"

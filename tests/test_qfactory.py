@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bqcsim import qfactory as qf
+from bqcsim import tables
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
@@ -28,8 +29,8 @@ def make_qfac(seed, width=5):
 @pytest.mark.parametrize("answer", [None, 5, "0101", "01x10"])
 def test_qfac8_fails_closed_on_malformed_d(answer):
     class BadD(HonestServer):
-        def phase_and_measure(self, reg, ptable):
-            super().phase_and_measure(reg, ptable)
+        def respond_phase_table(self, reg, table, qubit_reg):
+            super().respond_phase_table(reg, table, qubit_reg)
             return answer
 
     o = RandomOracle(3)
@@ -43,23 +44,53 @@ def test_qfac8_fails_closed_on_malformed_d(answer):
     assert (tr.verdict, tr.fail_reason) == ("fail", "malformed d")
 
 
+class WrongR(HonestServer):
+    """Flips the first bit of every basis-test answer."""
+
+    def respond_basis_test(self, reg, table):
+        r = super().respond_basis_test(reg, table)
+        return "10"[int(r[0])] + r[1:]
+
+
+def test_qfac8_fails_closed_on_a_failed_basis_test():
+    o = RandomOracle(3)
+    srv = WrongR(o, seed=4)
+    rng = random.Random(5)
+    params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=2)
+    pair = sample_key_pair(rng, 5)
+    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
+                      srv, rng)
+    assert qb is None
+    assert (tr.verdict, tr.fail_reason) == (
+        "fail", "basis test: round 0: wrong r")
+    # no phase table follows the failed test
+    assert [t for _, t, _ in tr.messages] == ["bt.table", "bt.r"]
+
+
 class NoMeasure(HonestServer):
     """Answers with a well-formed d but leaves the key register unmeasured,
     so the prepared qubit stays entangled with it."""
 
-    def phase_and_measure(self, reg, ptable):
+    def respond_phase_table(self, reg, table, qubit_reg):
+        def index(old, val):
+            opens = tables.dec_row(self.oracle, table.rows[0], val, "server")
+            return "1" if opens is None else "0"
+
+        self.state.add_register(qubit_reg, "0")
+        self.state.map_register(qubit_reg, index, keys=[reg])
         return "0" * self.state.width(reg)
 
 
 class NoIndexRegister(HonestServer):
     """Never creates the register that should hold the prepared qubit."""
 
-    def derive_index_register(self, reg, ptable, idx_reg):
-        return idx_reg
+    def respond_phase_table(self, reg, table, qubit_reg):
+        tables.phase_eval(self.oracle, self.state, reg, table)
+        return self.state.measure_hadamard(reg, self.rng)
 
 
 HAND_OFF_CHEATS = [(NoMeasure, "hand-off: entangled discard"),
-                   (NoIndexRegister, "hand-off: no register named 'qb1'")]
+                   (NoIndexRegister, "hand-off: no register named 'g_q'")]
 
 
 @pytest.mark.parametrize("server_cls,reason", HAND_OFF_CHEATS)
@@ -341,8 +372,8 @@ def test_succ_ubqc_keeps_the_qfactory_fail_reason():
     from bqcsim.gadget_prep import PipelineConfig
 
     class BadD(HonestServer):
-        def phase_and_measure(self, reg, ptable):
-            super().phase_and_measure(reg, ptable)
+        def respond_phase_table(self, reg, table, qubit_reg):
+            super().respond_phase_table(reg, table, qubit_reg)
             return "01x10"
 
     o = RandomOracle(21)
@@ -352,6 +383,19 @@ def test_succ_ubqc_keeps_the_qfactory_fail_reason():
     assert (ones, deltas) == (None, [])
     assert (tr.verdict, tr.fail_reason) == ("fail", "qfactory: malformed d")
     assert tr.messages[-1] == ("server", "qf.d", "01x10")
+
+
+def test_succ_ubqc_fails_closed_when_the_pipeline_fails():
+    from bqcsim.gadget_prep import PipelineConfig
+
+    o = RandomOracle(21)
+    srv = WrongR(o, seed=22)
+    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
+    assert (ones, deltas) == (None, [])
+    assert (tr.verdict, tr.fail_reason) == (
+        "fail", "1pn: basis test: round 0: wrong r")
+    assert not any(t.startswith("qf.") for _, t, _ in tr.messages)
 
 
 @pytest.mark.parametrize("server_cls", [cls for cls, _ in HAND_OFF_CHEATS])

@@ -89,14 +89,25 @@ def old_respond_basis_test(server, reg, table):
     return value
 
 
-def old_phase_eval(oracle, state, reg, ptable):
+def old_phase_eval(oracle, state, reg, table):
     scratch = state.fresh_name("ph")
-    state.add_register(scratch, "0" * ptable.table.payload_len)
-    tables.lt_eval_coherent(oracle, state, [reg], scratch, ptable.table)
-    state.apply_phase_per_branch(
-        scratch, lambda v: math.pi * int(v, 2) / ptable.denominator)
-    uncompute(oracle, state, [reg], scratch, ptable.table)
+    state.add_register(scratch, "0" * table.payload_len)
+    tables.lt_eval_coherent(oracle, state, [reg], scratch, table)
+    state.apply_phase_per_branch(scratch, lambda v: math.pi * int(v, 2) / 4)
+    uncompute(oracle, state, [reg], scratch, table)
     state.discard_register(scratch)
+
+
+def old_respond_phase_table(server, reg, table, qubit_reg):
+    st, oracle = server.state, server.oracle
+    row0 = table.rows[0]
+    oracle.count("server", 2)
+    st.add_register(qubit_reg, "0")
+    st.map_register(qubit_reg, lambda _, val: "0" if oracle._prf(
+        row0.tag_pad + val, len(row0.tag)) == int(row0.tag, 2) else "1",
+        keys=[reg])
+    old_phase_eval(oracle, st, reg, table)
+    return st.measure_hadamard(reg, server.rng)
 
 
 class OldServer(HonestServer):
@@ -106,9 +117,8 @@ class OldServer(HonestServer):
     def respond_basis_test(self, reg, table):
         return old_respond_basis_test(self, reg, table)
 
-    def phase_and_measure(self, reg, ptable):
-        old_phase_eval(self.oracle, self.state, reg, ptable)
-        return self.state.measure_hadamard(reg, self.rng)
+    def respond_phase_table(self, reg, table, qubit_reg):
+        return old_respond_phase_table(self, reg, table, qubit_reg)
 
     def respond_pad_hadamard(self, reg, pad, kappa_out):
         return old_respond_pad_hadamard(self, reg, pad, kappa_out)
@@ -230,7 +240,7 @@ def run_steps(seed, steps):
     p = sample_key_pair(rng, 5)
     server.prepare_gadget("p", p)
     for reg, pair, n in (("h", KeyPair(*keys["h"]), 3), ("p", p, 5)):
-        ptable = tables.phase_lt_build(oracle, pair, n, 4, 8, rng)
+        ptable = tables.phase_lt_build(oracle, pair, n, 8, rng)
         record(phase_eval(oracle, st, reg, ptable))
 
     # padded Hadamard tests: on lone gadgets and on the entangled helper
@@ -372,7 +382,7 @@ def test_basis_test_and_phase_table_fail_closed_on_an_unopened_key():
                               if v not in (g.x0, g.x1)))
     table = tables.lt_build(oracle, [(half.x0, "1" * 8), (half.x1, "1" * 8)],
                             8, 8, rng)
-    ptable = tables.phase_lt_build(oracle, half, 3, 4, 8, rng)
+    ptable = tables.phase_lt_build(oracle, half, 3, 8, rng)
     before, draws = snapshot(server.state), server.rng.getstate()
     for step in (lambda: server.respond_basis_test("g", table),
                  lambda: tables.phase_eval(oracle, server.state, "g",
@@ -387,7 +397,7 @@ def test_basis_test_and_phase_table_are_one_state_call_each(monkeypatch):
     oracle, server, rng, g, lam = refresh_world()
     r = random_bits(rng, 8)
     table = tables.lt_build(oracle, [(g.x0, r), (g.x1, r)], 8, 8, rng)
-    ptable = tables.phase_lt_build(oracle, g, 3, 4, 8, rng)
+    ptable = tables.phase_lt_build(oracle, g, 3, 8, rng)
     calls = []
     for name, fn in list(vars(SparseState).items()):
         if not inspect.isfunction(fn) or name.startswith("_"):

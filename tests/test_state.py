@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from bqcsim.bits import bits_to_int, dot, int_to_bits, parity
-from conftest import norm
+from conftest import norm, set_branches
 from bqcsim.state import (ATOL, EntangledDiscardError, SparseState,
                           gadget_state)
 
@@ -185,7 +185,8 @@ def test_map_register_concatenates_keys_and_resizes():
 
 
 def test_map_register_calls_fn_once_per_distinct_pair():
-    # 8 branches, but the (dst value, key) pair only takes 2 values
+    # 8 branches, but the map joins only the components of d and a, whose
+    # product holds the 2 (dst value, key) pairs
     st = gadget_state([("a", "0", "1"), ("b", "00", "11"), ("c", "0", "1")])
     st.add_register("d", "01")
     calls = []
@@ -286,7 +287,7 @@ def test_hadamard_measure_matches_dense_reference():
         st = SparseState()
         st.add_register("c", "0" * cw)
         st.add_register("v", "0" * vw)
-        st.branches = dict(amps)
+        set_branches(st, amps)
         d = st.measure_hadamard("v", rng)
         post = dense_hadamard_post(amps, cw, vw, d)
         prob = float(np.vdot(post, post).real)
@@ -302,7 +303,7 @@ def spread_state(values):
     st.add_register("c", "0")
     st.add_register("v", values[0])
     amps = [(c, v) for c in "01" for v in values]
-    st.branches = {a: 1 / math.sqrt(len(amps)) for a in amps}
+    set_branches(st, {a: 1 / math.sqrt(len(amps)) for a in amps})
     return st
 
 

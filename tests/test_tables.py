@@ -240,9 +240,9 @@ def test_phase_table_payload_width_and_offset_range():
     for seed in range(20):
         rng = random.Random(seed)
         pair = sample_key_pair(rng, 4)
-        pt = tables.phase_lt_build(o, pair, 3, 4, 8, rng)
-        assert pt.table.payload_len == (2 * 4 - 1).bit_length()
-        vals = sorted(int(tables.lt_decrypt(o, pt.table, pair[b]), 2)
+        pt = tables.phase_lt_build(o, pair, 3, 8, rng)
+        assert pt.payload_len == (2 * 4 - 1).bit_length()
+        vals = sorted(int(tables.lt_decrypt(o, pt, pair[b]), 2)
                       for b in (0, 1))
         m = vals[0]
         assert 0 <= m < 4
@@ -256,7 +256,7 @@ def test_phase_eval_applies_relative_phase():
     for n in range(8):
         st = SparseState()
         st.add_gadget("k", pair.x0, pair.x1)
-        pt = tables.phase_lt_build(o, pair, n, 4, 8, rng)
+        pt = tables.phase_lt_build(o, pair, n, 8, rng)
         tables.phase_eval(o, st, "k", pt)
         amps = {k[0]: v for k, v in st.branches.items()}
         rel = amps[pair.x1] / amps[pair.x0]
@@ -268,8 +268,8 @@ def test_ordered_phase_table_puts_x0_row_first():
     for seed in range(10):
         rng = random.Random(seed)
         pair = sample_key_pair(rng, 4)
-        pt = tables.phase_lt_build(o, pair, 1, 4, 8, rng)
-        row0 = pt.table.rows[0]
+        pt = tables.phase_lt_build(o, pair, 1, 8, rng)
+        row0 = pt.rows[0]
         assert tables.dec_row(o, row0, pair.x0) is not None
 
 

@@ -158,3 +158,30 @@ def test_single_map_server_steps_keep_their_traced_names():
                   "oracle.query_superposed", "tables.lt_eval_coherent",
                   "tables.rev_eval"):
         assert spans[label] > 0, label
+
+
+def test_phase_table_answer_counts_as_server_time():
+    # the bench finds server steps by name prefix; with no basis-test round,
+    # a qfac8's only server step is its answer to the phase table
+    tracer = load_tracing().Tracer()
+    tracer.install(bqcsim)
+    try:
+        oracle = bqcsim.oracle.RandomOracle(1)
+        server = bqcsim.protocols.HonestServer(oracle, seed=2)
+        rng = random.Random(3)
+        pair = bqcsim.keychain.sample_key_pair(rng, 6)
+        gadget = (pair, server.prepare_gadget("g", pair))
+        params = bqcsim.protocols.ProtocolParams(pad_len=6, kappa_out=8,
+                                                 test_rounds=0)
+        tracer.begin_op(0)
+        qb, tr = bqcsim.qfactory.qfac8(oracle, gadget, params, server, rng)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tr.passed and qb is not None
+    spans = Counter(tracer.labels[i] for i in tracer.name)
+    server_steps = [lab for lab in spans if lab.removeprefix("protocols.")
+                    in vars(bqcsim.protocols.HonestServer)]
+    assert server_steps == ["protocols.respond_phase_table"]
+    assert spans["protocols.respond_phase_table"] == 1
+    assert tracer.metrics()["protocols.server_self_s"] > 0

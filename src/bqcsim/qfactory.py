@@ -7,12 +7,17 @@ the server's Hadamard outcome on the key register.
 
 On top of the prepared qubits, ``ubqc_run`` executes a 1D-cluster
 measurement-based computation of a J-gate circuit (J(phi) = H Rz(phi)) with
-blinded measurement angles, for all shots (>= 1) of a delegation in one
-numpy pass, each shot on freshly re-blinded qubits. Re-blinding changes only
-the blinded angles delta, as its phase cancels in the measurement at delta,
-so shots never copy the prepared amplitudes. ``succ_ubqc`` chains the full
-gadget pipeline, the qfactory, and the cluster computation end to end. A
-dense statevector evaluator of the same circuits is the comparison oracle.
+blinded measurement angles, for many shots at once in one numpy pass, each
+shot on freshly re-blinded qubits. Re-blinding changes only the blinded
+angles delta, as its phase cancels in the measurement at delta, so shots
+never copy the prepared amplitudes. ``ubqc_shots`` draws a delegation's
+randomness in chunks of ``SHOT_CHUNK`` shots and runs the kernel over tiles
+of ``SHOT_TILE``: its per-pass temporaries stay small and the uniforms fill
+one buffer kept across delegations, so repeated delegations reuse memory
+instead of faulting most of their working set back in. ``succ_ubqc`` chains
+the full gadget pipeline, the qfactory, and the cluster computation end to
+end. A dense statevector evaluator of the same circuits is the comparison
+oracle.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def reblind(qubits: list[PreparedQubit], shifts: np.ndarray) -> np.ndarray:
 
 def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
              circuit_octants: list[int], r: np.ndarray, u: np.ndarray):
-    """All blind shots of the circuit in one pass, one row per shot.
+    """Blind shots of the circuit in one numpy pass, one row per shot.
 
     Qubit i is entangled to its successor and measured at the blinded angle
     delta_i = theta_i - (-1)^x * phi_i + pi*r_i (octants mod 8, theta_i from
@@ -138,6 +143,11 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     The final Z measurement gives 1 iff u[:, n] < (1 - bz)/2. Byproduct
     frame: x' = m xor z xor r, z' = x, and x corrects the output bit. Returns
     (output bits, delta octants, raw outcomes): (shots,), (shots, n) twice.
+
+    The turn -/+phi_i + 4*r_i takes one of four values, picked per shot by
+    2*r_i + x. The code carries flip = -sign, and sets the real and
+    imaginary parts of bz - sign*i*h directly; both give the same bits as
+    the formulas above with fewer numpy passes.
     """
     shots, n = len(u), len(circuit_octants)
     if len(qubits) != n + 1 or angles.shape[1] != n + 1:
@@ -145,26 +155,46 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     w0, w1 = abs(qubits[0].alpha) ** 2, abs(qubits[0].beta) ** 2
     bz = (w0 - w1) / (w0 + w1)
     bxy = 2 * qubits[0].alpha.conjugate() * qubits[0].beta / (w0 + w1)
-    x = z = np.zeros(shots, dtype=np.int64)
-    turns = np.empty((n, shots), dtype=np.int64)  # -/+ phi_i + 4*r_i
+    r = r.T.astype(np.int8)  # one contiguous row per gate
+    x = z = np.zeros(shots, dtype=np.int8)
+    key = np.empty(shots, dtype=np.int8)
+    deltas = np.empty((shots, n), dtype=np.int64)
     outcomes = np.empty((n, shots), dtype=bool)
+    branch = np.empty(shots, dtype=complex)  # bz - sign*i*h, unscaled
     for i, (phi, q) in enumerate(zip(circuit_octants, qubits[1:])):
-        turns[i] = turn = 4 * r[:, i] + 2 * phi * x - phi
-        e_bxy = _PHASES[(qubits[i].angle + turn) & 7] * bxy
+        turns = np.array([4 * rb + 2 * phi * xb - phi
+                          for rb in (0, 1) for xb in (0, 1)])
+        np.add(r[i] << 1, x, out=key)
+        np.add(angles[:, i], turns.take(key), out=deltas[:, i])
+        e_bxy = _PHASES[(qubits[i].angle + turns) & 7].take(key) * bxy
         w0, w1 = abs(q.alpha) ** 2, abs(q.beta) ** 2
         tilt = e_bxy.real * (w0 - w1)
-        outcomes[i] = m = u[:, i] * (2 * (w0 + w1)) > w0 + w1 + tilt
-        sign = 1.0 - 2.0 * m
-        p_m = w0 + w1 + sign * tilt
-        bz, bxy = ((w0 - w1 + sign * e_bxy.real * (w0 + w1)) / p_m,
-                   2 * q.alpha.conjugate() * q.beta
-                   * (bz - 1j * sign * e_bxy.imag) / p_m)
-        x, z = m ^ z ^ r[:, i], x
+        m = np.greater(u[:, i] * (2 * (w0 + w1)), w0 + w1 + tilt,
+                       out=outcomes[i])
+        flip = 2.0 * m - 1.0
+        p_m = w0 + w1 - flip * tilt
+        branch.real = bz
+        np.multiply(flip, e_bxy.imag, out=branch.imag)
+        bz = (w0 - w1 - flip * e_bxy.real * (w0 + w1)) / p_m
+        bxy = 2 * q.alpha.conjugate() * q.beta * branch
+        bxy *= 1.0 / p_m  # numpy's complex / real scales by 1/p: same bits
+        x, z = m ^ z ^ r[i], x
+    deltas &= 7
     o = u[:, n] < (1 - bz) / 2
-    return o ^ x, (angles[:, :n] + turns.T) & 7, outcomes.T
+    return o ^ x, deltas, outcomes.T
 
 
-SHOT_CHUNK = 1 << 16  # shots held in memory at once
+SHOT_CHUNK = 1 << 16  # shots drawn at once
+SHOT_TILE = 1 << 12  # shots per kernel pass
+_uniforms = np.empty((0, 0))  # the kept draw buffer, at most SHOT_CHUNK rows
+
+
+def _uniform_rows(size: int, width: int) -> np.ndarray:
+    """``size`` rows of the kept uniforms buffer, regrown for a new width."""
+    global _uniforms
+    if _uniforms.shape[1] != width or len(_uniforms) < size:
+        _uniforms = np.empty((size, width))
+    return _uniforms[:size]
 
 
 def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
@@ -172,10 +202,17 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
     """Blind shots, each on freshly re-blinded qubits.
 
     Returns (count of 1s, all delta octants shot by shot). Every draw comes
-    from one numpy Generator seeded from ``rng``. Shots run in chunks of at
-    most ``SHOT_CHUNK``, which bounds memory; each chunk draws, in this
-    order: re-blinding octants (chunk, n+1), r bits (chunk, n), uniforms
-    (chunk, n+1).
+    from one numpy Generator seeded from ``rng``, in chunks of at most
+    ``SHOT_CHUNK`` shots; each chunk draws, in this order: re-blinding
+    octants (chunk, n+1), r bits (chunk, n), uniforms (chunk, n+1). The
+    kernel then runs over tiles of ``SHOT_TILE`` shots, small enough that
+    the allocator reuses their temporaries from tile to tile. The uniforms
+    go into one float64 buffer kept across calls (at most
+    SHOT_CHUNK*(n+1)*8 bytes; calls must not overlap, as in this
+    single-threaded simulator), so no delegation maps and faults in that
+    draw afresh. Both cut the minor page faults a delegation takes once the
+    allocator has returned the previous one's memory to the system. The
+    chunk size fixes the draws; the tile size changes no result.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -184,12 +221,16 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
     ones, deltas = 0, []
     for start in range(0, shots, SHOT_CHUNK):
         size = min(SHOT_CHUNK, shots - start)
-        angles = reblind(qubits, gen.integers(8, size=(size, len(qubits))))
-        out, chunk_deltas, _ = ubqc_run(qubits, angles, circuit_octants,
-                                        gen.integers(2, size=(size, n)),
-                                        gen.random((size, n + 1)))
-        ones += int(out.sum())
-        deltas += chunk_deltas.ravel().tolist()
+        shifts = gen.integers(8, size=(size, len(qubits)))
+        r = gen.integers(2, size=(size, n))
+        u = gen.random(out=_uniform_rows(size, n + 1))
+        for t in range(0, size, SHOT_TILE):
+            tile = slice(t, t + SHOT_TILE)
+            angles = reblind(qubits, shifts[tile])
+            out, tile_deltas, _ = ubqc_run(qubits, angles, circuit_octants,
+                                           r[tile], u[tile])
+            ones += int(out.sum())
+            deltas += tile_deltas.ravel().tolist()
     return ones, deltas
 
 

@@ -215,22 +215,42 @@ def replay_draws(seed, shots, n):
             gen.integers(2, size=(shots, n)), gen.random((shots, n + 1)))
 
 
-@pytest.mark.parametrize("make_qubit, gates", [
-    (lambda k, i: perfect_qubit(k), 3),
-    (lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i), 3),
-    (lambda k, i: complex_qubit(k, 0.2 + 0.23 * i), 6),
-], ids=["perfect", "skewed", "complex-6-gates"])
-def test_batched_kernel_matches_per_shot_reference(make_qubit, gates):
-    setup = random.Random(31)
-    circ = [setup.randrange(8) for _ in range(gates)]
-    n, shots, seed = len(circ), 300, 17
-    qubits = [make_qubit(setup.randrange(8), i) for i in range(n + 1)]
-    shifts, r, u = replay_draws(seed, shots, n)
-
+def ref_shots(qubits, circ, shifts, r, u):
+    """``ref_run`` for every shot of the draws, on re-blinded qubits."""
     ref = []
-    for s in range(shots):
+    for s in range(len(u)):
         qs = [ref_reblind(q, int(k)) for q, k in zip(qubits, shifts[s])]
         ref.append(ref_run(qs, circ, [int(b) for b in r[s]], list(u[s])))
+    return ref
+
+
+def reference_circuit(make_qubit, gates):
+    setup = random.Random(31)
+    circ = [setup.randrange(8) for _ in range(gates)]
+    return circ, [make_qubit(setup.randrange(8), i) for i in range(gates + 1)]
+
+
+def assert_shots_match_reference(qubits, circ, seed, shots):
+    ref = ref_shots(qubits, circ, *replay_draws(seed, shots, len(circ)))
+    assert qf.ubqc_shots(qubits, circ, random.Random(seed), shots) == (
+        sum(row[0] for row in ref), [d for row in ref for d in row[1]])
+
+
+@pytest.mark.parametrize("make_qubit, gates, tile", [
+    (lambda k, i: perfect_qubit(k), 3, None),
+    (lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i), 3, None),
+    (lambda k, i: complex_qubit(k, 0.2 + 0.23 * i), 6, None),
+    (lambda k, i: complex_qubit(k, 0.2 + 0.23 * i), 6, 64),
+], ids=["perfect", "skewed", "complex-6-gates", "complex-6-gates-tile-64"])
+def test_batched_kernel_matches_per_shot_reference(make_qubit, gates, tile,
+                                                   monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(qf, "SHOT_TILE", tile)
+    circ, qubits = reference_circuit(make_qubit, gates)
+    n, shots, seed = len(circ), 300, 17
+    shifts, r, u = replay_draws(seed, shots, n)
+
+    ref = ref_shots(qubits, circ, shifts, r, u)
     ref_out = np.array([row[0] for row in ref])
     ref_deltas = np.array([row[1] for row in ref])
     ref_probs = np.array([row[3] for row in ref])
@@ -256,6 +276,16 @@ def test_batched_kernel_matches_per_shot_reference(make_qubit, gates):
             assert (m_b[:, j] == 0).all() and (m_a[:, j] == 1).all()
         else:
             assert (out_b == ref_x ^ 1).all() and (out_a == ref_x).all()
+
+
+def test_complex_by_real_division_is_a_reciprocal_scaling():
+    # ubqc_run scales the kept branch's bxy by 1/p_m instead of dividing by
+    # p_m; that keeps every result bit only because numpy divides a complex
+    # by a real p as the product with 1/p
+    gen = np.random.default_rng(3)
+    c = gen.standard_normal(10_000) + 1j * gen.standard_normal(10_000)
+    p = gen.random(10_000) + 1e-3
+    assert ((c / p).view(np.int64) == (c * (1.0 / p)).view(np.int64)).all()
 
 
 def test_ubqc_run_needs_matching_qubit_count():
@@ -291,6 +321,43 @@ def test_ubqc_shots_chunks_continue_one_generator(monkeypatch):
     assert deltas[:200] == one_chunk[1] and len(deltas) == 500
     assert deltas[200:400] != deltas[:200]
     assert 0 <= ones <= 250
+
+
+@pytest.mark.parametrize("shots", [1, 6, 7, 8, 49, 50, 51, 123])
+def test_ubqc_shots_tiles_are_invisible(monkeypatch, shots):
+    # the chunk size fixes the draws, so both sides draw 50 shots at a time;
+    # 7-shot tiles leave partial tiles and put tile edges on chunk edges
+    qubits = [complex_qubit(k, 0.3 * k) for k in (4, 1, 6, 3)]
+    monkeypatch.setattr(qf, "SHOT_CHUNK", 50)
+    whole = qf.ubqc_shots(qubits, [2, 7, 5], random.Random(shots), shots)
+    monkeypatch.setattr(qf, "SHOT_TILE", 7)
+    assert qf.ubqc_shots(qubits, [2, 7, 5], random.Random(shots),
+                         shots) == whole
+
+
+def test_ubqc_shots_keeps_one_bounded_uniforms_buffer(monkeypatch):
+    # the uniforms buffer outlives a call, so an equal-shape call no longer
+    # allocates it; it never grows past one chunk, and a call with another
+    # gate count regrows it without changing any result
+    monkeypatch.setattr(qf, "_uniforms", np.empty((0, 0)))
+    circ = [1, 3, 6]
+    qubits = [perfect_qubit(k) for k in (1, 3, 6, 0)]
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            qf.ubqc_shots(qubits, circ, random.Random(5), 10_000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] >= 10_000 * (len(circ) + 1) * 8
+
+    qf.ubqc_shots(qubits, circ, random.Random(6), 3 * qf.SHOT_CHUNK + 5)
+    assert qf._uniforms.shape == (qf.SHOT_CHUNK, len(circ) + 1)
+
+    circ, qubits = reference_circuit(
+        lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i), 5)
+    assert_shots_match_reference(qubits, circ, 23, 200)
 
 
 def test_ubqc_shots_rejects_fewer_than_one_shot():

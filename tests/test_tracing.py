@@ -83,9 +83,21 @@ def test_blind_shot_names_the_bench_reads_are_timed():
         tracer.uninstall()
     assert tr.passed and 0 <= ones <= 10
     m = tracer.metrics()
-    assert m["qfactory.shots"] == 1  # one ubqc_run pass per delegation
+    assert m["qfactory.shots"] == 1  # one pass per tile
     assert m["qfactory.ubqc_run_s"] > 0
     assert "qfactory.reblind_s" in m and m["qfactory.reblind_s"] > 0
+
+    # one shot past a tile takes a second kernel pass and re-blinding
+    def delegation():
+        oracle = bqcsim.oracle.RandomOracle(21)
+        server = bqcsim.protocols.HonestServer(oracle, seed=22)
+        return bqcsim.qfactory.succ_ubqc(
+            oracle, cfg, [2, 5], server, random.Random(7),
+            shots=bqcsim.qfactory.SHOT_TILE + 1)
+
+    (_, _, tr), m = traced(delegation)
+    assert tr.passed
+    assert m["qfactory.shots"] == 2 and m["qfactory.reblind_s"] > 0
 
 
 def traced(run):

@@ -26,7 +26,6 @@ reports with ``_absorb``, and each sub-protocol's transcript with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import tables
@@ -81,10 +80,10 @@ class PipelineConfig:
     test_rounds: int = 1
 
     def rounds(self) -> int:
-        t = math.log2(self.L / self.N)
-        if abs(t - round(t)) > 1e-9 or t < 0:
+        q, r = divmod(self.L, self.N)
+        if r or q < 1 or q & (q - 1):
             raise ValueError("L/N must be a power of two")
-        return int(round(t))
+        return q.bit_length() - 1
 
     def params_for_round(self, t: int) -> ProtocolParams:
         return ProtocolParams(

@@ -133,7 +133,7 @@ class HonestServer:
     def eval_robust(self, help_reg: str, k2: KeyPair, x3_reg: str,
                     table, out_reg: str) -> str:
         """Build the plaintext K2 gadget and run the branching table."""
-        k2_reg = self.state.fresh_name("k2")
+        k2_reg = f"{out_reg}_k2"
         self.state.add_gadget(k2_reg, k2.x0, k2.x1)
         return tables.rev_eval(self.oracle, self.state, [help_reg],
                                [k2_reg, x3_reg], table, out_reg)

@@ -10,14 +10,13 @@ measurement-based computation of a J-gate circuit (J(phi) = H Rz(phi)) with
 blinded measurement angles, for many shots at once in one numpy pass, each
 shot on freshly re-blinded qubits. Re-blinding changes only the blinded
 angles delta, as its phase cancels in the measurement at delta, so shots
-never copy the prepared amplitudes. ``ubqc_shots`` draws a delegation's
-randomness in chunks of ``SHOT_CHUNK`` shots and runs the kernel over tiles
-of ``SHOT_TILE``: its per-pass temporaries stay small and the uniforms fill
-one buffer kept across delegations, so repeated delegations reuse memory
-instead of faulting most of their working set back in. ``succ_ubqc`` chains
-the full gadget pipeline, the qfactory, and the cluster computation end to
-end. A dense statevector evaluator of the same circuits is the comparison
-oracle.
+never copy the prepared amplitudes. ``ubqc_shots`` runs a delegation as
+one loop over tiles of ``SHOT_TILE`` shots, each drawing its own randomness
+and then running the kernel: the tile fixes the draws, nothing is kept
+between delegations, and the working memory beyond the returned deltas is
+one tile's. ``succ_ubqc`` chains the full gadget pipeline, the qfactory,
+and the cluster computation end to end. A dense statevector evaluator of
+the same circuits is the comparison oracle.
 """
 
 from __future__ import annotations
@@ -184,17 +183,7 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     return o ^ x, deltas, outcomes.T
 
 
-SHOT_CHUNK = 1 << 16  # shots drawn at once
-SHOT_TILE = 1 << 12  # shots per kernel pass
-_uniforms = np.empty((0, 0))  # the kept draw buffer, at most SHOT_CHUNK rows
-
-
-def _uniform_rows(size: int, width: int) -> np.ndarray:
-    """``size`` rows of the kept uniforms buffer, regrown for a new width."""
-    global _uniforms
-    if _uniforms.shape[1] != width or len(_uniforms) < size:
-        _uniforms = np.empty((size, width))
-    return _uniforms[:size]
+SHOT_TILE = 1 << 12  # shots drawn and run per kernel pass
 
 
 def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
@@ -202,35 +191,26 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
     """Blind shots, each on freshly re-blinded qubits.
 
     Returns (count of 1s, all delta octants shot by shot). Every draw comes
-    from one numpy Generator seeded from ``rng``, in chunks of at most
-    ``SHOT_CHUNK`` shots; each chunk draws, in this order: re-blinding
-    octants (chunk, n+1), r bits (chunk, n), uniforms (chunk, n+1). The
-    kernel then runs over tiles of ``SHOT_TILE`` shots, small enough that
-    the allocator reuses their temporaries from tile to tile. The uniforms
-    go into one float64 buffer kept across calls (at most
-    SHOT_CHUNK*(n+1)*8 bytes; calls must not overlap, as in this
-    single-threaded simulator), so no delegation maps and faults in that
-    draw afresh. Both cut the minor page faults a delegation takes once the
-    allocator has returned the previous one's memory to the system. The
-    chunk size fixes the draws; the tile size changes no result.
+    from one numpy Generator seeded from ``rng``, in tiles of at most
+    ``SHOT_TILE`` shots; each tile draws, in this order: re-blinding
+    octants (tile, n+1), r bits (tile, n), uniforms (tile, n+1), and then
+    runs the kernel on them. So the tile size fixes the draws. No state is
+    kept between calls, and the working memory beyond the returned deltas
+    is one tile's; the deltas grow by n entries per shot.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = len(circuit_octants)
     gen = np.random.default_rng(rng.getrandbits(128))
     ones, deltas = 0, []
-    for start in range(0, shots, SHOT_CHUNK):
-        size = min(SHOT_CHUNK, shots - start)
-        shifts = gen.integers(8, size=(size, len(qubits)))
+    for start in range(0, shots, SHOT_TILE):
+        size = min(SHOT_TILE, shots - start)
+        angles = reblind(qubits, gen.integers(8, size=(size, len(qubits))))
         r = gen.integers(2, size=(size, n))
-        u = gen.random(out=_uniform_rows(size, n + 1))
-        for t in range(0, size, SHOT_TILE):
-            tile = slice(t, t + SHOT_TILE)
-            angles = reblind(qubits, shifts[tile])
-            out, tile_deltas, _ = ubqc_run(qubits, angles, circuit_octants,
-                                           r[tile], u[tile])
-            ones += int(out.sum())
-            deltas += tile_deltas.ravel().tolist()
+        u = gen.random((size, n + 1))
+        out, tile_deltas, _ = ubqc_run(qubits, angles, circuit_octants, r, u)
+        ones += int(out.sum())
+        deltas += tile_deltas.ravel().tolist()
     return ones, deltas
 
 

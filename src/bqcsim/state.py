@@ -141,13 +141,8 @@ class SparseState:
         self._regs: dict[str, tuple[tuple[int, ...], int]] = {}
         self._added = 0
         self._where: dict[str, _Component] = {}  # register -> its component
-        self._name_counter = 0
 
     # -- bookkeeping -------------------------------------------------------
-
-    def fresh_name(self, prefix: str = "r") -> str:
-        self._name_counter += 1
-        return f"{prefix}{self._name_counter}"
 
     def _reg(self, name: str) -> tuple[tuple[int, ...], int]:
         """The order key and width of register ``name``."""

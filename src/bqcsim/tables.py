@@ -231,7 +231,7 @@ def rev_eval(oracle, state, controls: list[str], in_regs: list[str],
     zeroed inputs are discarded. Returns the output register name.
     """
     state.add_register(out_reg, "0" * table.forward.payload_len)
-    merged = state.merge_registers(in_regs, state.fresh_name("zin"))
+    merged = state.merge_registers(in_regs, f"{out_reg}_in")
     lt_eval_coherent(oracle, state, controls + [merged], out_reg,
                      table.forward)
     lt_eval_coherent(oracle, state, controls + [out_reg], merged,

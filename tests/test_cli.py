@@ -220,6 +220,23 @@ def test_out_of_range_config_exit_two(tmp_path, capsys, command, setting):
     assert not out.exists()
 
 
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this bqcsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_near_power_of_two_shape_exits_two_at_once():
+    # L/N = 2**59 + 1 is no power of two; the run must not start
+    proc = subprocess.run(
+        [sys.executable, "-m", "bqcsim.cli", "run", "gdgprep-full", "--seed",
+         "1", "--set", "L=1152921504606846978", "--set", "N=2"],
+        env=child_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
 def test_attack_rejects_fewer_than_one_trial(tmp_path):
     for trials in ("0", "-3"):
         assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
@@ -276,6 +293,13 @@ GOLDEN = {
         "ubqc.hist.tsv":
             "e9ae148ef44ac31eef76a7ca9d37bbc678a0bfbc2348a981d1518b6195032ab7",
     }),
+    # two full 4,096-shot tiles and a partial one
+    "ubqc-tiles": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=8197"], {
+        "ubqc.log":
+            "044f922d361c0e0432b03197df4cb7571857553b036b72e4e6952669ab1bbd19",
+        "ubqc.hist.tsv":
+            "def138f176c8b651101a2316e0bca78c8290a855ee82472b301bbbd4af7a3cd4",
+    }),
 }
 
 
@@ -314,10 +338,7 @@ def test_golden_digests_independent_of_hash_seed(tmp_path, hashseed):
     # One interpreter per hash seed runs every GOLDEN command.
     circ = tmp_path / "circ.txt"
     circ.write_text("1 3 6\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONHASHSEED": hashseed,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env(PYTHONHASHSEED=hashseed)
     names = sorted(GOLDEN)
     argvs = [[str(circ) if a == "CIRCUIT" else a for a in GOLDEN[name][0]]
              + ["--out", str(tmp_path / name)] for name in names]

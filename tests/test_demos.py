@@ -27,3 +27,11 @@ def test_pipeline_walkthrough_ends_exact():
 
 def test_blind_delegation_runs():
     assert "dense p(1)" in run_demo("blind_delegation.py")
+
+
+def test_attack_dichotomy_rates():
+    # the demo's seeds fix both rates: the unpermuted tables give every
+    # output key away, the permuted ones with 20-bit keys none
+    out = run_demo("attack_dichotomy.py")
+    rates = dict(re.findall(r"^(\w+)\t20\t\t([0-9.]+)\t", out, re.M))
+    assert rates == {"unpermuted": "1.000", "permuted": "0.000"}, out

@@ -201,9 +201,13 @@ def test_oneround_single_sweep():
 
 
 def test_pipeline_config_rounds():
-    assert gp.PipelineConfig(L=8, N=2).rounds() == 2
-    with pytest.raises(ValueError):
-        gp.PipelineConfig(L=6, N=2).rounds()
+    for l, n, rounds in ((2, 2, 0), (4, 2, 1), (8, 2, 2), (4, 1, 2),
+                         (1024, 2, 9), (2 ** 60, 2, 59), (2 ** 53, 1, 53)):
+        assert gp.PipelineConfig(L=l, N=n).rounds() == rounds
+    # a float log2 reads 2**60 + 2 over 2, and 2**53 + 1, as powers of two
+    for l, n in ((6, 2), (2, 4), (2 ** 60 + 2, 2), (2 ** 53 + 1, 1)):
+        with pytest.raises(ValueError):
+            gp.PipelineConfig(L=l, N=n).rounds()
 
 
 @pytest.mark.parametrize("n,l", [(2, 4), (2, 8), (1, 4)])

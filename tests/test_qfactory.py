@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -209,10 +210,16 @@ def ref_run(qubits, circuit_octants, r, u):
 
 
 def replay_draws(seed, shots, n):
-    """The draws ubqc_shots makes from random.Random(seed), in its order."""
+    """The draws ubqc_shots makes from random.Random(seed), in its order:
+    shifts, r bits and uniforms per tile of ``SHOT_TILE`` shots, joined."""
     gen = np.random.default_rng(random.Random(seed).getrandbits(128))
-    return (gen.integers(8, size=(shots, n + 1)),
-            gen.integers(2, size=(shots, n)), gen.random((shots, n + 1)))
+    tiles = []
+    for start in range(0, shots, qf.SHOT_TILE):
+        size = min(qf.SHOT_TILE, shots - start)
+        tiles.append((gen.integers(8, size=(size, n + 1)),
+                      gen.integers(2, size=(size, n)),
+                      gen.random((size, n + 1))))
+    return tuple(np.concatenate(draw) for draw in zip(*tiles))
 
 
 def ref_shots(qubits, circ, shifts, r, u):
@@ -296,68 +303,63 @@ def test_ubqc_run_needs_matching_qubit_count():
                     np.zeros((5, 3)))
 
 
-def test_ubqc_shots_memory_stays_within_one_chunk():
-    # shots run in chunks, so four chunks' worth of shots needs little more
-    # memory than one chunk (only the returned deltas grow)
+def test_ubqc_shots_memory_stays_within_one_tile():
+    # shots run tile by tile, so 16 or 64 tiles' worth of shots needs no
+    # more memory than one tile, less the returned deltas list
     qubits = [perfect_qubit(k) for k in (1, 3, 6, 0)]
-    peaks = []
-    for shots in (qf.SHOT_CHUNK, 4 * qf.SHOT_CHUNK):
+
+    def peak(shots):
         tracemalloc.start()
         try:
-            qf.ubqc_shots(qubits, [1, 3, 6], random.Random(5), shots)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            _, deltas = qf.ubqc_shots(qubits, [1, 3, 6], random.Random(5),
+                                      shots)
+            return tracemalloc.get_traced_memory()[1], sys.getsizeof(deltas)
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0]
 
-
-def test_ubqc_shots_chunks_continue_one_generator(monkeypatch):
-    # the first chunk draws what an unchunked run of as many shots draws;
-    # later chunks go on drawing from the same generator
-    qubits = [perfect_qubit(k) for k in (2, 5, 7)]
-    one_chunk = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 100)
-    monkeypatch.setattr(qf, "SHOT_CHUNK", 100)
-    ones, deltas = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 250)
-    assert deltas[:200] == one_chunk[1] and len(deltas) == 500
-    assert deltas[200:400] != deltas[:200]
-    assert 0 <= ones <= 250
+    peak(qf.SHOT_TILE)  # the first call also sets up numpy's own state
+    one_tile, _ = peak(qf.SHOT_TILE)
+    for tiles in (16, 64):
+        total, deltas = peak(tiles * qf.SHOT_TILE)
+        assert total - deltas <= 1.25 * one_tile, tiles
 
 
 @pytest.mark.parametrize("shots", [1, 6, 7, 8, 49, 50, 51, 123])
 def test_ubqc_shots_tiles_are_invisible(monkeypatch, shots):
-    # the chunk size fixes the draws, so both sides draw 50 shots at a time;
-    # 7-shot tiles leave partial tiles and put tile edges on chunk edges
+    # the tile fixes only how the draws group, in 50-shot tiles here: the
+    # first tile draws what a call of as many shots draws, later tiles go
+    # on drawing from the same generator, and every shot matches the
+    # per-shot reference on its tile's draws
     qubits = [complex_qubit(k, 0.3 * k) for k in (4, 1, 6, 3)]
-    monkeypatch.setattr(qf, "SHOT_CHUNK", 50)
-    whole = qf.ubqc_shots(qubits, [2, 7, 5], random.Random(shots), shots)
-    monkeypatch.setattr(qf, "SHOT_TILE", 7)
-    assert qf.ubqc_shots(qubits, [2, 7, 5], random.Random(shots),
-                         shots) == whole
+    circ = [2, 7, 5]
+    head = min(shots, 50)
+    first = qf.ubqc_shots(qubits, circ, random.Random(shots), head)
+    monkeypatch.setattr(qf, "SHOT_TILE", 50)
+    ones, deltas = qf.ubqc_shots(qubits, circ, random.Random(shots), shots)
+    assert deltas[:3 * head] == first[1] and len(deltas) == 3 * shots
+    if shots >= 100:
+        assert deltas[150:300] != deltas[:150]
+    assert_shots_match_reference(qubits, circ, shots, shots)
 
 
-def test_ubqc_shots_keeps_one_bounded_uniforms_buffer(monkeypatch):
-    # the uniforms buffer outlives a call, so an equal-shape call no longer
-    # allocates it; it never grows past one chunk, and a call with another
-    # gate count regrows it without changing any result
-    monkeypatch.setattr(qf, "_uniforms", np.empty((0, 0)))
-    circ = [1, 3, 6]
-    qubits = [perfect_qubit(k) for k in (1, 3, 6, 0)]
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            qf.ubqc_shots(qubits, circ, random.Random(5), 10_000)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] - peaks[1] >= 10_000 * (len(circ) + 1) * 8
+def test_ubqc_shots_calls_may_overlap(monkeypatch):
+    # a delegation started while another runs leaves both results as they
+    # are when each runs alone: no draw or buffer is shared between calls
+    qubits = [complex_qubit(k, 0.3 * k) for k in (4, 1, 6, 3)]
+    circ, shots = [2, 7, 5], 2 * qf.SHOT_TILE + 5
+    outer = qf.ubqc_shots(qubits, circ, random.Random(5), shots)
+    inner = qf.ubqc_shots(qubits, circ, random.Random(6), shots)
+    run, nested = qf.ubqc_run, []
 
-    qf.ubqc_shots(qubits, circ, random.Random(6), 3 * qf.SHOT_CHUNK + 5)
-    assert qf._uniforms.shape == (qf.SHOT_CHUNK, len(circ) + 1)
+    def run_after_a_nested_delegation(*args):
+        if not nested:
+            nested.append(None)  # the nested delegation's passes skip this
+            nested[0] = qf.ubqc_shots(qubits, circ, random.Random(6), shots)
+        return run(*args)
 
-    circ, qubits = reference_circuit(
-        lambda k, i: skewed_qubit(k, 0.3 + 0.4 * i), 5)
-    assert_shots_match_reference(qubits, circ, 23, 200)
+    monkeypatch.setattr(qf, "ubqc_run", run_after_a_nested_delegation)
+    assert qf.ubqc_shots(qubits, circ, random.Random(5), shots) == outer
+    assert nested == [inner]
 
 
 def test_ubqc_shots_rejects_fewer_than_one_shot():

@@ -33,7 +33,7 @@ from bqcsim.state import SparseState
 
 def old_extend_gadget(server, reg, lam_reg, table):
     st = server.state
-    scratch = st.fresh_name("ext")
+    scratch = "ext"
     st.add_register(scratch, "0" * table.payload_len)
     tables.lt_eval_coherent(server.oracle, st, [reg, lam_reg], scratch, table)
     st.merge_registers([reg, scratch], reg)
@@ -41,14 +41,14 @@ def old_extend_gadget(server, reg, lam_reg, table):
 
 def old_respond_pad_hadamard(server, reg, pad, kappa_out):
     st, oracle = server.state, server.oracle
-    h = st.fresh_name("ph_h")
+    h = "ph_h"
     st.add_register(h, "0" * kappa_out)
     # the XOR form of a superposed query: H(pad || reg) into h
     oracle.count("server")
     st.map_register(h, lambda vout, vin: int_to_bits(
         int(vout, 2) ^ oracle._prf(pad + vin, kappa_out), kappa_out),
         keys=[reg])
-    w = st.fresh_name("ph_w")
+    w = "ph_w"
     st.merge_registers([reg, h], w)
     return st.measure_hadamard(w, server.rng)
 
@@ -57,7 +57,7 @@ def old_rev_eval(oracle, state, controls, in_regs, table, out_reg):
     state.add_register(out_reg, "0" * table.forward.payload_len)
     tables.lt_eval_coherent(oracle, state, controls + in_regs, out_reg,
                             table.forward)
-    merged = state.merge_registers(in_regs, state.fresh_name("zin"))
+    merged = state.merge_registers(in_regs, "zin")
     tables.lt_eval_coherent(oracle, state, controls + [out_reg], merged,
                             table.backward)
     state.discard_register(merged)
@@ -80,7 +80,7 @@ def uncompute(oracle, state, key_regs, scratch, table):
 
 def old_respond_basis_test(server, reg, table):
     st = server.state
-    scratch = st.fresh_name("bt")
+    scratch = "bt"
     st.add_register(scratch, "0" * table.payload_len)
     tables.lt_eval_coherent(server.oracle, st, [reg], scratch, table)
     value = st.measure_computational(scratch, server.rng)
@@ -90,7 +90,7 @@ def old_respond_basis_test(server, reg, table):
 
 
 def old_phase_eval(oracle, state, reg, table):
-    scratch = state.fresh_name("ph")
+    scratch = "ph"
     state.add_register(scratch, "0" * table.payload_len)
     tables.lt_eval_coherent(oracle, state, [reg], scratch, table)
     state.apply_phase_per_branch(scratch, lambda v: math.pi * int(v, 2) / 4)
@@ -124,7 +124,7 @@ class OldServer(HonestServer):
         return old_respond_pad_hadamard(self, reg, pad, kappa_out)
 
     def eval_robust(self, help_reg, k2, x3_reg, table, out_reg):
-        k2_reg = self.state.fresh_name("k2")
+        k2_reg = "k2"
         self.state.add_gadget(k2_reg, k2.x0, k2.x1)
         return old_rev_eval(self.oracle, self.state, [help_reg],
                             [k2_reg, x3_reg], table, out_reg)

@@ -333,10 +333,10 @@ def test_ubqc_shots_tiles_are_invisible(monkeypatch, shots):
     qubits = [complex_qubit(k, 0.3 * k) for k in (4, 1, 6, 3)]
     circ = [2, 7, 5]
     head = min(shots, 50)
-    first = qf.ubqc_shots(qubits, circ, random.Random(shots), head)
+    _, first = qf.ubqc_shots(qubits, circ, random.Random(shots), head)
     monkeypatch.setattr(qf, "SHOT_TILE", 50)
-    ones, deltas = qf.ubqc_shots(qubits, circ, random.Random(shots), shots)
-    assert deltas[:3 * head] == first[1] and len(deltas) == 3 * shots
+    _, deltas = qf.ubqc_shots(qubits, circ, random.Random(shots), shots)
+    assert deltas[:3 * head] == first and len(deltas) == 3 * shots
     if shots >= 100:
         assert deltas[150:300] != deltas[:150]
     assert_shots_match_reference(qubits, circ, shots, shots)

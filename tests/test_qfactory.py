@@ -342,6 +342,18 @@ def test_ubqc_shots_tiles_are_invisible(monkeypatch, shots):
     assert_shots_match_reference(qubits, circ, shots, shots)
 
 
+def test_ubqc_shots_chunks_continue_one_generator(monkeypatch):
+    # the first tile draws what an untiled run of as many shots draws;
+    # later tiles go on drawing from the same generator
+    qubits = [perfect_qubit(k) for k in (2, 5, 7)]
+    one_tile = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 100)
+    monkeypatch.setattr(qf, "SHOT_TILE", 100)
+    ones, deltas = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 250)
+    assert deltas[:200] == one_tile[1] and len(deltas) == 500
+    assert deltas[200:400] != deltas[:200]
+    assert 0 <= ones <= 250
+
+
 def test_ubqc_shots_calls_may_overlap(monkeypatch):
     # a delegation started while another runs leaves both results as they
     # are when each runs alone: no draw or buffer is shared between calls

@@ -8,7 +8,8 @@ computation with blinded angles; the server never learns the circuit.
 """
 
 import random
-from collections import Counter
+
+import numpy as np
 
 from bqcsim.gadget_prep import PipelineConfig
 from bqcsim.oracle import RandomOracle
@@ -31,12 +32,12 @@ def main():
         ones, deltas, tr = succ_ubqc(oracle, cfg, circ, server,
                                      random.Random(i), shots=SHOTS)
         assert tr.passed, tr.fail_reason
-        all_deltas.extend(deltas)
+        all_deltas.append(deltas)
         print(f"{circ}\t\t{dense_output_prob(circ):.4f}\t\t"
               f"{ones / SHOTS:.4f}")
 
-    hist = Counter(all_deltas)
-    n = len(all_deltas)
+    hist = np.bincount(np.concatenate(all_deltas), minlength=8)
+    n = hist.sum()
     print("\nmeasurement-angle octants seen by the server "
           "(uniform = blind):")
     for k in range(8):

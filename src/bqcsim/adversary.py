@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import tables
-from .bits import random_bits
+from .bits import bits_to_int, int_to_bits, random_bits
 from .keychain import sample_key_pair
 from .oracle import RandomOracle
 from .protocols import (HonestServer, ProtocolParams, basis_test_multi,
@@ -193,18 +193,19 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
         # permuted: guess which bit positions carry the first half, verify
         # the recombined string against a backward-row tag, and read the
         # keys off assuming an order-preserving permutation of each half
-        positions = list(range(2 * kout))
+        width = 2 * kout
+        a, b = bits_to_int(out_a), bits_to_int(out_b)
+        # bit[i] is string position i as an int bit; a sample of bit draws
+        # the same positions as a sample of range(width)
+        bit = [1 << (width - 1 - i) for i in range(width)]
         for _ in range(guesses):
-            s = sorted(rng.sample(positions, kout))
-            in_s = [False] * (2 * kout)
-            for i in s:
-                in_s[i] = True
-            out_c = "".join(out_a[i] if in_s[i] else out_b[i]
-                            for i in positions)
+            mask = sum(rng.sample(bit, kout))
+            out_c = int_to_bits((a & mask) | (b & ~mask), width)
             if tables.lt_decrypt(oracle, table.backward, h_val + out_c,
                                  party="attacker") is None:
                 continue
-            comp = [i for i in positions if not in_s[i]]
+            s = [i for i in range(width) if mask & bit[i]]
+            comp = [i for i in range(width) if not mask & bit[i]]
             cand = {
                 "".join(out_a[i] for i in s),
                 "".join(out_b[i] for i in s),

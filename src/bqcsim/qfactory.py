@@ -14,8 +14,10 @@ never copy the prepared amplitudes. ``ubqc_shots`` runs a delegation as
 one loop over tiles of ``SHOT_TILE`` shots, each drawing its own randomness
 and then running the kernel: the tile fixes the draws, nothing is kept
 between delegations, and the working memory beyond the returned deltas is
-one tile's. ``succ_ubqc`` chains the full gadget pipeline, the qfactory,
-and the cluster computation end to end. A dense statevector evaluator of
+one tile's. The deltas are one flat int8 array, one byte per delta.
+``succ_ubqc`` chains the full gadget pipeline, the qfactory, and the
+cluster computation end to end; it returns ``[]`` for the deltas when a
+delegation fails before its shots. A dense statevector evaluator of
 the same circuits is the comparison oracle.
 """
 
@@ -81,6 +83,9 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     except (KeyError, EntangledDiscardError) as e:
         tr.finish(False, f"hand-off: {e.args[0]}")
         return None, tr
+    if not g.keys() <= {"0", "1"}:
+        tr.finish(False, f"hand-off: {qubit_reg!r} is not one bit wide")
+        return None, tr
     tr.finish(True)
     alpha, beta = g.get("0", 0j), g.get("1", 0j)
     return PreparedQubit(alpha, beta, 4 * t1 + 2 * t2 + t3), tr
@@ -141,7 +146,8 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     sign*g*(w0 + w1))/p_m and bxy = 2*conj(alpha)*beta*(bz - sign*i*h)/p_m.
     The final Z measurement gives 1 iff u[:, n] < (1 - bz)/2. Byproduct
     frame: x' = m xor z xor r, z' = x, and x corrects the output bit. Returns
-    (output bits, delta octants, raw outcomes): (shots,), (shots, n) twice.
+    (output bits, delta octants, raw outcomes): (shots,), (shots, n) twice,
+    the deltas as int8.
 
     The turn -/+phi_i + 4*r_i takes one of four values, picked per shot by
     2*r_i + x. The code carries flip = -sign, and sets the real and
@@ -157,7 +163,7 @@ def ubqc_run(qubits: list[PreparedQubit], angles: np.ndarray,
     r = r.T.astype(np.int8)  # one contiguous row per gate
     x = z = np.zeros(shots, dtype=np.int8)
     key = np.empty(shots, dtype=np.int8)
-    deltas = np.empty((shots, n), dtype=np.int64)
+    deltas = np.empty((shots, n), dtype=np.int8)  # -7..18 before the & 7
     outcomes = np.empty((n, shots), dtype=bool)
     branch = np.empty(shots, dtype=complex)  # bz - sign*i*h, unscaled
     for i, (phi, q) in enumerate(zip(circuit_octants, qubits[1:])):
@@ -190,27 +196,30 @@ def ubqc_shots(qubits: list[PreparedQubit], circuit_octants: list[int],
                rng, shots: int):
     """Blind shots, each on freshly re-blinded qubits.
 
-    Returns (count of 1s, all delta octants shot by shot). Every draw comes
+    Returns (count of 1s, delta octants): the deltas are one flat,
+    C-contiguous int8 array of shots*n entries, shot by shot and gate by
+    gate within a shot, one byte per delta. Every draw comes
     from one numpy Generator seeded from ``rng``, in tiles of at most
     ``SHOT_TILE`` shots; each tile draws, in this order: re-blinding
     octants (tile, n+1), r bits (tile, n), uniforms (tile, n+1), and then
     runs the kernel on them. So the tile size fixes the draws. No state is
     kept between calls, and the working memory beyond the returned deltas
-    is one tile's; the deltas grow by n entries per shot.
+    is one tile's.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = len(circuit_octants)
     gen = np.random.default_rng(rng.getrandbits(128))
-    ones, deltas = 0, []
+    ones, deltas = 0, np.empty(shots * n, dtype=np.int8)
+    rows = deltas.reshape(shots, n)
     for start in range(0, shots, SHOT_TILE):
         size = min(SHOT_TILE, shots - start)
         angles = reblind(qubits, gen.integers(8, size=(size, len(qubits))))
         r = gen.integers(2, size=(size, n))
         u = gen.random((size, n + 1))
-        out, tile_deltas, _ = ubqc_run(qubits, angles, circuit_octants, r, u)
+        out, tile, _ = ubqc_run(qubits, angles, circuit_octants, r, u)
         ones += int(out.sum())
-        deltas += tile_deltas.ravel().tolist()
+        rows[start:start + size] = tile
     return ones, deltas
 
 
@@ -222,7 +231,9 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
     """Pipeline -> qfactory per gadget -> blind cluster computation.
 
     The pipeline must yield at least n+1 gadgets for an n-gate circuit.
-    Returns (ones count, delta octants, Transcript).
+    Returns (ones count, delta octants, Transcript), the deltas as
+    ``ubqc_shots`` returns them: one flat int8 array, one byte per delta.
+    A delegation that fails before its shots returns (None, [], Transcript).
     """
     tr = Transcript()
     gadgets, sub, _ = gdgprep_full(oracle, config, server, rng)

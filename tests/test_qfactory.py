@@ -90,8 +90,18 @@ class NoIndexRegister(HonestServer):
         return self.state.measure_hadamard(reg, self.rng)
 
 
+class WideQubit(HonestServer):
+    """Prepares the qubit honestly, then widens its register to two bits."""
+
+    def respond_phase_table(self, reg, table, qubit_reg):
+        d = super().respond_phase_table(reg, table, qubit_reg)
+        self.state.map_register(qubit_reg, lambda v, _: v + "0", width=2)
+        return d
+
+
 HAND_OFF_CHEATS = [(NoMeasure, "hand-off: entangled discard"),
-                   (NoIndexRegister, "hand-off: no register named 'g_q'")]
+                   (NoIndexRegister, "hand-off: no register named 'g_q'"),
+                   (WideQubit, "hand-off: 'g_q' is not one bit wide")]
 
 
 @pytest.mark.parametrize("server_cls,reason", HAND_OFF_CHEATS)
@@ -239,7 +249,8 @@ def reference_circuit(make_qubit, gates):
 
 def assert_shots_match_reference(qubits, circ, seed, shots):
     ref = ref_shots(qubits, circ, *replay_draws(seed, shots, len(circ)))
-    assert qf.ubqc_shots(qubits, circ, random.Random(seed), shots) == (
+    ones, deltas = qf.ubqc_shots(qubits, circ, random.Random(seed), shots)
+    assert (ones, deltas.tolist()) == (
         sum(row[0] for row in ref), [d for row in ref for d in row[1]])
 
 
@@ -263,8 +274,9 @@ def test_batched_kernel_matches_per_shot_reference(make_qubit, gates, tile,
     ref_probs = np.array([row[3] for row in ref])
     ref_x = np.array([row[4] for row in ref])
 
-    assert qf.ubqc_shots(qubits, circ, random.Random(seed), shots) == (
-        int(ref_out.sum()), ref_deltas.ravel().tolist())
+    ones, deltas = qf.ubqc_shots(qubits, circ, random.Random(seed), shots)
+    assert (ones, deltas.tolist()) == (int(ref_out.sum()),
+                                       ref_deltas.ravel().tolist())
     angles = qf.reblind(qubits, shifts)
     out, deltas, outcomes = qf.ubqc_run(qubits, angles, circ, r, u)
     assert out.tolist() == ref_out.tolist()
@@ -303,9 +315,22 @@ def test_ubqc_run_needs_matching_qubit_count():
                     np.zeros((5, 3)))
 
 
+def test_ubqc_shots_returns_one_flat_int8_array_of_deltas():
+    qubits = [complex_qubit(k, 0.3 * k) for k in (4, 1, 6, 3)]
+    for shots in (1, 7, qf.SHOT_TILE + 3):
+        ones, deltas = qf.ubqc_shots(qubits, [2, 7, 5], random.Random(4),
+                                     shots)
+        assert type(ones) is int and 0 <= ones <= shots
+        assert isinstance(deltas, np.ndarray)
+        assert deltas.dtype == np.int8 and deltas.shape == (3 * shots,)
+        assert deltas.flags.c_contiguous
+        assert deltas.min() >= 0 and deltas.max() <= 7
+
+
 def test_ubqc_shots_memory_stays_within_one_tile():
     # shots run tile by tile, so 16 or 64 tiles' worth of shots needs no
-    # more memory than one tile, less the returned deltas list
+    # more memory than one tile, less the returned deltas, which cost one
+    # byte each plus the array header
     qubits = [perfect_qubit(k) for k in (1, 3, 6, 0)]
 
     def peak(shots):
@@ -317,10 +342,12 @@ def test_ubqc_shots_memory_stays_within_one_tile():
         finally:
             tracemalloc.stop()
 
+    header = sys.getsizeof(np.empty(0, dtype=np.int8))
     peak(qf.SHOT_TILE)  # the first call also sets up numpy's own state
     one_tile, _ = peak(qf.SHOT_TILE)
     for tiles in (16, 64):
         total, deltas = peak(tiles * qf.SHOT_TILE)
+        assert deltas <= 3 * tiles * qf.SHOT_TILE + header, tiles
         assert total - deltas <= 1.25 * one_tile, tiles
 
 
@@ -336,9 +363,10 @@ def test_ubqc_shots_tiles_are_invisible(monkeypatch, shots):
     _, first = qf.ubqc_shots(qubits, circ, random.Random(shots), head)
     monkeypatch.setattr(qf, "SHOT_TILE", 50)
     _, deltas = qf.ubqc_shots(qubits, circ, random.Random(shots), shots)
-    assert deltas[:3 * head] == first and len(deltas) == 3 * shots
+    assert np.array_equal(deltas[:3 * head], first)
+    assert len(deltas) == 3 * shots
     if shots >= 100:
-        assert deltas[150:300] != deltas[:150]
+        assert not np.array_equal(deltas[150:300], deltas[:150])
     assert_shots_match_reference(qubits, circ, shots, shots)
 
 
@@ -349,8 +377,8 @@ def test_ubqc_shots_chunks_continue_one_generator(monkeypatch):
     one_tile = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 100)
     monkeypatch.setattr(qf, "SHOT_TILE", 100)
     ones, deltas = qf.ubqc_shots(qubits, [4, 1], random.Random(8), 250)
-    assert deltas[:200] == one_tile[1] and len(deltas) == 500
-    assert deltas[200:400] != deltas[:200]
+    assert np.array_equal(deltas[:200], one_tile[1]) and len(deltas) == 500
+    assert not np.array_equal(deltas[200:400], deltas[:200])
     assert 0 <= ones <= 250
 
 
@@ -370,8 +398,10 @@ def test_ubqc_shots_calls_may_overlap(monkeypatch):
         return run(*args)
 
     monkeypatch.setattr(qf, "ubqc_run", run_after_a_nested_delegation)
-    assert qf.ubqc_shots(qubits, circ, random.Random(5), shots) == outer
-    assert nested == [inner]
+    ones, deltas = qf.ubqc_shots(qubits, circ, random.Random(5), shots)
+    assert ones == outer[0] and np.array_equal(deltas, outer[1])
+    [(nested_ones, nested_deltas)] = nested
+    assert nested_ones == inner[0] and np.array_equal(nested_deltas, inner[1])
 
 
 def test_ubqc_shots_rejects_fewer_than_one_shot():
@@ -399,7 +429,8 @@ def test_ubqc_deltas_uniform_with_fresh_angles():
     circ = [3, 6]
     qubits = [perfect_qubit(rng.randrange(8)) for _ in range(3)]
     _, deltas = qf.ubqc_shots(qubits, circ, rng, 2000)
-    counts = [deltas.count(k) for k in range(8)]
+    values = deltas.tolist()
+    counts = [values.count(k) for k in range(8)]
     n = len(deltas)
     for c in counts:
         assert abs(c / n - 1 / 8) < 0.03

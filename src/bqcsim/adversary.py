@@ -183,7 +183,6 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
         if out_a is None or out_b is None:
             return False
 
-        b3 = 1 if x3_val == k3.x1 else 0
         truth = {y2.x0, y2.x1, y3.x0, y3.x1}
 
         if variant == "unpermuted":

@@ -239,8 +239,8 @@ def cmd_ubqc(args) -> int:
     oracle = RandomOracle(args.seed)
     server = HonestServer(oracle, seed=args.seed + 1)
     rng = random.Random(args.seed ^ 0xC0FFEE)
-    ones, deltas, tr = qf.succ_ubqc(oracle, pipeline, circuit, server, rng,
-                                    shots=shots)
+    ones, _, tr = qf.succ_ubqc(oracle, pipeline, circuit, server, rng,
+                               shots=shots)
     write_out(args, "ubqc.log", tr.serialize())
     if ones is None:
         return 1

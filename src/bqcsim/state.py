@@ -14,9 +14,9 @@ a split or a merge, every register that factors out of the touched
 component is peeled off into a component of its own, by the rank-1 test
 that discarding a register uses; a component left with no register is only
 a global phase, and is dropped.
-:attr:`SparseState.branches` is a read-only view of the whole product,
-keyed in :attr:`SparseState.registers` order; reading its branches expands
-the product, so it is meant for tests and small states.
+:attr:`SparseState.branches` is only the product's branch count, and no
+code path expands the whole product: its one reader is the bench tracer,
+and ROADMAP item 1 removes it.
 
 Every coherent evaluation (oracle queries, table decryption, pads) is one
 reversible value map, :meth:`SparseState.map_register`: a register's value
@@ -40,9 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
-from functools import cached_property
-from itertools import product
 
 from .bits import bits_to_int, int_to_bits, parity
 
@@ -99,37 +96,27 @@ def _factor(branches: dict, i: int):
     return g, rest
 
 
-class _Product(Mapping):
-    """Branches of a product of components, keyed by values in ``names`` order.
+def _join(comps) -> _Component:
+    """The product of ``comps``, nested in their order, as one component."""
+    joined = _Component([], {(): 1})
+    for c in comps:
+        joined.names += c.names
+        joined.branches = {k + ck: a * ca
+                           for k, a in joined.branches.items()
+                           for ck, ca in c.branches.items()}
+    return joined
 
-    A read-only snapshot: its length is the product of the component sizes,
-    and the joint branches are built the first time they are read.
-    """
 
-    def __init__(self, comps, names: list[str]):
-        self._parts = [(tuple(c.names), c.branches) for c in comps]
-        self._names = names
+class _Count:
+    """A size with no contents: ``len()`` is all it answers."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
 
     def __len__(self) -> int:
-        return math.prod(len(b) for _, b in self._parts)
-
-    def __iter__(self):
-        return iter(self._joint)
-
-    def __getitem__(self, key):
-        return self._joint[key]
-
-    @cached_property
-    def _joint(self) -> dict[tuple[str, ...], complex]:
-        pos = {n: i for i, n in
-               enumerate(n for names, _ in self._parts for n in names)}
-        order = [pos[n] for n in self._names]
-        out = {}
-        for parts in product(*(b.items() for _, b in self._parts)):
-            values = [s for k, _ in parts for s in k]
-            out[tuple([values[i] for i in order])] = math.prod(
-                [v for _, v in parts])
-        return out
+        return self._n
 
 
 class SparseState:
@@ -188,22 +175,26 @@ class SparseState:
         comp.branches = {k: v / n for k, v in comp.branches.items()}
 
     @property
-    def branches(self) -> Mapping[tuple[str, ...], complex]:
-        """The whole state as one map, keyed by values in ``registers`` order.
+    def branches(self) -> _Count:
+        """The number of branches of the whole product, as ``len()``.
 
-        A read-only snapshot of the product of every component. Its length
-        costs one multiplication per component; reading its branches
-        expands the product, so it is meant for tests and small states.
+        It costs one multiplication per component and exposes no key or
+        amplitude. Its one reader is the bench tracer; ROADMAP item 1
+        removes it.
         """
-        return self._product([n for n, _ in self.registers])
+        return _Count(math.prod(len(c.branches)
+                                for c in dict.fromkeys(self._where.values())))
 
-    def _product(self, names: list[str]) -> "_Product":
-        """The product of the components holding ``names``.
+    def _expand(self, names: list[str]) -> dict[tuple[str, ...], complex]:
+        """Branches of the product of the components holding ``names``,
+        keyed by values in ``names`` order.
 
         ``names`` must list every register of those components.
         """
-        comps = dict.fromkeys(self._where[n] for n in names)
-        return _Product(comps, names)
+        joined = _join(dict.fromkeys(self._where[n] for n in names))
+        order = [joined.names.index(n) for n in names]
+        return {tuple([k[i] for i in order]): a
+                for k, a in joined.branches.items()}
 
     def _joined(self, names) -> _Component:
         """One component over the components holding ``names``.
@@ -216,13 +207,7 @@ class SparseState:
         if len(touched) == 1:
             return touched[0]
         touched.sort(key=lambda c: min(self._regs[n][0] for n in c.names))
-        joined = _Component([], {(): 1})
-        for c in touched:
-            joined.names += c.names
-            joined.branches = {k + ck: a * ca
-                               for k, a in joined.branches.items()
-                               for ck, ca in c.branches.items()}
-        return joined
+        return _join(touched)
 
     def _refactor(self, comp: _Component) -> None:
         """Peel every register that factors out of ``comp`` into its own
@@ -345,16 +330,20 @@ class SparseState:
         diff = bits_to_int(values[0]) ^ bits_to_int(values[-1])
         lead = diff.bit_length() - 1  # -1 for a single value
 
-        # interference weight of the parity d . (s0 xor s1) = 0, then = 1
+        # contract the register against each parity p of d . (s0 xor s1);
+        # the squared norm of contraction p is the weight of parity p
         ctx_amps = _by_context(comp.branches, i)
-        weights = []
+        contracted, weights = [], []
         for p in range(len(values)):
+            new: dict[tuple[str, ...], complex] = {}
             wsum = 0.0
-            for amps in ctx_amps.values():
+            for ctx, amps in ctx_amps.items():
                 acc = 0j
                 for s, a in amps.items():
                     acc += a * (-1) ** (p * (s != values[0]))
+                new[ctx] = acc
                 wsum += abs(acc) ** 2
+            contracted.append(new)
             weights.append(wsum)
         par = self._inverse_cdf(weights, rng)
 
@@ -368,17 +357,14 @@ class SparseState:
             d_int |= 1 << lead
         d = int_to_bits(d_int, w)
 
-        sign = {s: (-1) ** parity(d_int & bits_to_int(s)) for s in values}
-        new: dict[tuple[str, ...], complex] = {}
-        for ctx, amps in ctx_amps.items():
-            acc = 0
-            for s, a in amps.items():
-                acc += a * sign[s]
-            new[ctx] = acc
+        # contraction par already gives s1 its sign relative to s0, so the
+        # residual phase (-1)^(d . s) leaves only (-1)^(d . s0) to apply
+        sign = (-1) ** parity(d_int & bits_to_int(values[0]))
         del self._regs[name]
         del self._where[name]
         comp.names.pop(i)
-        comp.branches = {k: v for k, v in new.items() if abs(v) > ATOL}
+        comp.branches = {k: v * sign for k, v in contracted[par].items()
+                         if abs(v) > ATOL}
         self._normalize(comp)
         self._refactor(comp)
         return d
@@ -508,9 +494,9 @@ class SparseState:
                     block[n] = merged
         inner = 1
         for names in {id(b): b for b in block.values()}.values():
-            amps = self._product(names)
+            amps = self._expand(names)
             inner *= sum(amps.get(k, 0) * v.conjugate()
-                         for k, v in other._product(names).items())
+                         for k, v in other._expand(names).items())
         return abs(inner) ** 2
 
 

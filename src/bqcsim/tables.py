@@ -282,7 +282,7 @@ def phase_lt_build(oracle, pair: KeyPair, n: int, pad_len: int,
     branch index from which row opens.
     """
     m = rng.randrange(4)
-    width = max((2 * 4 - 1).bit_length(), (4 - 1 + n).bit_length())
+    width = max(3, (3 + n).bit_length())
     rows = [enc(oracle, pair[b], format(m + b * n, f"0{width}b"), pad_len,
                 pad_len, rng) for b in (0, 1)]
     return LookupTable(rows, width, pair.width)

@@ -7,9 +7,14 @@ from bqcsim.qfactory import OCTANT
 from bqcsim.state import _Component
 
 
+def expand(state) -> dict:
+    """A SparseState's whole product as one map, keyed in register order."""
+    return state._expand([n for n, _ in state.registers])
+
+
 def norm(state) -> float:
     """The norm of a SparseState, over the whole product of its components."""
-    return math.sqrt(sum(abs(a) ** 2 for a in state.branches.values()))
+    return math.sqrt(sum(abs(a) ** 2 for a in expand(state).values()))
 
 
 def set_branches(state, mapping) -> None:

@@ -9,6 +9,7 @@ from bqcsim import oracle, tables
 from bqcsim.bits import int_to_bits
 from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
 from bqcsim.state import SparseState
+from conftest import expand
 
 
 def reference_prf(seed, salt, out_len, inp):
@@ -83,11 +84,11 @@ def test_repeated_coherent_eval_charges_every_row():
     o.counters.clear()
     tables.lt_eval_coherent(o, st, ["k"], "out", table)
     assert o.counters == {"server": 4}
-    assert {v[1] for v in st.branches} == {"101"}
+    assert {v[1] for v in expand(st)} == {"101"}
     # the second evaluation reads every row hash from the memo
     tables.lt_eval_coherent(o, st, ["k"], "out", table)
     assert o.counters == {"server": 8}
-    assert {v[1] for v in st.branches} == {"000"}
+    assert {v[1] for v in expand(st)} == {"000"}
 
 
 def test_deterministic_across_instances():
@@ -128,10 +129,10 @@ def test_superposed_query_appends_and_counts_once():
     st = SparseState()
     st.add_gadget("k", "00", "11")
     for calls in (1, 2):
-        before = dict(st.branches)
+        before = dict(expand(st))
         o.query_superposed(st, "k", 4)
         # each branch keeps its old value as a prefix and gains 4 bits
-        after = {k[0][:-4]: (k[0][-4:], a) for k, a in st.branches.items()}
+        after = {k[0][:-4]: (k[0][-4:], a) for k, a in expand(st).items()}
         assert after == {v: (int_to_bits(o._prf(v, 4), 4), a)
                          for (v,), a in before.items()}
         assert st.registers == [("k", 2 + 4 * calls)]
@@ -144,7 +145,7 @@ def test_superposed_query_matches_classical_values():
     st = SparseState()
     st.add_gadget("k", "01", "10")
     o.query_superposed(st, "k", 3, prefix="11")
-    vals = {k[0][:2]: k[0][2:] for k in st.branches}
+    vals = {k[0][:2]: k[0][2:] for k in expand(st)}
     assert vals["01"] == int_to_bits(o._prf("1101", 3), 3)
     assert vals["10"] == int_to_bits(o._prf("1110", 3), 3)
     assert vals["01"] == reference_prf(9, 0, 3, "1101")

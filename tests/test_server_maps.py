@@ -26,6 +26,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.qfactory import qfac8
 from bqcsim.state import SparseState
+from conftest import expand
 
 
 # -- the scratch-and-merge sequences ----------------------------------------
@@ -153,7 +154,7 @@ def counting_prf(oracle):
 
 
 def snapshot(state):
-    return state.registers, state.components(), dict(state.branches)
+    return state.registers, state.components(), dict(expand(state))
 
 
 def assert_same_amplitudes(a, b):
@@ -353,7 +354,7 @@ def test_extend_gadget_fails_closed_on_a_wrong_payload_width():
     # the honest header extends every branch by the opened payload
     server.extend_gadget("g", "lam", table)
     assert server.state.registers == [("g", 12), ("lam", 4)]
-    assert {k[0] for k in server.state.branches} == {g.x0 + "01" * 4,
+    assert {k[0] for k in expand(server.state)} == {g.x0 + "01" * 4,
                                                      g.x1 + "01" * 4}
 
 

@@ -4,6 +4,7 @@ import cmath
 import copy
 import math
 import random
+import time
 import zlib
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from bqcsim.bits import bits_to_int, dot, int_to_bits, parity
-from conftest import norm, set_branches
+from conftest import expand, norm, set_branches
 from bqcsim.state import (ATOL, EntangledDiscardError, SparseState,
                           gadget_state)
 
@@ -20,8 +21,8 @@ def test_gadget_normalized_superposition():
     st = SparseState()
     st.add_gadget("g", "000", "111")
     assert abs(norm(st) - 1) < ATOL
-    assert set(st.branches) == {("000",), ("111",)}
-    for amp in st.branches.values():
+    assert set(expand(st)) == {("000",), ("111",)}
+    for amp in expand(st).values():
         assert abs(amp - 1 / math.sqrt(2)) < ATOL
 
 
@@ -45,7 +46,7 @@ def test_measure_computational_collapses():
     st.add_gadget("g", "0011", "1100")
     out = st.measure_computational("g", rng)
     assert out in {"0011", "1100"}
-    assert set(st.branches) == {(out,)}
+    assert set(expand(st)) == {(out,)}
     assert abs(norm(st) - 1) < ATOL
 
 
@@ -87,7 +88,7 @@ def test_hadamard_measure_applies_residual_phase():
     st.add_register("b", "0")
     st.map_register("b", lambda o, k: k, keys=["a"])  # copy: |00> + |11>
     d = st.measure_hadamard("a", rng)
-    amps = {k[0]: v for k, v in st.branches.items()}
+    amps = {k[0]: v for k, v in expand(st).items()}
     expect = -1.0 if d == "1" else 1.0
     ratio = amps["1"] / amps["0"]
     assert abs(ratio - expect) < 1e-9
@@ -96,11 +97,11 @@ def test_hadamard_measure_applies_residual_phase():
 def test_split_merge_roundtrip():
     st = SparseState()
     st.add_gadget("g", "0101", "1010")
-    before = dict(st.branches)
+    before = dict(expand(st))
     st.split_register("g", [1, 3], ["hi", "lo"])
     assert st.width("hi") == 1 and st.width("lo") == 3
     st.merge_registers(["hi", "lo"], "g")
-    assert st.branches == before
+    assert expand(st) == before
 
 
 def test_merge_peels_a_register_that_factors_out():
@@ -139,7 +140,7 @@ def test_discard_product_register():
     # unentangled but not constant: a separate gadget factors out
     st = gadget_state([("a", "00", "11"), ("b", "0", "1")])
     st.discard_register("b")
-    assert set(st.branches) == {("00",), ("11",)}
+    assert set(expand(st)) == {("00",), ("11",)}
     assert abs(norm(st) - 1) < ATOL
 
 
@@ -162,6 +163,62 @@ def test_fidelity_matches_by_name_not_order():
     assert st1.fidelity(st3) < 1
 
 
+def _components_state(n: int) -> SparseState:
+    """A state of ``n`` components: an entangled pair, a gadget, a constant."""
+    st = gadget_state([("a", "0", "1"), ("b", "00", "11")])
+    st.map_register("b", lambda b, a: b[0] + a, keys=["a"])
+    if n > 1:
+        st.add_gadget("c", "01", "10")
+    if n > 2:
+        st.add_register("d", "011")
+    return st
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branch_count_is_product_of_component_sizes(n):
+    st = _components_state(n)
+    sizes = [size for _, size in st.components()]
+    assert len(sizes) == n
+    assert len(st.branches) == math.prod(sizes) == len(expand(st))
+
+
+def test_branch_count_exposes_no_branch():
+    view = _components_state(3).branches
+    for attr in ("__getitem__", "__iter__", "keys", "items"):
+        assert not hasattr(view, attr)
+
+
+def _gadget_keys(rng, count: int, width: int = 8) -> list[tuple[str, str]]:
+    keys = []
+    for _ in range(count):
+        x0, x1 = rng.sample(range(2**width), 2)
+        keys.append((format(x0, f"0{width}b"), format(x1, f"0{width}b")))
+    return keys
+
+
+def test_hundred_gadgets_stay_separate_and_compare_per_gadget():
+    keys = _gadget_keys(random.Random(5), 100)
+    st = SparseState()
+    for i, (x0, x1) in enumerate(keys):
+        st.add_gadget(f"g{i}", x0, x1)
+    assert st.components() == [((f"g{i}",), 2) for i in range(100)]
+    same = [(f"g{i}", x0, x1) for i, (x0, x1) in enumerate(keys)]
+    assert abs(st.fidelity(gadget_state(same)) - 1) < 1e-9
+    x0, x1 = keys[37]
+    y0, y1 = (format(v, "08b") for v in sorted(
+        set(range(256)) - {int(x0, 2), int(x1, 2)})[:2])
+    other = same[:37] + [("g37", y0, y1)] + same[38:]
+    assert st.fidelity(gadget_state(other)) == 0
+
+
+def test_branch_count_of_sixty_gadgets_is_not_expanded():
+    st = gadget_state([(f"g{i}", x0, x1) for i, (x0, x1)
+                       in enumerate(_gadget_keys(random.Random(6), 60))])
+    start = time.perf_counter()
+    assert len(st.branches) == 2**60
+    assert time.perf_counter() - start < 1.0
+
+
 def test_map_pair_rejects_width_change():
     # a map over a (key, destination) register pair keeps the width unless
     # a new one is given, and every image must have it
@@ -180,7 +237,7 @@ def test_map_register_concatenates_keys_and_resizes():
     st.add_register("c", "1")
     st.map_register("c", lambda c, key: key + c, keys=["b", "a"], width=4)
     assert st.width("c") == 4
-    assert all(c == b + a + "1" for a, b, c in st.branches)
+    assert all(c == b + a + "1" for a, b, c in expand(st))
     assert len(st.branches) == 4
 
 
@@ -198,11 +255,11 @@ def test_map_register_calls_fn_once_per_distinct_pair():
     st.map_register("d", fn, keys=["a"])
     assert len(st.branches) == 8
     assert calls == [("01", "0"), ("01", "1")]
-    assert all(d == a + a for a, b, c, d in st.branches)
+    assert all(d == a + a for a, b, c, d in expand(st))
 
 
 def snapshot(st):
-    return st.registers, st.components(), dict(st.branches)
+    return st.registers, st.components(), dict(expand(st))
 
 
 def test_map_register_refuses_a_collision_on_its_own_register():
@@ -214,7 +271,7 @@ def test_map_register_refuses_a_collision_on_its_own_register():
         st.map_register("a", lambda v, _: "101", width=3)
     assert snapshot(st) == before
     st.map_register("a", lambda v, _: v[::-1] + "1", width=3)  # injective
-    assert set(st.branches) == {("001", "0"), ("111", "0"), ("001", "1"),
+    assert set(expand(st)) == {("001", "0"), ("111", "0"), ("001", "1"),
                                 ("111", "1")}
 
 
@@ -294,7 +351,7 @@ def test_hadamard_measure_matches_dense_reference():
         assert prob > 1e-12, (seed, d)
         assert st.registers == [("c", cw)]
         inner = sum(post[int(c, 2)].conjugate() * a
-                    for (c,), a in st.branches.items())
+                    for (c,), a in expand(st).items())
         assert abs(inner) ** 2 / prob >= 1 - 1e-9, seed
 
 
@@ -326,13 +383,13 @@ def test_bitwise_permutation_and_inverse():
     st = SparseState()
     st.add_gadget("g", "0011", "1100")
     perm = [2, 0, 3, 1]
-    before = dict(st.branches)
+    before = dict(expand(st))
     st.map_register("g", lambda s, _: apply_perm(s, perm))
-    assert set(st.branches) == {("0101",), ("1010",)}
+    assert set(expand(st)) == {("0101",), ("1010",)}
     with pytest.raises(ValueError, match="length mismatch"):
         st.map_register("g", lambda s, _: apply_perm(s, perm[:3]))
     st.map_register("g", lambda s, _: apply_perm(s, invert_perm(perm)))
-    assert st.branches == before
+    assert expand(st) == before
 
 
 # -- the component store against the single-dict reference -----------------
@@ -645,7 +702,7 @@ def test_component_store_matches_single_dict_reference(data):
         else:
             assert got == want
         assert new.registers == ref.registers
-        assert_same_state(new.branches, ref.branches)
+        assert_same_state(expand(new), ref.branches)
         # no register of a joint component factors out of it
         for names, _ in new.components():
             for name in names if len(names) > 1 else ():

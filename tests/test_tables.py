@@ -11,7 +11,7 @@ from bqcsim.bits import apply_perm, int_to_bits, random_bits, xor
 from bqcsim.keychain import KeyPair, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import SparseState, gadget_state
-from conftest import norm
+from conftest import expand, norm
 from test_oracle import reference_prf
 
 
@@ -91,26 +91,26 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
         st.add_gadget("k", keys[0], keys[1])
         st.add_register("out", out0)
         tables.lt_eval_coherent(o, st, ["k"], "out", t)
-        assert {k: out for k, out in st.branches} == {
+        assert {k: out for k, out in expand(st)} == {
             k: xor(out0, p) for k, p in mapping[:2]}
         # a branch whose key opens no row fails, and installs nothing
         st = SparseState()
         st.add_gadget("k", keys[0], wrong)
         st.add_register("out", out0)
-        before = dict(st.branches)
+        before = dict(expand(st))
         with pytest.raises(tables.UndecryptableBranch):
             tables.lt_eval_coherent(o, st, ["k"], "out", t)
-        assert st.branches == before
+        assert expand(st) == before
         # an out register of another width fails, and installs nothing
         for out in ("1" * (pw + 1), "0" * (pw + 1), "1" * (pw - 1)):
             st = SparseState()
             st.add_gadget("k", keys[0], keys[1])
             st.add_register("out", out)
-            before = dict(st.branches)
+            before = dict(expand(st))
             with pytest.raises(ValueError) as err:
                 tables.lt_eval_coherent(o, st, ["k"], "out", t)
             assert not isinstance(err.value, tables.UndecryptableBranch)
-            assert st.branches == before
+            assert expand(st) == before
 
 
 def test_lt_rows_are_shuffled_but_ordered_mode_keeps_first():
@@ -132,7 +132,7 @@ def test_coherent_eval_matches_classical_decrypt():
     st.add_gadget("k", pair.x0, pair.x1)
     st.add_register("out", "000")
     tables.lt_eval_coherent(o, st, ["k"], "out", t)
-    vals = {k[0]: k[1] for k in st.branches}
+    vals = {k[0]: k[1] for k in expand(st)}
     assert vals == {"0011": "101", "1100": "010"}
 
 
@@ -183,7 +183,7 @@ def test_reversible_table_multi_pair():
                        ("b", ins[1].x0, ins[1].x1)])
     tables.rev_eval(o, st, [], ["a", "b"], t, "y")
     # output register holds y_b1 || y_b2 jointly over the four branches
-    vals = {k[0] for k in st.branches}
+    vals = {k[0] for k in expand(st)}
     assert vals == {outs[0][b1] + outs[1][b2]
                     for b1 in (0, 1) for b2 in (0, 1)}
 
@@ -232,7 +232,7 @@ def test_rev_eval_leaves_control_register_in_place():
     # one branch per (b1, b2, b3): the helper value keys its output value
     want = {(kh[b1], apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm))
             for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)}
-    assert set(st.branches) == want
+    assert set(expand(st)) == want
 
 
 def test_phase_table_payload_width_and_offset_range():
@@ -258,7 +258,7 @@ def test_phase_eval_applies_relative_phase():
         st.add_gadget("k", pair.x0, pair.x1)
         pt = tables.phase_lt_build(o, pair, n, 8, rng)
         tables.phase_eval(o, st, "k", pt)
-        amps = {k[0]: v for k, v in st.branches.items()}
+        amps = {k[0]: v for k, v in expand(st).items()}
         rel = amps[pair.x1] / amps[pair.x0]
         assert abs(rel - cmath.exp(1j * math.pi * n / 4)) < 1e-9
 

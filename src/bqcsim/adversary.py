@@ -10,7 +10,13 @@ The free-lunch attack is the classical measure-then-decrypt attack against
 the branching reversible table: with no output permutation it recovers all
 four output keys from two decrypted rows; with the permutation it is
 reduced to guessing bit-position subsets and verifying them against row
-tags.
+tags. A guess is one ``2*kappa_out``-bit random word, redrawn until exactly
+``kappa_out`` bits are set: a uniform choice of the positions that carry
+the first half.
+
+Trial t of a run started at ``seed0 >= 0`` uses seed
+``seed0 * 2**40 + step*t``, so distinct ``seed0`` share no trial and
+``seed0 = 0`` runs seeds 0, step, 2*step, ...
 """
 
 from __future__ import annotations
@@ -120,18 +126,48 @@ def run_with_adversary(protocol: str, adversary_cls, params: ProtocolParams,
     return tr.verdict, secrets, tr
 
 
+_SEED_BLOCK = 1 << 40  # the trial seeds of one run lie in one block
+
+
+def _trial_seeds(seed0: int, trials: int, step: int) -> range:
+    """Trial seeds ``seed0 * 2**40 + step*t``: no two ``seed0`` share one.
+
+    Negative ``seed0`` is refused: ``random.Random`` seeds with the absolute
+    value of an int, so a negative trial seed would repeat a positive one.
+    """
+    if seed0 < 0:
+        raise ValueError(f"seed0={seed0}: trial seeds need seed0 >= 0")
+    if step * trials >= _SEED_BLOCK:
+        raise ValueError(f"trials={trials}: more than one seed block")
+    base = seed0 * _SEED_BLOCK
+    return range(base, base + step * trials, step)
+
+
 def estimate(adversary_cls, protocol: str, params: ProtocolParams,
              trials: int, seed0: int = 0,
              experiment: str = "experiment") -> TrialStats:
     """Monte Carlo estimate of the pass rate, with a fresh oracle per trial."""
     passes = sum(
-        run_with_adversary(protocol, adversary_cls, params,
-                           seed0 + 1000 * t)[0] == "pass"
-        for t in range(trials))
+        run_with_adversary(protocol, adversary_cls, params, s)[0] == "pass"
+        for s in _trial_seeds(seed0, trials, 1000))
     return TrialStats(experiment, trials, passes)
 
 
 # -- free-lunch attack -----------------------------------------------------
+
+
+def _guess_mask(rng: random.Random, width: int, k: int) -> int:
+    """A uniform ``k``-subset of ``width`` bit positions, as an int mask.
+
+    Every ``width``-bit draw is equally likely, so the first draw with
+    exactly ``k`` bits set is uniform over the k-subsets. That takes
+    2**width / C(width, k) draws on average: about sqrt(pi*k) at
+    k = width / 2, the attack's only use.
+    """
+    while True:
+        mask = rng.getrandbits(width)
+        if mask.bit_count() == k:
+            return mask
 
 
 def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
@@ -194,17 +230,16 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
         # keys off assuming an order-preserving permutation of each half
         width = 2 * kout
         a, b = bits_to_int(out_a), bits_to_int(out_b)
-        # bit[i] is string position i as an int bit; a sample of bit draws
-        # the same positions as a sample of range(width)
-        bit = [1 << (width - 1 - i) for i in range(width)]
         for _ in range(guesses):
-            mask = sum(rng.sample(bit, kout))
+            mask = _guess_mask(rng, width, kout)
             out_c = int_to_bits((a & mask) | (b & ~mask), width)
             if tables.lt_decrypt(oracle, table.backward, h_val + out_c,
                                  party="attacker") is None:
                 continue
-            s = [i for i in range(width) if mask & bit[i]]
-            comp = [i for i in range(width) if not mask & bit[i]]
+            # string position i is mask bit width - 1 - i
+            s = [i for i in range(width) if mask >> (width - 1 - i) & 1]
+            comp = [i for i in range(width)
+                    if not mask >> (width - 1 - i) & 1]
             cand = {
                 "".join(out_a[i] for i in s),
                 "".join(out_b[i] for i in s),
@@ -220,8 +255,8 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
 def free_lunch_rate(variant: str, params: ProtocolParams, trials: int,
                     seed0: int = 0, guesses: int = 64) -> TrialStats:
     successes = sum(
-        free_lunch_attack(seed0 + t, variant, params, guesses)
-        for t in range(trials)
+        free_lunch_attack(s, variant, params, guesses)
+        for s in _trial_seeds(seed0, trials, 1)
     )
     return TrialStats(f"free_lunch_{variant}_k{params.kappa_out}",
                       trials, successes)

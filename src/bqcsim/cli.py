@@ -187,6 +187,8 @@ def cmd_attack(args) -> int:
     cfg = load_config(args)
     if args.trials < 1:
         raise ConfigError(f"trials={args.trials}: need at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"seed={args.seed}: attack seeds must be >= 0")
     params = make_params(cfg)
     name = args.attack
     if name == "free-lunch-unpermuted":

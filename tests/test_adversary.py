@@ -1,6 +1,10 @@
 """Adversary behaviors, the estimator, and the free-lunch attack."""
 
+import random
+from collections import Counter
+
 import pytest
+from scipy.stats import chisquare
 
 from bqcsim import adversary
 from bqcsim.adversary import (HonestServer, MeasureThenRandomD,
@@ -118,3 +122,24 @@ def test_free_lunch_permuted_small_kappa_intermediate():
     p = ProtocolParams(pad_len=8, kappa_out=2)
     st = free_lunch_rate("permuted", p, 60)
     assert 0.05 < st.p_hat < 1.0
+
+
+def test_guess_mask_is_a_uniform_k_subset():
+    rng = random.Random(5)
+    for width, k in ((40, 20), (8, 4), (2, 1), (6, 0), (6, 6)):
+        for _ in range(200):
+            mask = adversary._guess_mask(rng, width, k)
+            assert 0 <= mask < 1 << width and mask.bit_count() == k
+    # all 20 three-subsets of six positions equally likely; alpha = 1e-6
+    rng = random.Random(6)
+    counts = Counter(adversary._guess_mask(rng, 6, 3) for _ in range(40_000))
+    assert len(counts) == 20
+    assert chisquare(list(counts.values())).pvalue > 1e-6
+
+
+def test_guess_masks_repeat_per_seed():
+    def draws(seed):
+        rng = random.Random(seed)
+        return [adversary._guess_mask(rng, 40, 20) for _ in range(64)]
+    assert draws(3) == draws(3)
+    assert draws(3) != draws(4)

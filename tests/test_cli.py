@@ -244,6 +244,40 @@ def test_attack_rejects_fewer_than_one_trial(tmp_path):
     assert not (tmp_path / "hadamard-cheat.tsv").exists()
 
 
+def test_attack_seeds_draw_disjoint_trials(tmp_path, monkeypatch):
+    # no two --seed values share a trial seed, also when they differ by 1
+    # or by the cheat estimates' seed step of 1000
+    from bqcsim import adversary
+    seen = []
+    monkeypatch.setattr(adversary, "free_lunch_attack",
+                        lambda s, *a: seen.append(s) or False)
+    monkeypatch.setattr(adversary, "run_with_adversary",
+                        lambda p, c, q, s: seen.append(s) or ("fail",))
+
+    def seeds(attack, seed):
+        seen.clear()
+        assert run(["attack", attack, "--seed", str(seed),
+                    "--out", str(tmp_path)]) == 0
+        assert len(seen) == len(set(seen)) == 200
+        return set(seen)
+
+    for attack, a, b in (("free-lunch-permuted", 1, 2),
+                         ("free-lunch-unpermuted", 1, 2),
+                         ("hadamard-cheat", 1, 1001),
+                         ("basis-cheat", 1, 2)):
+        assert not seeds(attack, a) & seeds(attack, b), (attack, a, b)
+    # seed 0 keeps the trial seeds every demo and test draws
+    assert seeds("free-lunch-permuted", 0) == set(range(200))
+    assert seeds("hadamard-cheat", 0) == set(range(0, 200_000, 1000))
+
+
+def test_attack_rejects_negative_seed(tmp_path):
+    # random.Random(-s) seeds like random.Random(s): refused, not mapped
+    assert run(["attack", "hadamard-cheat", "--seed", "-1", "--trials", "3",
+                "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "hadamard-cheat.tsv").exists()
+
+
 # sha256 of every output file of fixed runs. Refactors must keep them; a
 # change that moves them changes transcripts for a given seed on purpose.
 GOLDEN = {
@@ -280,12 +314,22 @@ GOLDEN = {
     "hadamard-cheat": (["attack", "hadamard-cheat", "--seed", "1",
                         "--trials", "40"], {
         "hadamard-cheat.tsv":
-            "1257bdf2b034b626c963de5b9b421ec598978895fcfc8ad679ef81405fd03721",
+            "76a04a48f8a6922584352a79a9f691f122da31a221de04979cec098426378e2f",
     }),
     "basis-cheat": (["attack", "basis-cheat", "--seed", "1",
                      "--trials", "40"], {
         "basis-cheat.tsv":
             "f70117e5fc8cd687a1aadd3d3dd1d47e5ee6b56c6702352025113d737d6a76f3",
+    }),
+    "free-lunch-unpermuted": (["attack", "free-lunch-unpermuted", "--seed",
+                               "1", "--trials", "40", "--set", "kappa_out=4"], {
+        "free-lunch-unpermuted.tsv":
+            "b491e8afd953b0ad957cdb8069b2fa0d93e209a167eee0b5f75b722e4f3fcf28",
+    }),
+    "free-lunch-permuted": (["attack", "free-lunch-permuted", "--seed", "1",
+                             "--trials", "40", "--set", "kappa_out=4"], {
+        "free-lunch-permuted.tsv":
+            "07436c95191ca8b70e2c35c8383de3a1a1d2d5f278947760a93cc565666287ad",
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":
@@ -335,7 +379,9 @@ print(json.dumps(codes))
 @pytest.mark.parametrize("hashseed", ["1", "2"])
 def test_golden_digests_independent_of_hash_seed(tmp_path, hashseed):
     # string hashing is randomized per process; no output may depend on it.
-    # One interpreter per hash seed runs every GOLDEN command.
+    # One interpreter per hash seed runs every GOLDEN command, in dev mode
+    # with warnings as errors. An unclosed file's ResourceWarning is raised
+    # in a finalizer, which only prints it, so stderr must stay empty too.
     circ = tmp_path / "circ.txt"
     circ.write_text("1 3 6\n")
     env = child_env(PYTHONHASHSEED=hashseed)
@@ -343,8 +389,10 @@ def test_golden_digests_independent_of_hash_seed(tmp_path, hashseed):
     argvs = [[str(circ) if a == "CIRCUIT" else a for a in GOLDEN[name][0]]
              + ["--out", str(tmp_path / name)] for name in names]
     proc = subprocess.run(
-        [sys.executable, "-c", GOLDEN_RUNNER, json.dumps(argvs)], env=env,
-        check=True, stdout=subprocess.PIPE, text=True)
+        [sys.executable, "-X", "dev", "-W", "error", "-c", GOLDEN_RUNNER,
+         json.dumps(argvs)], env=env, check=True, capture_output=True,
+        text=True, timeout=120)
+    assert proc.stderr == ""
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert dict(zip(names, codes)) == dict.fromkeys(names, 0)
     for name in names:

@@ -7,11 +7,13 @@ empty BLAKE2b state, which is never updated. ``RandomOracle._prf`` is that
 function, uncounted; it returns the output bits as one integer, which
 ``int_to_bits`` writes as a {0,1} string. The table primitives call it directly
 and charge their queries themselves. Each instance keeps a bounded memo of the
-outputs it has computed: the server re-derives the tag and mask of every table
-row the client hashed when building it, so in gadget preparation and delegation
-a third to a half of all queries repeat one the same instance already answered.
-The memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full; it
-changes no output and no query count.
+outputs it has computed, which ``RandomOracle._known`` reads without hashing.
+The row a server's key opens is one whose tag the client hashed when building
+the table, so the server locates that row by reading the memo and re-derives
+its mask as a memo hit; in gadget preparation and delegation about a third of
+all ``_prf`` calls are answered by the memo. The memo holds at most
+``_MEMO_LIMIT`` entries and is cleared when full; it changes no output and no
+query count.
 On top of the PRF the module provides:
 
 * superposed queries -- branch-wise append of ``H(prefix || v)`` to the
@@ -80,6 +82,16 @@ class RandomOracle:
                 self._memo.clear()
             self._memo[key] = out
         return out
+
+    def _known(self, inp: str, out_len: int) -> int | None:
+        """``_prf(inp, out_len)`` if the memo holds it, else None.
+
+        Read-only: it hashes nothing and adds no memo or ``_heads`` entry.
+        This method and ``_prf`` are the only code that knows the memo's
+        key format.
+        """
+        head = self._heads.get(out_len)
+        return None if head is None else self._memo.get(head[0] + inp)
 
     # -- accounting --------------------------------------------------------
 

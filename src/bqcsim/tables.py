@@ -15,9 +15,11 @@ lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
 Server-side evaluation is one SparseState call per step. Four evaluators
 share one private row opener, which charges the passes and parses the rows
-once; it opens a row for every branch it is asked about, and a key it has
-seen before is answered by ``RandomOracle``'s memo, the one cache on this
-path. ``lt_eval_coherent`` XORs the payload into a register,
+once; it opens a row for every branch it is asked about. The row that opens
+under a key is one whose tag the client hashed when it built the table, so
+the opener looks for it in ``RandomOracle``'s memo first, the one cache on
+this path, and hashes the row tags in order only when the memo holds none
+that matches. ``lt_eval_coherent`` XORs the payload into a register,
 ``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it and
 ``phase_eval`` phases by it; the last two are charged as the compute and
 uncompute passes of the server's circuit. ``rev_eval`` runs reversible
@@ -128,18 +130,24 @@ def _row_opener(oracle, table: LookupTable, passes: int):
     Each pass costs the server one superposed query per row check and one
     per payload unmask. The rows are parsed to integers once. The opener
     maps a branch key to (payload as an int, width) of the row it opens,
-    and raises UndecryptableBranch if none opens; a key opened again is
-    answered by the oracle's memo, not by a cache here.
+    and raises UndecryptableBranch if none opens. It first compares each
+    row's tag with the oracle's memo, which holds the tag of the row that
+    opens while the client's build or an earlier opening is remembered, and
+    unmasks the first that matches; rows no key opens are then not hashed.
+    Only if none matches does it hash the tags in row order. Tags have at
+    least ``TAG_MIN`` bits, so both passes find the same row unless two rows
+    open under one key, with probability below rows * 2**-64.
     """
     oracle.count("server", 2 * passes * len(table.rows))
-    prf = oracle._prf
+    prf, known = oracle._prf, oracle._known
     rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
              int(r.ct, 2)) for r in table.rows]
 
     def open_row(key: str) -> tuple[int, int]:
-        for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
-            if prf(tag_pad + key, tag_len) == tag:
-                return prf(ct_pad + key, n) ^ ct, n
+        for tag_of in (known, prf):
+            for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
+                if tag_of(tag_pad + key, tag_len) == tag:
+                    return prf(ct_pad + key, n) ^ ct, n
         raise UndecryptableBranch("no row opens under branch key")
 
     return open_row

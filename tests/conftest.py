@@ -3,6 +3,9 @@
 import cmath
 import math
 
+import pytest
+
+from bqcsim import oracle
 from bqcsim.qfactory import OCTANT
 from bqcsim.state import _Component
 
@@ -28,3 +31,22 @@ def fidelity_vs_angle(qb) -> float:
     """A PreparedQubit's overlap with (|0> + exp(i*theta)|1>)/sqrt(2)."""
     target = cmath.exp(1j * OCTANT * qb.angle)
     return abs(qb.alpha + target.conjugate() * qb.beta) ** 2 / 2
+
+
+class HashCounter:
+    """A stand-in for ``oracle._EMPTY`` that counts the hashes started."""
+
+    def __init__(self, empty):
+        self.empty, self.n = empty, 0
+
+    def copy(self):
+        self.n += 1
+        return self.empty.copy()
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Counts the BLAKE2b hashes the oracle computes (memo hits start none)."""
+    counter = HashCounter(oracle._EMPTY)
+    monkeypatch.setattr(oracle, "_EMPTY", counter)
+    return counter

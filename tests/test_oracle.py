@@ -66,6 +66,23 @@ def test_memo_stays_bounded_and_transparent():
                                                                  inp)
 
 
+def test_known_reads_the_memo_and_changes_nothing(hashes):
+    o = RandomOracle(31)
+    # nothing asked at this length yet: no head, and none is made
+    assert o._known("0101", 64) is None
+    assert o._heads == {} and o._memo == {}
+    value = o._prf("0101", 64)
+    heads, memo, hashed = dict(o._heads), dict(o._memo), hashes.n
+    assert o._known("0101", 64) == value
+    # another input at a length asked, the same input at lengths not asked
+    for inp, n in (("0110", 64), ("0101", 63), ("0101", 65)):
+        assert o._known(inp, n) is None
+    assert o._heads == heads and o._memo == memo and hashes.n == hashed
+    assert o.counters == {}
+    o._memo.clear()
+    assert o._known("0101", 64) is None
+
+
 def test_repeated_classical_query_charges_each_time():
     o = RandomOracle(8)
     first = o.query_classical("0101", 16, party="server")

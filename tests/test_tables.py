@@ -8,8 +8,11 @@ import pytest
 
 from bqcsim import tables
 from bqcsim.bits import apply_perm, int_to_bits, random_bits, xor
+from bqcsim.gadget_prep import PipelineConfig, gdgprep_full
 from bqcsim.keychain import KeyPair, sample_key_pair
-from bqcsim.oracle import RandomOracle
+from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
+from bqcsim.protocols import HonestServer
+from bqcsim.qfactory import succ_ubqc
 from bqcsim.state import SparseState, gadget_state
 from conftest import expand, norm
 from test_oracle import reference_prf
@@ -111,6 +114,111 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
                 tables.lt_eval_coherent(o, st, ["k"], "out", t)
             assert not isinstance(err.value, tables.UndecryptableBranch)
             assert expand(st) == before
+
+
+def in_order_row_opener(oracle, table, passes):
+    # the reference opener: hash each row's tag in table order until one
+    # opens, whatever the memo holds
+    oracle.count("server", 2 * passes * len(table.rows))
+
+    def open_row(key):
+        for r in table.rows:
+            if oracle._prf(r.tag_pad + key, len(r.tag)) == int(r.tag, 2):
+                n = len(r.ct)
+                return oracle._prf(r.ct_pad + key, n) ^ int(r.ct, 2), n
+        raise tables.UndecryptableBranch("no row opens under branch key")
+
+    return open_row
+
+
+def evaluation(evaluator, memo, opens):
+    """Build a table, evaluate it coherently; what the evaluation left.
+
+    ``memo`` is what the server's oracle remembers of the build: all of it
+    ("built"), nothing ("cleared", or "fresh": another instance with the
+    same seed), or one key's rows while the memo is one entry short of
+    full ("full"). Unless ``opens``, one branch holds a key no row opens.
+    """
+    o = RandomOracle(41)
+    rng = random.Random(41)
+    a, b, c = (sample_key_pair(rng, 4) for _ in range(3))
+    st = SparseState()
+    st.add_gadget("a", a.x0, a.x1 if opens else c.x0)
+    if evaluator == "phase":
+        table = tables.phase_lt_build(o, a, 3, 8, rng)
+    else:
+        st.add_gadget("b", b.x0, b.x1)
+        keys = [a[i] + b[j] for i in (0, 1) for j in (0, 1)]
+        table = tables.lt_build(o, [(k, random_bits(rng, 5)) for k in keys],
+                                8, 16, rng)
+        if evaluator == "measure":
+            st.merge_registers(["a", "b"], "a")
+        else:
+            st.add_register("out", "10110")
+    server = RandomOracle(41) if memo == "fresh" else o
+    if memo in ("cleared", "full"):
+        o._memo.clear()
+    if memo == "full":
+        warm = a.x0 if evaluator == "phase" else a.x0 + b.x0
+        assert tables.lt_decrypt(o, table, warm) is not None
+        for i in range(_MEMO_LIMIT - 1 - len(o._memo)):
+            o._prf(format(i, "b"), 7)
+    before = expand(st)
+    result = None
+    try:
+        if evaluator == "xor":
+            tables.lt_eval_coherent(server, st, ["a", "b"], "out", table)
+        elif evaluator == "append":
+            tables.lt_append_coherent(server, st, ["a", "b"], "out", table)
+        elif evaluator == "measure":
+            result = tables.lt_measure_coherent(server, st, "a", table, rng)
+        else:
+            tables.phase_eval(server, st, "a", table)
+    except tables.UndecryptableBranch:
+        assert not opens and expand(st) == before
+        result = "undecryptable"
+    if memo == "full":
+        # the evaluation filled the memo, which was cleared
+        assert len(o._memo) < _MEMO_LIMIT - 1
+    return (result, expand(st), dict(o.counters), dict(server.counters),
+            rng.random())
+
+
+@pytest.mark.parametrize("opens", [True, False])
+@pytest.mark.parametrize("memo", ["built", "cleared", "fresh", "full"])
+@pytest.mark.parametrize("evaluator", ["xor", "append", "measure", "phase"])
+def test_memo_first_opener_matches_the_in_order_scan(monkeypatch, evaluator,
+                                                     memo, opens):
+    # the memo only orders which rows are tried: payloads, outcome, state,
+    # every party's charges and the rng draws are the in-order scan's
+    got = evaluation(evaluator, memo, opens)
+    assert (got[0] == "undecryptable") is not opens
+    monkeypatch.setattr(tables, "_row_opener", in_order_row_opener)
+    assert evaluation(evaluator, memo, opens) == got
+
+
+def test_coherent_evaluation_hashes_only_the_rows_that_open(hashes):
+    # BLAKE2b hashes actually computed, memo hits excluded. The row that
+    # opens under a branch key is one the client hashed when it built the
+    # table, so the server reads it from the memo and hashes no row that
+    # does not open. The in-order scan hashed the tag of every row it tried
+    # first: 289 for the pipeline and 327 for the 1-shot delegation, whose
+    # basis-test and phase-table openers run two passes. The charged
+    # queries are the same either way.
+    def run(delegate):
+        o = RandomOracle(1)
+        server = HonestServer(o, seed=2)
+        cfg = PipelineConfig(L=4, N=2)
+        if delegate:
+            tr = succ_ubqc(o, cfg, [2, 5, 1], server, random.Random(3))[2]
+        else:
+            tr = gdgprep_full(o, cfg, server, random.Random(3))[1]
+        assert tr.passed
+        return hashes.n, o.counters
+
+    assert run(False) == (151, {"client": 152, "server": 164})
+    hashes.n = 0
+    assert run(True) == (185, {"client": 184, "server": 236})
 
 
 def test_lt_rows_are_shuffled_but_ordered_mode_keeps_first():

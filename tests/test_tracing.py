@@ -119,8 +119,10 @@ def hash_work(m):
 
 
 def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
-    # every hash evaluation and every charged query, as the bench counts
-    # them: a faster row path may not skip or add a single one
+    # every _prf call and every charged query, as the bench counts them:
+    # the charged queries are the protocol's and may not move, and a row
+    # that no branch key opens costs no _prf call while the memo holds the
+    # row that does open
     def pipeline():
         oracle = bqcsim.oracle.RandomOracle(1)
         server = bqcsim.protocols.HonestServer(oracle, seed=2)
@@ -130,11 +132,13 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
 
     tr, m = traced(pipeline)
     assert tr.passed
-    # 468 = 488 - 4 * 5: the four basis tests (two inputs, two helpers) no
-    # longer re-open their 2-row tables to uncompute; re-opening the keys of
-    # rows 0 and 1 cost 1 + 1 and 2 + 1 tag and mask hashes. Their charged
-    # queries stay at two passes.
-    assert hash_work(m) == (468, 152, 164, 0)
+    # 232 = 144 + 16 + 72: the client's tag and mask of each of its 72
+    # rows, 16 calls outside tables, and one mask per row the server opens,
+    # 72 openings in all. Each opening reads its row's tag from the memo;
+    # the in-order scan called _prf for every tag it tried, 236 in all
+    # (468 = 232 + 236). The four basis tests (two inputs, two helpers)
+    # open their 2-row tables once and are charged two passes.
+    assert hash_work(m) == (232, 152, 164, 0)
 
     params = bqcsim.protocols.ProtocolParams(pad_len=8, kappa_out=20)
     won, m = traced(lambda: bqcsim.adversary.free_lunch_attack(

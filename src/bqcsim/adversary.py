@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from . import tables
 from .bits import bits_to_int, int_to_bits, random_bits
+from .gadget_prep import send_gadgets
 from .keychain import sample_key_pair
 from .oracle import RandomOracle
 from .protocols import (HonestServer, ProtocolParams, basis_test_multi,
@@ -96,21 +97,16 @@ class RandomGuessBasisTest(HonestServer):
 def _drive(protocol: str, oracle, server, params: ProtocolParams, rng):
     """Run one named protocol instance; returns (transcript, secrets)."""
     if protocol == "pad_hadamard":
-        pair = sample_key_pair(rng, 8)
-        reg = server.prepare_gadget("g", pair)
+        (pair, reg), = send_gadgets(server, rng, 1, 8)
         tr = pad_hadamard(oracle, pair, reg, params, server, rng)
         return tr, {"pair": pair}
     if protocol == "basis_test":
-        pair = sample_key_pair(rng, 8)
-        reg = server.prepare_gadget("g", pair)
+        (pair, reg), = send_gadgets(server, rng, 1, 8)
         tr = basis_test_multi(oracle, pair, reg, params.test_rounds,
                               params, server, rng)
         return tr, {"pair": pair}
     if protocol == "combine":
-        pa = sample_key_pair(rng, 8)
-        pb = sample_key_pair(rng, 8)
-        ra = server.prepare_gadget("a", pa)
-        rb = server.prepare_gadget("b", pb)
+        (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, 8)
         new, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
         return tr, {"pair_a": pa, "pair_b": pb, "combined": new}
     raise ValueError(f"unknown protocol id: {protocol}")
@@ -129,6 +125,10 @@ def run_with_adversary(protocol: str, adversary_cls, params: ProtocolParams,
 _SEED_BLOCK = 1 << 40  # the trial seeds of one run lie in one block
 
 
+class _BadTrialSeeds(ValueError):
+    """Trial seeds no run may draw; raised before its first trial."""
+
+
 def _trial_seeds(seed0: int, trials: int, step: int) -> range:
     """Trial seeds ``seed0 * 2**40 + step*t``: no two ``seed0`` share one.
 
@@ -136,9 +136,9 @@ def _trial_seeds(seed0: int, trials: int, step: int) -> range:
     value of an int, so a negative trial seed would repeat a positive one.
     """
     if seed0 < 0:
-        raise ValueError(f"seed0={seed0}: trial seeds need seed0 >= 0")
+        raise _BadTrialSeeds(f"seed0={seed0}: trial seeds need seed0 >= 0")
     if step * trials >= _SEED_BLOCK:
-        raise ValueError(f"trials={trials}: more than one seed block")
+        raise _BadTrialSeeds(f"trials={trials}: more than one seed block")
     base = seed0 * _SEED_BLOCK
     return range(base, base + step * trials, step)
 
@@ -194,9 +194,9 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
         # seeded from rng, not from seed: the helper measurement must be
         # independent of the key sampling
         server = HonestServer(oracle, seed=rng.getrandbits(64))
-        h_pair = sample_key_pair(rng, 6)
+        (h_pair, h_reg), = send_gadgets(server, rng, 1, 6, prefix="h")
         k2 = sample_key_pair(rng, 6)
-        k3 = sample_key_pair(rng, 6)
+        (k3, k3_reg), = send_gadgets(server, rng, 1, 6, prefix="x")
         y2 = sample_key_pair(rng, kout)
         y3 = sample_key_pair(rng, kout)
         perm = list(range(2 * kout))
@@ -204,8 +204,6 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
             rng.shuffle(perm)
         table = tables.robust_rlt_build(oracle, h_pair, k2, k3, y2, y3,
                                         perm, params.pad_len, rng)
-        h_reg = server.prepare_gadget("h", h_pair)
-        k3_reg = server.prepare_gadget("x", k3)
 
         h_val = server.state.measure_computational(h_reg, server.rng)
         if h_val != h_pair.x1:
@@ -237,15 +235,11 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
                                  party="attacker") is None:
                 continue
             # string position i is mask bit width - 1 - i
-            s = [i for i in range(width) if mask >> (width - 1 - i) & 1]
-            comp = [i for i in range(width)
-                    if not mask >> (width - 1 - i) & 1]
-            cand = {
-                "".join(out_a[i] for i in s),
-                "".join(out_b[i] for i in s),
-                "".join(out_a[i] for i in comp),
-                "".join(out_b[i] for i in comp),
-            }
+            halves = [[i for i in range(width)
+                       if (mask >> (width - 1 - i) & 1) == first]
+                      for first in (1, 0)]
+            cand = {"".join(out[i] for i in half)
+                    for out in (out_a, out_b) for half in halves}
             if cand == truth:
                 return True
         return False

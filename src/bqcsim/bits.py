@@ -10,17 +10,13 @@ from __future__ import annotations
 
 def random_bits(rng, n: int) -> str:
     """n uniformly random bits from an rng with a getrandbits method."""
-    if n == 0:
-        return ""
-    return bin(rng.getrandbits(n))[2:].zfill(n)
+    return int_to_bits(rng.getrandbits(n), n)
 
 
 def xor(a: str, b: str) -> str:
     if len(a) != len(b):
         raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    if not a:
-        return ""
-    return bin(int(a, 2) ^ int(b, 2))[2:].zfill(len(a))
+    return int_to_bits(bits_to_int(a) ^ bits_to_int(b), len(a))
 
 
 def dot(a: str, b: str) -> int:

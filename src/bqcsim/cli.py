@@ -16,12 +16,14 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import gadget_prep as gp
 from . import qfactory as qf
 from .adversary import (HonestServer, MeasureThenRandomD,
-                        RandomGuessBasisTest, estimate, free_lunch_rate)
+                        RandomGuessBasisTest, _BadTrialSeeds, estimate,
+                        free_lunch_rate)
 from .oracle import RandomOracle
 from .protocols import ProtocolParams, basis_test_multi, combine, pad_hadamard
 
@@ -76,22 +78,27 @@ def load_config(args) -> dict:
     return cfg
 
 
-def make_params(cfg: dict) -> ProtocolParams:
-    return ProtocolParams(pad_len=cfg["pad_len"], kappa_out=cfg["kappa_out"],
-                          test_rounds=cfg["test_rounds"])
+def from_config(cls, cfg: dict):
+    """A ``cls`` whose every field is the config value of the same name."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def make_pipeline(cfg: dict) -> gp.PipelineConfig:
-    pipeline = gp.PipelineConfig(
-        L=cfg["L"], N=cfg["N"], key_width=cfg["key_width"],
-        kappa_out=cfg["kappa_out"], pad_base=cfg["pad_base"], J=cfg["J"],
-        test_rounds=cfg["test_rounds"],
-    )
+    pipeline = from_config(gp.PipelineConfig, cfg)
     try:
         pipeline.rounds()
     except ValueError as e:
         raise ConfigError(f"L={pipeline.L} N={pipeline.N}: {e}")
     return pipeline
+
+
+def check_out(args) -> None:
+    """Refuse an ``--out`` that mkdir could not make, before any run."""
+    if args.out:
+        out = Path(args.out)
+        here = next(p for p in (out, *out.parents) if p.exists())
+        if not here.is_dir():
+            raise ConfigError(f"--out {out}: {here} is not a directory")
 
 
 def write_out(args, name: str, content: str) -> None:
@@ -107,56 +114,57 @@ def write_out(args, name: str, content: str) -> None:
 
 
 def _run_protocol(name: str, cfg: dict, seed: int):
-    """Returns (Transcript, stage reports)."""
+    """Returns (Transcript, stage reports, {name: content} of other files)."""
     oracle = RandomOracle(seed)
     server = HonestServer(oracle, seed=seed + 1)
     rng = random.Random(seed ^ 0xC0FFEE)
-    params = make_params(cfg)
+    params = from_config(ProtocolParams, cfg)
     w = cfg["key_width"]
 
     if name == "pad-hadamard":
         (p, r), = gp.send_gadgets(server, rng, 1, w)
-        return pad_hadamard(oracle, p, r, params, server, rng), []
+        return pad_hadamard(oracle, p, r, params, server, rng), [], {}
     if name == "basis-test":
         (p, r), = gp.send_gadgets(server, rng, 1, w)
         return basis_test_multi(oracle, p, r, params.test_rounds, params,
-                                server, rng), []
+                                server, rng), [], {}
     if name == "combine":
         (pa, ra), (pb, rb) = gp.send_gadgets(server, rng, 2, w)
         _, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
-        return tr, []
+        return tr, [], {}
     if name == "gdgprep-1pn":
         h, *gs = gp.send_gadgets(server, rng, 4, w)
         _, tr, reps = gp.gdgprep_1pn(oracle, h, gs, params, server, rng)
-        return tr, reps
+        return tr, reps, {}
     if name == "gdgprep-logk":
         h1, h2, seed_g = gp.send_gadgets(server, rng, 3, w)
         _, tr, reps = gp.gdgprep_logk(oracle, [h1, h2], seed_g, params,
                                       server, rng)
-        return tr, reps
+        return tr, reps, {}
     if name == "gdgprep-repeat":
         blocks = []
         for m in range(2):
             h, s = gp.send_gadgets(server, rng, 2, w, prefix=f"b{m}g")
             blocks.append(([h], s))
         _, tr, reps = gp.gdgprep_repeat(oracle, blocks, params, server, rng)
-        return tr, reps
+        return tr, reps, {}
     if name == "refresh":
         gs = gp.send_gadgets(server, rng, cfg["N"], w)
         lams = gp.send_gadgets(server, rng, cfg["J"], w, prefix="lam")
         _, tr, reps = gp.security_refreshing(oracle, gs, lams, params,
                                              server, rng)
-        return tr, reps
+        return tr, reps, {}
     if name == "gdgprep-full":
         pipeline = make_pipeline(cfg)
         _, tr, reps = gp.gdgprep_full(oracle, pipeline, server, rng)
-        return tr, reps
+        return tr, reps, {}
     if name == "qfac8":
         g, = gp.send_gadgets(server, rng, 1, w)
         qb, tr = qf.qfac8(oracle, g, params, server, rng)
-        if qb is not None:
-            tr.send("client", "qf.theta_index", str(qb.angle))
-        return tr, []
+        # the client keeps its angle: no message carries it
+        if qb is None:
+            return tr, [], {}
+        return tr, [], {"qfac8.angle.tsv": f"theta_index\n{qb.angle}\n"}
     raise ConfigError(f"unknown protocol: {name}")
 
 
@@ -167,12 +175,14 @@ RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
 
 def cmd_run(args) -> int:
     cfg = load_config(args)
-    tr, reports = _run_protocol(args.protocol, cfg, args.seed)
+    tr, reports, files = _run_protocol(args.protocol, cfg, args.seed)
     write_out(args, f"{args.protocol}.log", tr.serialize())
     if reports:
         lines = ["stage\tin\tout\thelpers\tverdict\tqueries"]
         lines += [r.line() for r in reports]
         write_out(args, f"{args.protocol}.stages.tsv", "\n".join(lines) + "\n")
+    for file_name, content in files.items():
+        write_out(args, file_name, content)
     return 0 if tr.passed else 1
 
 
@@ -187,24 +197,20 @@ def cmd_attack(args) -> int:
     cfg = load_config(args)
     if args.trials < 1:
         raise ConfigError(f"trials={args.trials}: need at least 1")
-    if args.seed < 0:
-        raise ConfigError(f"seed={args.seed}: attack seeds must be >= 0")
-    params = make_params(cfg)
+    params = from_config(ProtocolParams, cfg)
     name = args.attack
-    if name == "free-lunch-unpermuted":
-        st = free_lunch_rate("unpermuted", params, args.trials,
-                             seed0=args.seed, guesses=cfg["guesses"])
-    elif name == "free-lunch-permuted":
-        st = free_lunch_rate("permuted", params, args.trials,
-                             seed0=args.seed, guesses=cfg["guesses"])
-    elif name == "hadamard-cheat":
-        st = estimate(MeasureThenRandomD, "pad_hadamard", params,
-                      args.trials, seed0=args.seed, experiment=name)
-    elif name == "basis-cheat":
-        st = estimate(RandomGuessBasisTest, "basis_test", params,
-                      args.trials, seed0=args.seed, experiment=name)
-    else:
-        raise ConfigError(f"unknown attack: {name}")
+    cheats = {"hadamard-cheat": (MeasureThenRandomD, "pad_hadamard"),
+              "basis-cheat": (RandomGuessBasisTest, "basis_test")}
+    try:  # the trial seeds are checked before any trial runs
+        if name in cheats:
+            st = estimate(*cheats[name], params, args.trials,
+                          seed0=args.seed, experiment=name)
+        else:
+            st = free_lunch_rate(name.removeprefix("free-lunch-"), params,
+                                 args.trials, seed0=args.seed,
+                                 guesses=cfg["guesses"])
+    except _BadTrialSeeds as e:
+        raise ConfigError(e.args[0])
     header = "experiment\ttrials\tsuccesses\tp_hat\twilson95\n"
     write_out(args, f"{name}.tsv", header + st.line() + "\n")
     return 0
@@ -293,6 +299,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        check_out(args)
         if args.command == "run":
             return cmd_run(args)
         if args.command == "attack":

@@ -39,7 +39,8 @@ Gadget = tuple[KeyPair, str]  # client-side key pair + server register name
 
 def send_gadgets(server, rng, count: int, width: int,
                  prefix: str = "g") -> list[Gadget]:
-    """Sample ``count`` key pairs and send each as gadget ``{prefix}{i}``."""
+    """Sample ``count`` key pairs and send each as gadget ``{prefix}{i}``:
+    the one way a gadget reaches the server (``prepare_gadget``)."""
     out = []
     for i in range(count):
         pair = sample_key_pair(rng, width)

@@ -210,32 +210,22 @@ def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
     return tr
 
 
-def basis_test_single(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
-                      server, rng) -> Transcript:
-    """Single-round basis test: both keys decrypt to the same fresh r."""
-    tr = Transcript()
-    r = random_bits(rng, params.kappa_out)
-    table = tables.lt_build(
-        oracle, [(pair.x0, r), (pair.x1, r)],
-        params.pad_len, params.kappa_out, rng,
-    )
-    tr.send("client", "bt.table", tables.serialize_table(table))
-    answer = server.respond_basis_test(reg, table)
-    tr.send("server", "bt.r", answer)
-    if not is_bitstring(answer, params.kappa_out):
-        tr.finish(False, "malformed r")
-    else:
-        tr.finish(answer == r, None if answer == r else "wrong r")
-    return tr
-
-
 def basis_test_multi(oracle, pair: KeyPair, reg: str, rounds: int,
                      params: ProtocolParams, server, rng) -> Transcript:
-    """T sequential single-round tests with fresh r each round."""
+    """T sequential basis tests: each round, both keys decrypt to one fresh r."""
     tr = Transcript()
     for t in range(rounds):
-        sub = basis_test_single(oracle, pair, reg, params, server, rng)
-        if not tr.absorb(sub, f"round {t}"):
+        r = random_bits(rng, params.kappa_out)
+        table = tables.lt_build(oracle, [(pair.x0, r), (pair.x1, r)],
+                                params.pad_len, params.kappa_out, rng)
+        tr.send("client", "bt.table", tables.serialize_table(table))
+        answer = server.respond_basis_test(reg, table)
+        tr.send("server", "bt.r", answer)
+        if not is_bitstring(answer, params.kappa_out):
+            tr.finish(False, f"round {t}: malformed r")
+            return tr
+        if answer != r:
+            tr.finish(False, f"round {t}: wrong r")
             return tr
     tr.finish(True)
     return tr

@@ -11,9 +11,11 @@ sum of their sizes, not the product.
 Adding a register starts a new component. An operation on several registers
 first joins their components by a product. After a value map, a measurement,
 a split or a merge, every register that factors out of the touched
-component is peeled off into a component of its own, by the rank-1 test
-that discarding a register uses; a component left with no register is only
-a global phase, and is dropped.
+component is peeled off into a component of its own by a rank-1 test; a
+component left with no register is only a global phase, and is dropped.
+A phase on one register's values is local and changes no factor. So a
+register that shares its component is entangled with it, and only a
+register that is a component of its own can be discarded.
 :attr:`SparseState.branches` is only the product's branch count, and no
 code path expands the whole product: its one reader is the bench tracer,
 and ROADMAP item 1 removes it.
@@ -25,8 +27,7 @@ registers, evaluated once per branch of the components that hold those
 registers, never over the whole product. A map under which two branches
 would meet is refused, so every map is unitary. Both measurements draw
 their outcome with one ``rng.random()`` through the same inverse-CDF
-sampler, and discarding a register factors it out of the amplitudes grouped
-by the other registers' values.
+sampler.
 
 The one non-obvious primitive is :meth:`SparseState.measure_hadamard`. A
 register can be hundreds of bits wide, so the outcome ``d`` is never sampled
@@ -146,9 +147,8 @@ class SparseState:
 
     def _locate(self, name: str) -> tuple[_Component, int]:
         """The component holding register ``name``, and its position there."""
-        comp = self._where.get(name)
-        if comp is None:
-            raise KeyError(f"no register named {name!r}")
+        self._reg(name)  # raises KeyError for an unknown name
+        comp = self._where[name]
         return comp, comp.names.index(name)
 
     def _components(self) -> list[_Component]:
@@ -309,8 +309,7 @@ class SparseState:
         comp.branches = {k: v for o, (k, v) in zip(outs, comp.branches.items())
                          if o == outcome}
         self._normalize(comp)
-        if len(comp.names) > 1:
-            self._refactor(comp)
+        self._refactor(comp)
         return outcome
 
     def measure_hadamard(self, name: str, rng) -> str:
@@ -397,10 +396,10 @@ class SparseState:
         for n in new_names:
             if n != name and n in self._regs:
                 raise ValueError(f"register {n!r} already exists")
+        comp, c = self._locate(name)
         del self._regs[name]
         for i, (n, nw) in enumerate(zip(new_names, widths)):
             self._regs[n] = (order + (i,), nw)
-        comp, c = self._locate(name)
         del self._where[name]
         comp.names[c:c + 1] = new_names
         new: dict[tuple[str, ...], complex] = {}
@@ -449,27 +448,20 @@ class SparseState:
         return new_name
 
     def discard_register(self, name: str) -> dict[str, complex]:
-        """Remove an unentangled register (constant or factorizable).
+        """Remove a register and return its normalized amplitudes by value.
 
-        Returns the register's normalized amplitudes by value; their
-        global phase is arbitrary, the rest of the state keeps the inverse
-        phase. Raises EntangledDiscardError unless the state is a product
-        of the register and the rest.
+        Every operation peels off the registers that factor out, so one
+        that shares its component is entangled: EntangledDiscardError, and
+        the state is left as it was. The amplitudes' global phase is
+        arbitrary.
         """
-        comp, i = self._locate(name)
-        if len(comp.names) == 1:  # nothing to factor: skip the rank-1 test
-            n = _norm(comp.branches)
-            parts = {s: a / n for (s,), a in comp.branches.items()}, {(): n}
-        else:
-            parts = _factor(comp.branches, i)
-        if parts is None:
+        comp, _ = self._locate(name)
+        if len(comp.names) > 1:
             raise EntangledDiscardError("entangled discard")
-        g, comp.branches = parts
+        n = _norm(comp.branches)
         del self._regs[name]
         del self._where[name]
-        comp.names.pop(i)
-        self._refactor(comp)
-        return g
+        return {s: a / n for (s,), a in comp.branches.items()}
 
     # -- comparison --------------------------------------------------------
 

@@ -278,6 +278,82 @@ def test_attack_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "hadamard-cheat.tsv").exists()
 
 
+# trial counts one past the last that fits one seed block of 2**40 seeds:
+# the cheaters step trial seeds by 1000, the free-lunch attacks by 1
+TRIAL_LIMITS = {"hadamard-cheat": -(-2**40 // 1000),
+                "basis-cheat": -(-2**40 // 1000),
+                "free-lunch-unpermuted": 2**40,
+                "free-lunch-permuted": 2**40}
+
+
+@pytest.mark.parametrize("attack", sorted(TRIAL_LIMITS))
+def test_attack_rejects_more_trials_than_a_seed_block(tmp_path, capsys,
+                                                      monkeypatch, attack):
+    from bqcsim import adversary
+
+    def trial(*args):
+        raise ValueError("inside a trial")
+
+    monkeypatch.setattr(adversary, "free_lunch_attack", trial)
+    monkeypatch.setattr(adversary, "run_with_adversary", trial)
+    limit = TRIAL_LIMITS[attack]
+    argv = ["attack", attack, "--seed", "0", "--out", str(tmp_path / "out")]
+    assert run(argv + ["--trials", str(limit)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: trials={limit}: more than one seed block\n"
+    assert not (tmp_path / "out").exists()
+    # one trial fewer fits: its first trial runs, and an error raised
+    # there is the trial's own, not a usage error
+    with pytest.raises(ValueError, match="inside a trial"):
+        run(argv + ["--trials", str(limit - 1)])
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_run_rejects_an_out_that_is_no_directory(tmp_path, capsys, where):
+    existing = tmp_path / "taken"
+    existing.write_text("kept\n")
+    out = existing if where == "file" else existing / "out"
+    assert run(["run", "pad-hadamard", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert existing.read_text() == "kept\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
+
+
+def test_qfac8_angle_is_a_file_not_a_message(tmp_path):
+    # the client never sends its angle, so no transcript record holds it
+    assert run(["run", "qfac8", "--seed", "1", "--out", str(tmp_path)]) == 0
+    log = (tmp_path / "qfac8.log").read_text()
+    assert "theta" not in log and log.endswith("server\tqf.d\t010001\n"
+                                               "verdict\tpass\t\n")
+    header, angle = (tmp_path / "qfac8.angle.tsv").read_text().splitlines()
+    assert header == "theta_index" and angle in "01234567"
+
+
+def test_ubqc_circuit_longer_than_the_pipeline_exits_two(tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("1 2 3 4 5 6 7 0\n")  # 8 gates need L >= 9
+    out = tmp_path / "out"
+    assert run(["ubqc", str(circ), "--seed", "1", "--set", "L=8",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: pipeline L=8 too small for "
+                                       "8 gates\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_failed_delegation_exits_one_without_histogram(tmp_path, seed):
+    # a 1-bit output hash tail is all zero half the time, so some padded
+    # Hadamard test of the pipeline aborts the honest run
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3 5 1\n")
+    assert run(["ubqc", str(circ), "--seed", str(seed), "--set",
+                "kappa_out=1", "--out", str(tmp_path)]) == 1
+    log = (tmp_path / "ubqc.log").read_text()
+    assert log.splitlines()[-1].startswith("verdict\tfail\t")
+    assert not (tmp_path / "ubqc.hist.tsv").exists()
+
+
 # sha256 of every output file of fixed runs. Refactors must keep them; a
 # change that moves them changes transcripts for a given seed on purpose.
 GOLDEN = {
@@ -309,7 +385,9 @@ GOLDEN = {
     }),
     "qfac8": (["run", "qfac8", "--seed", "1"], {
         "qfac8.log":
-            "2a781fe9a77195f65f2311aa5fa79cbc29fbfd8e27e8ab8791b99eccb60830e3",
+            "ae601ff4546ba56413a6ad2d50db9d755ae73c260099783e3f64f930817f7e8a",
+        "qfac8.angle.tsv":
+            "56714c8a89592e8899d9d02cb67297533a86e6a026d04ad10da8c5da03f3d3db",
     }),
     "hadamard-cheat": (["attack", "hadamard-cheat", "--seed", "1",
                         "--trials", "40"], {

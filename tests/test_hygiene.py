@@ -1,6 +1,7 @@
-"""Source hygiene of ``src/bqcsim``: no dead local and no unused import.
+"""Source hygiene of ``src/bqcsim``: no dead local, no unused import, and
+one way for a gadget to reach the server.
 
-No linter ships with the project, so these two checks read the modules'
+No linter ships with the project, so these checks read the modules'
 syntax trees. A local name that is bound but never read is exempt when it
 starts with ``_``.
 """
@@ -88,3 +89,34 @@ def test_checks_catch_what_they_name():
         "    return a + g() + tau\n")
     assert dead_locals(tree) == ["f:b (line 4)"]
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
+
+
+def calls_outside(tree, method: str, owner: str) -> list[str]:
+    """``fn:line`` for each call of ``.method`` outside function ``owner``
+    (``<module>`` for a call at module level)."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == method and fn != owner):
+            found.append(f"{fn}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_gadgets_reach_the_server_only_through_send_gadgets():
+    # send_gadgets is the one quantum-message entry point of the client
+    calls = {path.name: calls_outside(ast.parse(path.read_text()),
+                                      "prepare_gadget", "send_gadgets")
+             for path in SRC}
+    assert {name: c for name, c in calls.items() if c} == {}
+    tree = ast.parse("def send_gadgets(s):\n    s.prepare_gadget()\n"
+                     "def other(s):\n    s.prepare_gadget()\n")
+    assert calls_outside(tree, "prepare_gadget", "send_gadgets") == [
+        "other:4"]

@@ -8,8 +8,7 @@ from bqcsim.bits import dot
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import (HonestServer, ProtocolParams, Transcript,
-                              basis_test_multi, basis_test_single,
-                              combine, pad_hadamard)
+                              basis_test_multi, combine, pad_hadamard)
 from bqcsim.state import gadget_state
 
 
@@ -121,8 +120,27 @@ def test_basis_test_catches_wrong_answer():
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = basis_test_single(o, pair, reg, params, srv, rng)
-    assert not tr.passed
+    tr = basis_test_multi(o, pair, reg, 1, params, srv, rng)
+    assert (tr.verdict, tr.fail_reason) == ("fail", "round 0: wrong r")
+
+
+def test_basis_test_sends_table_then_r_each_round_and_stops_at_a_fault():
+    class WrongInRoundTwo(HonestServer):
+        answers = 0
+
+        def respond_basis_test(self, reg, table):
+            self.answers += 1
+            if self.answers < 3:
+                return super().respond_basis_test(reg, table)
+            return "0" * table.payload_len
+
+    o, _, rng, params, pair, _ = setup(8)
+    srv = WrongInRoundTwo(o, seed=9)
+    reg = srv.prepare_gadget("g", pair)
+    tr = basis_test_multi(o, pair, reg, 5, params, srv, rng)
+    assert (tr.verdict, tr.fail_reason) == ("fail", "round 2: wrong r")
+    assert [(s, t) for s, t, _ in tr.messages] == [
+        ("client", "bt.table"), ("server", "bt.r")] * 3
 
 
 @pytest.mark.parametrize("answer", ["0" * 7, "0" * 9, "0120" * 2, None])
@@ -137,8 +155,8 @@ def test_basis_test_rejects_malformed_r(answer):
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = basis_test_single(o, pair, reg, params, srv, rng)
-    assert (tr.verdict, tr.fail_reason) == ("fail", "malformed r")
+    tr = basis_test_multi(o, pair, reg, 1, params, srv, rng)
+    assert (tr.verdict, tr.fail_reason) == ("fail", "round 0: malformed r")
 
 
 def test_basis_test_two_runs_both_pairs():

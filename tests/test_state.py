@@ -132,8 +132,44 @@ def test_discard_entangled_register_refuses():
     st.add_gadget("a", "0", "1")
     st.add_register("b", "0")
     st.map_register("b", lambda o, k: k, keys=["a"])
+    before = snapshot(st)
     with pytest.raises(EntangledDiscardError):
         st.discard_register("b")
+    assert snapshot(st) == before
+
+
+def test_discard_runs_no_factor_test(monkeypatch):
+    # every operation has already peeled off what factors out, so a
+    # discard only asks whether the register is a component of its own
+    from bqcsim import state as state_module
+    st = gadget_state([("a", "0", "1"), ("b", "0", "1")])
+    st.map_register("b", lambda v, k: v, keys=["a"])  # stays a product
+    st.add_register("c", "0")
+    st.map_register("c", lambda o, k: k, keys=["a"])  # entangles a and c
+    monkeypatch.setattr(state_module, "_factor", None)
+    with pytest.raises(EntangledDiscardError):
+        st.discard_register("c")
+    st.discard_register("b")
+    assert st.components() == [(("a", "c"), 2)]
+
+
+def test_state_errors_name_their_cause():
+    st = gadget_state([("a", "0", "1"), ("g", "01", "10")])
+    with pytest.raises(ValueError, match="'a' already exists"):
+        st.add_register("a", "0")
+    with pytest.raises(ValueError, match="'g' already exists"):
+        st.add_gadget("g", "0", "1")
+    for call in (lambda: st.width("z"), lambda: st.discard_register("z"),
+                 lambda: st.map_register("a", lambda v, k: v, keys=["z"]),
+                 lambda: st.measure_computational("z", random.Random(0))):
+        with pytest.raises(KeyError, match="no register named 'z'"):
+            call()
+    with pytest.raises(ValueError, match="split widths must sum"):
+        st.split_register("g", [1, 2], ["x", "y"])
+    with pytest.raises(ValueError, match="register mismatch"):
+        st.fidelity(gadget_state([("a", "0", "1"), ("h", "01", "10")]))
+    with pytest.raises(ValueError, match="register mismatch"):
+        st.fidelity(gadget_state([("a", "0", "1"), ("g", "0", "1")]))
 
 
 def test_discard_product_register():

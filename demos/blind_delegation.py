@@ -25,12 +25,15 @@ def main():
     print("circuit (octants)\tdense p(1)\tblind p(1)")
     all_deltas = []
     for i, circ in enumerate(CIRCUITS):
-        oracle = RandomOracle(4000 + i)
-        server = HonestServer(oracle, seed=i)
+        # one seed per circuit; server and client draw from streams apart
+        seed = 4000 + i
+        oracle = RandomOracle(seed)
+        server = HonestServer(oracle, seed=seed + 1)
         cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4,
                              J=1)
         ones, deltas, tr = succ_ubqc(oracle, cfg, circ, server,
-                                     random.Random(i), shots=SHOTS)
+                                     random.Random(seed ^ 0xC0FFEE),
+                                     shots=SHOTS)
         assert tr.passed, tr.fail_reason
         all_deltas.append(deltas)
         print(f"{circ}\t\t{dense_output_prob(circ):.4f}\t\t"

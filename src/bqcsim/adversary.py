@@ -94,19 +94,19 @@ class RandomGuessBasisTest(HonestServer):
 # -- trial harness ---------------------------------------------------------
 
 
-def _drive(protocol: str, oracle, server, params: ProtocolParams, rng):
-    """Run one named protocol instance; returns (transcript, secrets)."""
+def _drive(protocol: str, oracle, server, params, rng, width: int):
+    """Run a named protocol on ``width``-bit gadgets; (transcript, secrets)."""
     if protocol == "pad_hadamard":
-        (pair, reg), = send_gadgets(server, rng, 1, 8)
+        (pair, reg), = send_gadgets(server, rng, 1, width)
         tr = pad_hadamard(oracle, pair, reg, params, server, rng)
         return tr, {"pair": pair}
     if protocol == "basis_test":
-        (pair, reg), = send_gadgets(server, rng, 1, 8)
+        (pair, reg), = send_gadgets(server, rng, 1, width)
         tr = basis_test_multi(oracle, pair, reg, params.test_rounds,
                               params, server, rng)
         return tr, {"pair": pair}
     if protocol == "combine":
-        (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, 8)
+        (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, width)
         new, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
         return tr, {"pair_a": pa, "pair_b": pb, "combined": new}
     raise ValueError(f"unknown protocol id: {protocol}")
@@ -118,7 +118,7 @@ def run_with_adversary(protocol: str, adversary_cls, params: ProtocolParams,
     oracle = RandomOracle(seed)
     rng = random.Random(seed ^ 0x5DEECE66D)
     server = adversary_cls(oracle, seed=seed + 1)
-    tr, secrets = _drive(protocol, oracle, server, params, rng)
+    tr, secrets = _drive(protocol, oracle, server, params, rng, 8)
     return tr.verdict, secrets, tr
 
 
@@ -174,76 +174,72 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
                       guesses: int = 64) -> bool:
     """One trial of the classical attack on the branching table.
 
-    The attacker measures the helper and input gadgets, conditions on the
-    branching (CNOT-style) helper outcome, decrypts the two rows its
-    measured values open, and slices the two plaintexts into the four
-    output keys. ``variant`` selects the unpermuted table (slicing at the
-    known half boundary, deterministic success) or the permuted table
-    (slice positions must be guessed and checked against backward-row
-    tags). Returns True iff all four output keys were recovered exactly.
+    The trial conditions on the branching (CNOT-style) helper outcome by
+    reading the helper's x1, not by measuring it and retrying on x0. The
+    attacker measures the input gadget, decrypts the two rows its values
+    open, and slices the two plaintexts into the four output keys.
+    ``variant`` selects the unpermuted table (slicing at the known half
+    boundary, deterministic success) or the permuted table (slice positions
+    must be guessed and checked against backward-row tags). Returns True
+    iff all four output keys were recovered exactly.
     """
     if variant not in ("permuted", "unpermuted"):
         raise ValueError(f"unknown variant: {variant}")
     rng = random.Random(seed)
     kout = params.kappa_out
 
-    # fresh instances until the measured helper lands on the CNOT branch;
-    # the identity branch information-theoretically hides the fourth key
-    for attempt in range(256):
-        oracle = RandomOracle(seed * 997 + attempt)
-        # seeded from rng, not from seed: the helper measurement must be
-        # independent of the key sampling
-        server = HonestServer(oracle, seed=rng.getrandbits(64))
-        (h_pair, h_reg), = send_gadgets(server, rng, 1, 6, prefix="h")
-        k2 = sample_key_pair(rng, 6)
-        (k3, k3_reg), = send_gadgets(server, rng, 1, 6, prefix="x")
-        y2 = sample_key_pair(rng, kout)
-        y3 = sample_key_pair(rng, kout)
-        perm = list(range(2 * kout))
-        if variant == "permuted":
-            rng.shuffle(perm)
-        table = tables.robust_rlt_build(oracle, h_pair, k2, k3, y2, y3,
-                                        perm, params.pad_len, rng)
+    # nothing measures the helper, so reading x1 samples the trial given the
+    # CNOT branch (the identity branch hides the fourth key); the server rng
+    # is drawn from rng, since Random(seed) also draws the keys
+    oracle = RandomOracle(seed)
+    server = HonestServer(oracle, seed=rng.getrandbits(64))
+    (h_pair, _), = send_gadgets(server, rng, 1, 6, prefix="h")
+    k2 = sample_key_pair(rng, 6)
+    (k3, k3_reg), = send_gadgets(server, rng, 1, 6, prefix="x")
+    y2 = sample_key_pair(rng, kout)
+    y3 = sample_key_pair(rng, kout)
+    perm = list(range(2 * kout))
+    if variant == "permuted":
+        rng.shuffle(perm)
+    table = tables.robust_rlt_build(oracle, h_pair, k2, k3, y2, y3, perm,
+                                    params.pad_len, rng)
 
-        h_val = server.state.measure_computational(h_reg, server.rng)
-        if h_val != h_pair.x1:
-            continue
-        x3_val = server.state.measure_computational(k3_reg, server.rng)
+    h_val = h_pair.x1
+    x3_val = server.state.measure_computational(k3_reg, server.rng)
 
-        out_a = tables.lt_decrypt(oracle, table.forward,
-                                  h_val + k2.x0 + x3_val, party="attacker")
-        out_b = tables.lt_decrypt(oracle, table.forward,
-                                  h_val + k2.x1 + x3_val, party="attacker")
-        if out_a is None or out_b is None:
-            return False
-
-        truth = {y2.x0, y2.x1, y3.x0, y3.x1}
-
-        if variant == "unpermuted":
-            cand = {out_a[:kout], out_b[:kout], out_a[kout:], out_b[kout:]}
-            return cand == truth
-
-        # permuted: guess which bit positions carry the first half, verify
-        # the recombined string against a backward-row tag, and read the
-        # keys off assuming an order-preserving permutation of each half
-        width = 2 * kout
-        a, b = bits_to_int(out_a), bits_to_int(out_b)
-        for _ in range(guesses):
-            mask = _guess_mask(rng, width, kout)
-            out_c = int_to_bits((a & mask) | (b & ~mask), width)
-            if tables.lt_decrypt(oracle, table.backward, h_val + out_c,
-                                 party="attacker") is None:
-                continue
-            # string position i is mask bit width - 1 - i
-            halves = [[i for i in range(width)
-                       if (mask >> (width - 1 - i) & 1) == first]
-                      for first in (1, 0)]
-            cand = {"".join(out[i] for i in half)
-                    for out in (out_a, out_b) for half in halves}
-            if cand == truth:
-                return True
+    out_a = tables.lt_decrypt(oracle, table.forward,
+                              h_val + k2.x0 + x3_val, party="attacker")
+    out_b = tables.lt_decrypt(oracle, table.forward,
+                              h_val + k2.x1 + x3_val, party="attacker")
+    if out_a is None or out_b is None:
         return False
-    raise RuntimeError("never reached the branching helper outcome")
+
+    truth = {y2.x0, y2.x1, y3.x0, y3.x1}
+
+    if variant == "unpermuted":
+        cand = {out_a[:kout], out_b[:kout], out_a[kout:], out_b[kout:]}
+        return cand == truth
+
+    # permuted: guess which bit positions carry the first half, verify the
+    # recombined string against a backward-row tag, and read the keys off
+    # assuming an order-preserving permutation of each half
+    width = 2 * kout
+    a, b = bits_to_int(out_a), bits_to_int(out_b)
+    for _ in range(guesses):
+        mask = _guess_mask(rng, width, kout)
+        out_c = int_to_bits((a & mask) | (b & ~mask), width)
+        if tables.lt_decrypt(oracle, table.backward, h_val + out_c,
+                             party="attacker") is None:
+            continue
+        # string position i is mask bit width - 1 - i
+        halves = [[i for i in range(width)
+                   if (mask >> (width - 1 - i) & 1) == first]
+                  for first in (1, 0)]
+        cand = {"".join(out[i] for i in half)
+                for out in (out_a, out_b) for half in halves}
+        if cand == truth:
+            return True
+    return False
 
 
 def free_lunch_rate(variant: str, params: ProtocolParams, trials: int,

@@ -22,10 +22,10 @@ from pathlib import Path
 from . import gadget_prep as gp
 from . import qfactory as qf
 from .adversary import (HonestServer, MeasureThenRandomD,
-                        RandomGuessBasisTest, _BadTrialSeeds, estimate,
-                        free_lunch_rate)
+                        RandomGuessBasisTest, _BadTrialSeeds, _drive,
+                        estimate, free_lunch_rate)
 from .oracle import RandomOracle
-from .protocols import ProtocolParams, basis_test_multi, combine, pad_hadamard
+from .protocols import ProtocolParams
 
 DEFAULTS = {
     # protocol parameters
@@ -62,13 +62,21 @@ def parse_config(text: str, base: dict) -> dict:
     return cfg
 
 
+def read_input(name: str, kind: str) -> str:
+    """The text of a ``kind`` input file, which must exist and be UTF-8."""
+    path = Path(name)
+    if not path.is_file():
+        raise ConfigError(f"no such {kind} file: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{kind} file {path} is not UTF-8 text")
+
+
 def load_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"no such config file: {path}")
-        cfg = parse_config(path.read_text(), cfg)
+        cfg = parse_config(read_input(args.config, "config"), cfg)
     for item in args.set or []:
         cfg = parse_config(item, cfg)
     for key, value in cfg.items():
@@ -113,24 +121,21 @@ def write_out(args, name: str, content: str) -> None:
 # -- run -------------------------------------------------------------------
 
 
+def instance(seed: int):
+    """The oracle, honest server and client rng of a run at ``seed``."""
+    oracle = RandomOracle(seed)
+    return (oracle, HonestServer(oracle, seed=seed + 1),
+            random.Random(seed ^ 0xC0FFEE))
+
+
 def _run_protocol(name: str, cfg: dict, seed: int):
     """Returns (Transcript, stage reports, {name: content} of other files)."""
-    oracle = RandomOracle(seed)
-    server = HonestServer(oracle, seed=seed + 1)
-    rng = random.Random(seed ^ 0xC0FFEE)
+    oracle, server, rng = instance(seed)
     params = from_config(ProtocolParams, cfg)
     w = cfg["key_width"]
 
-    if name == "pad-hadamard":
-        (p, r), = gp.send_gadgets(server, rng, 1, w)
-        return pad_hadamard(oracle, p, r, params, server, rng), [], {}
-    if name == "basis-test":
-        (p, r), = gp.send_gadgets(server, rng, 1, w)
-        return basis_test_multi(oracle, p, r, params.test_rounds, params,
-                                server, rng), [], {}
-    if name == "combine":
-        (pa, ra), (pb, rb) = gp.send_gadgets(server, rng, 2, w)
-        _, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
+    if name in ("pad-hadamard", "basis-test", "combine"):
+        tr, _ = _drive(name.replace("-", "_"), oracle, server, params, rng, w)
         return tr, [], {}
     if name == "gdgprep-1pn":
         h, *gs = gp.send_gadgets(server, rng, 4, w)
@@ -219,9 +224,9 @@ def cmd_attack(args) -> int:
 # -- ubqc ------------------------------------------------------------------
 
 
-def parse_circuit(path: Path) -> list[int]:
+def parse_circuit(text: str) -> list[int]:
     octants = []
-    for tok in path.read_text().replace(",", " ").split():
+    for tok in text.replace(",", " ").split():
         try:
             k = int(tok)
         except ValueError:
@@ -234,19 +239,14 @@ def parse_circuit(path: Path) -> list[int]:
 
 def cmd_ubqc(args) -> int:
     cfg = load_config(args)
-    path = Path(args.circuit)
-    if not path.is_file():
-        raise ConfigError(f"no such circuit file: {path}")
-    circuit = parse_circuit(path)
+    circuit = parse_circuit(read_input(args.circuit, "circuit"))
     shots = cfg["shots"]
 
     pipeline = make_pipeline(cfg)
     if pipeline.L < len(circuit) + 1:
         raise ConfigError(
             f"pipeline L={pipeline.L} too small for {len(circuit)} gates")
-    oracle = RandomOracle(args.seed)
-    server = HonestServer(oracle, seed=args.seed + 1)
-    rng = random.Random(args.seed ^ 0xC0FFEE)
+    oracle, server, rng = instance(args.seed)
     ones, _, tr = qf.succ_ubqc(oracle, pipeline, circuit, server, rng,
                                shots=shots)
     write_out(args, "ubqc.log", tr.serialize())
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        # random.Random(-s) seeds like random.Random(s): refused, not mapped
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed}: need at least 0")
         check_out(args)
         if args.command == "run":
             return cmd_run(args)

@@ -94,22 +94,30 @@ def test_free_lunch_unpermuted_always_wins():
     assert all(free_lunch_attack(s, "unpermuted", p) for s in range(40))
 
 
-def test_free_lunch_attempts_per_trial_are_geometric(monkeypatch):
-    # each attempt lands the measured helper on the branching outcome with
-    # p = 1/2, so oracles per trial are geometric: mean 2, sd sqrt(2); the
-    # bounds are 5 sd of the mean over 400 trials
-    built = []
-    real = adversary.RandomOracle
+def test_free_lunch_trial_is_one_instance(monkeypatch):
+    # a trial conditions on the helper's CNOT branch by reading it, so it
+    # builds one oracle and one table, whatever the variant and the seed
+    built, tables_built = [], []
+    real_oracle = adversary.RandomOracle
+    real_build = adversary.tables.robust_rlt_build
 
     def counting_oracle(*args, **kwargs):
         built.append(args)
-        return real(*args, **kwargs)
+        return real_oracle(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        tables_built.append(args)
+        return real_build(*args, **kwargs)
 
     monkeypatch.setattr(adversary, "RandomOracle", counting_oracle)
+    monkeypatch.setattr(adversary.tables, "robust_rlt_build", counting_build)
     p = ProtocolParams(pad_len=4, kappa_out=4)
-    for s in range(400):
-        free_lunch_attack(s, "unpermuted", p)
-    assert 1.65 <= len(built) / 400 <= 2.35
+    for variant in ("unpermuted", "permuted"):
+        for s in range(200):
+            built.clear()
+            tables_built.clear()
+            free_lunch_attack(s, variant, p)
+            assert (len(built), len(tables_built)) == (1, 1), (variant, s)
 
 
 def test_free_lunch_permuted_rarely_wins_at_large_kappa():

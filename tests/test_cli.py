@@ -278,6 +278,37 @@ def test_attack_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "hadamard-cheat.tsv").exists()
 
 
+@pytest.mark.parametrize("command", ["run basis-test", "ubqc CIRCUIT",
+                                     "attack free-lunch-permuted"])
+def test_every_command_rejects_a_negative_seed(tmp_path, capsys, command):
+    # seed -1 would replay seed 1's client pads, seed -2 seed 0's server
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3\n")
+    argv = [str(circ) if a == "CIRCUIT" else a for a in command.split()]
+    out = tmp_path / "out"
+    for seed in ("-1", "-2"):
+        assert run(argv + ["--seed", seed, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --seed {seed}: need at least 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["circuit", "config"])
+def test_input_file_that_is_not_utf8_exits_two(tmp_path, capsys, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff3 5 1\n")
+    circ = tmp_path / "circ.txt"
+    circ.write_text("3\n")
+    argv = ["ubqc", str(bad if where == "circuit" else circ), "--seed", "1"]
+    if where == "config":
+        argv += ["--config", str(bad)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where} file {bad} is not UTF-8 text\n"
+    assert not out.exists()
+
+
 # trial counts one past the last that fits one seed block of 2**40 seeds:
 # the cheaters step trial seeds by 1000, the free-lunch attacks by 1
 TRIAL_LIMITS = {"hadamard-cheat": -(-2**40 // 1000),
@@ -407,7 +438,7 @@ GOLDEN = {
     "free-lunch-permuted": (["attack", "free-lunch-permuted", "--seed", "1",
                              "--trials", "40", "--set", "kappa_out=4"], {
         "free-lunch-permuted.tsv":
-            "07436c95191ca8b70e2c35c8383de3a1a1d2d5f278947760a93cc565666287ad",
+            "fc9c2a0cb768e1d93d36b22af146c4f0c974ed838ad124ae05522d722a1166f0",
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":

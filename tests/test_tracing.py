@@ -144,8 +144,12 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     won, m = traced(lambda: bqcsim.adversary.free_lunch_attack(
         5, "permuted", params, 64))
     assert won is False
-    assert hash_work(m) == (618, 96, 0, 522)
-    assert m["tables.rows_tried"] == 520
+    # one instance, one 16-row table: 32 = 16 rows at two client charges.
+    # 521 rows tried = 9 by the two forward decryptions up to the rows they
+    # open + 64 guesses * 8 backward rows, none of which opens; 523 = 521
+    # + 2 openings, and 555 = 32 + 523: every charged query is one _prf call
+    assert hash_work(m) == (555, 32, 0, 523)
+    assert m["tables.rows_tried"] == 521
 
 
 def test_single_map_server_steps_keep_their_traced_names():

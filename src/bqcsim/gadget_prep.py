@@ -275,6 +275,10 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     helper (client-supplied, like the refresh gadgets) and running the
     expansion block, followed by two refresh layers. After T = log2(L/N)
     rounds the server holds Gadget(K_out) with |K_out| = L.
+
+    An honest run aborts with probability 1 - (1 - 2**-kappa_out)**n: each
+    of its n = (L - N) + 2*T*J padded Hadamard tests rejects an honest
+    all-zero tail with probability 2**-kappa_out.
     """
     tr = Transcript()
     reports: list[StageReport] = []

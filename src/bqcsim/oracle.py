@@ -6,14 +6,13 @@ instances with equal seeds agree on every query; each hash copies one shared
 empty BLAKE2b state, which is never updated. ``RandomOracle._prf`` is that
 function, uncounted; it returns the output bits as one integer, which
 ``int_to_bits`` writes as a {0,1} string. The table primitives call it directly
-and charge their queries themselves. Each instance keeps a bounded memo of the
-outputs it has computed, which ``RandomOracle._known`` reads without hashing.
-The row a server's key opens is one whose tag the client hashed when building
-the table, so the server locates that row by reading the memo and re-derives
-its mask as a memo hit; in gadget preparation and delegation about a third of
-all ``_prf`` calls are answered by the memo. The memo holds at most
-``_MEMO_LIMIT`` entries and is cleared when full; it changes no output and no
-query count.
+and charge their queries themselves. Each instance keeps a memo of the
+outputs it has computed and an owner index: for each output of at least
+``TAG_MIN`` bits, the input that produced it, read by ``RandomOracle._owner``
+without hashing. A row opens under a key exactly when its tag's owner is
+``tag_pad + key``: any other input matches the tag only through a collision,
+probability at most 2**-64 per check. Both are cleared together when the
+memo holds ``_MEMO_LIMIT`` entries, and neither changes an output or a count.
 On top of the PRF the module provides:
 
 * superposed queries -- branch-wise append of ``H(prefix || v)`` to the
@@ -33,6 +32,9 @@ from .bits import int_to_bits
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 _MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
+# Outputs this wide have a recorded owner. Tables pad row tags up to it:
+# narrower tags collide too often at desk scale, opening the wrong row.
+TAG_MIN = 64
 _EMPTY = blake2b(digest_size=32)  # every hash copies it; it is never updated
 
 
@@ -46,6 +48,8 @@ class RandomOracle:
         # shift of their whole digest); each hash copies the shared _EMPTY
         self._heads: dict[int, tuple[str, range, int]] = {}
         self._memo: dict[str, int] = {}  # block-0 hash input -> output bits
+        # out_len >= TAG_MIN -> {output bits: the input that hashed to them}
+        self._owners: dict[int, dict[int, str]] = {}
 
     # -- raw PRF -----------------------------------------------------------
 
@@ -79,19 +83,22 @@ class RandomOracle:
                 digest += h.digest()
             out = int.from_bytes(digest, "big") >> head[2]
             if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
+                self._forget()
             self._memo[key] = out
+            if out_len >= TAG_MIN:
+                self._owners.setdefault(out_len, {})[out] = inp
         return out
 
-    def _known(self, inp: str, out_len: int) -> int | None:
-        """``_prf(inp, out_len)`` if the memo holds it, else None.
+    def _forget(self) -> None:
+        """Clear the memo and the owner index together."""
+        self._memo.clear()
+        self._owners.clear()
 
-        Read-only: it hashes nothing and adds no memo or ``_heads`` entry.
-        This method and ``_prf`` are the only code that knows the memo's
-        key format.
-        """
-        head = self._heads.get(out_len)
-        return None if head is None else self._memo.get(head[0] + inp)
+    def _owner(self, value: int, out_len: int) -> str | None:
+        """The recorded input whose ``out_len``-bit output is ``value``, or
+        None. Read-only: it hashes nothing and adds no entry anywhere."""
+        owners = self._owners.get(out_len)
+        return None if owners is None else owners.get(value)
 
     # -- accounting --------------------------------------------------------
 

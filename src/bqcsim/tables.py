@@ -15,11 +15,11 @@ lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
 Server-side evaluation is one SparseState call per step. Four evaluators
 share one private row opener, which charges the passes and parses the rows
-once; it opens a row for every branch it is asked about. The row that opens
-under a key is one whose tag the client hashed when it built the table, so
-the opener looks for it in ``RandomOracle``'s memo first, the one cache on
-this path, and hashes the row tags in order only when the memo holds none
-that matches. ``lt_eval_coherent`` XORs the payload into a register,
+once; it opens a row for every branch it is asked about. Every row tag has
+at least ``TAG_MIN`` bits and was hashed at the build, so ``dec_row`` and the
+opener decide it from the input the oracle's owner index records (wrong only
+by a collision, at most 2**-64 per check), and hash a tag only without one.
+``lt_eval_coherent`` XORs the payload into a register,
 ``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it and
 ``phase_eval`` phases by it; the last two are charged as the compute and
 uncompute passes of the server's circuit. ``rev_eval`` runs reversible
@@ -34,16 +34,11 @@ from typing import NamedTuple
 
 from .bits import apply_perm, int_to_bits, random_bits
 from .keychain import KeyPair
+from .oracle import TAG_MIN
 
 
 class UndecryptableBranch(ValueError):
     pass
-
-
-# Row tags below this width collide too often at desk scale (a false tag
-# match silently decrypts the wrong payload), so every table pads its tag
-# length up to the floor. Security parameters only ever lengthen tags.
-TAG_MIN = 64
 
 
 class TableRow(NamedTuple):
@@ -87,9 +82,13 @@ def enc(oracle, key: str, payload: str, pad_len: int, tag_len: int,
 
 
 def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
-    """Payload if the key opens this row, else None."""
+    """Payload if the key opens this row, else None; a tag is hashed only
+    when the oracle records no owner for it."""
     oracle.count(party)
-    if oracle._prf(row.tag_pad + key, len(row.tag)) != int(row.tag, 2):
+    tag, inp = int(row.tag, 2), row.tag_pad + key
+    owner = oracle._owner(tag, len(row.tag))
+    if (owner != inp if owner is not None
+            else oracle._prf(inp, len(row.tag)) != tag):
         return None
     oracle.count(party)
     n = len(row.ct)
@@ -130,25 +129,30 @@ def _row_opener(oracle, table: LookupTable, passes: int):
     Each pass costs the server one superposed query per row check and one
     per payload unmask. The rows are parsed to integers once. The opener
     maps a branch key to (payload as an int, width) of the row it opens,
-    and raises UndecryptableBranch if none opens. It first compares each
-    row's tag with the oracle's memo, which holds the tag of the row that
-    opens while the client's build or an earlier opening is remembered, and
-    unmasks the first that matches; rows no key opens are then not hashed.
-    Only if none matches does it hash the tags in row order. Tags have at
-    least ``TAG_MIN`` bits, so both passes find the same row unless two rows
-    open under one key, with probability below rows * 2**-64.
+    and raises UndecryptableBranch if none opens. Rows whose tag has a
+    recorded owner are indexed by the key that opens them (the first per
+    key); a key not in the index hashes, in row order, only the other tags.
+    That is the in-order scan's row unless two rows open under one key.
     """
     oracle.count("server", 2 * passes * len(table.rows))
-    prf, known = oracle._prf, oracle._known
-    rows = [(r.tag_pad, len(r.tag), int(r.tag, 2), r.ct_pad, len(r.ct),
-             int(r.ct, 2)) for r in table.rows]
+    prf = oracle._prf
+    by_key, unknown = {}, []
+    for r in table.rows:
+        tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2))
+        owner = oracle._owner(tag, len(r.tag))
+        if owner is None:
+            unknown.append((r.tag_pad, len(r.tag), tag, row))
+        elif owner.startswith(r.tag_pad):
+            by_key.setdefault(owner[len(r.tag_pad):], row)
 
     def open_row(key: str) -> tuple[int, int]:
-        for tag_of in (known, prf):
-            for tag_pad, tag_len, tag, ct_pad, n, ct in rows:
-                if tag_of(tag_pad + key, tag_len) == tag:
-                    return prf(ct_pad + key, n) ^ ct, n
-        raise UndecryptableBranch("no row opens under branch key")
+        row = by_key.get(key) or next(
+            (row for tag_pad, tag_len, tag, row in unknown
+             if prf(tag_pad + key, tag_len) == tag), None)
+        if row is None:
+            raise UndecryptableBranch("no row opens under branch key")
+        ct_pad, n, ct = row
+        return prf(ct_pad + key, n) ^ ct, n
 
     return open_row
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import binom, chisquare
 
 from bqcsim import gadget_prep as gp
 from bqcsim import qfactory as qf
@@ -119,6 +119,30 @@ def test_honest_exact_qfac8():
     reg = srv.prepare_gadget("g", p)
     qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
     assert tr.passed and fidelity_vs_angle(qb) >= EXACT
+
+
+# -- criterion: honest completeness ----------------------------------------
+
+
+def test_honest_abort_rate_matches_the_closed_form():
+    # every padded Hadamard test rejects an honest all-zero tail with
+    # probability 2**-kappa_out, and a pipeline runs (L - N) + 2*T*J of
+    # them: 10 here, so P(abort) = 1 - (15/16)**10 = 0.4755. Parameters,
+    # seeds and alpha = 1e-3 were fixed before the first run
+    cfg = gp.PipelineConfig(L=8, N=2, J=1, kappa_out=4)
+    runs = 300
+    tests = (cfg.L - cfg.N) + 2 * cfg.rounds() * cfg.J
+    p_abort = 1 - (1 - 2.0 ** -cfg.kappa_out) ** tests
+    aborts = 0
+    for seed in range(50_000, 50_000 + runs):
+        o = RandomOracle(seed)
+        srv = HonestServer(o, seed=seed + 1)
+        tr = gp.gdgprep_full(o, cfg, srv, random.Random(seed ^ 0xACCE))[1]
+        if not tr.passed:
+            aborts += 1
+            assert tr.fail_reason.endswith("all-zero tail")
+    lo, hi = binom.interval(1 - 1e-3, runs, p_abort)
+    assert lo <= aborts <= hi, (aborts, runs * p_abort)
 
 
 # -- criterion: gadget arithmetic ------------------------------------------

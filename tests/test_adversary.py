@@ -11,6 +11,7 @@ from bqcsim.adversary import (HonestServer, MeasureThenRandomD,
                               RandomGuessBasisTest, TrialStats, estimate,
                               free_lunch_attack, free_lunch_rate,
                               run_with_adversary)
+from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import ProtocolParams
 
 PARAMS = ProtocolParams(pad_len=6, kappa_out=12, test_rounds=1)
@@ -118,6 +119,34 @@ def test_free_lunch_trial_is_one_instance(monkeypatch):
             tables_built.clear()
             free_lunch_attack(s, variant, p)
             assert (len(built), len(tables_built)) == (1, 1), (variant, s)
+
+
+@pytest.mark.parametrize("kout", [2, 3, 4, 20])
+def test_free_lunch_trial_is_the_same_when_every_tag_is_hashed(monkeypatch,
+                                                               kout):
+    # recorded owners only spare hashes: with none, every row tag tried is
+    # hashed, and each trial still has the same result and charges every
+    # party the same queries
+    p = ProtocolParams(pad_len=8, kappa_out=kout)
+    built = []
+    real_oracle = adversary.RandomOracle
+
+    def recording_oracle(*args, **kwargs):
+        built.append(real_oracle(*args, **kwargs))
+        return built[-1]
+
+    def trials():
+        got = []
+        for variant in ("unpermuted", "permuted"):
+            for s in range(100):
+                won = free_lunch_attack(s, variant, p)
+                got.append((won, built.pop().counters))
+        return got
+
+    monkeypatch.setattr(adversary, "RandomOracle", recording_oracle)
+    with_owners = trials()
+    monkeypatch.setattr(RandomOracle, "_owner", lambda self, value, n: None)
+    assert trials() == with_owners
 
 
 def test_free_lunch_permuted_rarely_wins_at_large_kappa():

@@ -120,3 +120,28 @@ def test_gadgets_reach_the_server_only_through_send_gadgets():
                      "def other(s):\n    s.prepare_gadget()\n")
     assert calls_outside(tree, "prepare_gadget", "send_gadgets") == [
         "other:4"]
+
+
+ORACLE_PRIVATE = {"_memo", "_heads", "_owners", "_forget"}
+
+
+def names_used(tree, names) -> list[str]:
+    """``name:line`` for each attribute or variable in ``names``."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in names:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_the_oracle_names_its_memo_and_owner_index():
+    # the tables layer reads the oracle through _prf and _owner alone
+    used = {path.name: names_used(ast.parse(path.read_text()),
+                                  ORACLE_PRIVATE)
+            for path in SRC if path.name != "oracle.py"}
+    assert {name: u for name, u in used.items() if u} == {}
+    tree = ast.parse("o._memo.clear()\nx = o._owner(t, 64)\n_owners = {}\n")
+    assert sorted(names_used(tree, ORACLE_PRIVATE)) == ["_memo:1",
+                                                        "_owners:3"]

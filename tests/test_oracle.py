@@ -7,7 +7,7 @@ import pytest
 
 from bqcsim import oracle, tables
 from bqcsim.bits import int_to_bits
-from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
+from bqcsim.oracle import _MEMO_LIMIT, TAG_MIN, RandomOracle
 from bqcsim.state import SparseState
 from conftest import expand
 
@@ -66,21 +66,34 @@ def test_memo_stays_bounded_and_transparent():
                                                                  inp)
 
 
-def test_known_reads_the_memo_and_changes_nothing(hashes):
+def test_owner_reads_the_index_and_changes_nothing(hashes):
     o = RandomOracle(31)
-    # nothing asked at this length yet: no head, and none is made
-    assert o._known("0101", 64) is None
-    assert o._heads == {} and o._memo == {}
-    value = o._prf("0101", 64)
-    heads, memo, hashed = dict(o._heads), dict(o._memo), hashes.n
-    assert o._known("0101", 64) == value
-    # another input at a length asked, the same input at lengths not asked
-    for inp, n in (("0110", 64), ("0101", 63), ("0101", 65)):
-        assert o._known(inp, n) is None
-    assert o._heads == heads and o._memo == memo and hashes.n == hashed
-    assert o.counters == {}
-    o._memo.clear()
-    assert o._known("0101", 64) is None
+
+    def snapshot():
+        return (dict(o._heads), dict(o._memo),
+                {n: dict(d) for n, d in o._owners.items()})
+
+    # nothing asked at this length yet: no head or index, and none is made
+    assert o._owner(0, TAG_MIN) is None
+    assert snapshot() == ({}, {}, {})
+    value = o._prf("0101", TAG_MIN)
+    narrow = o._prf("0101", TAG_MIN - 1)
+    state, hashed = snapshot(), hashes.n
+    assert o._owner(value, TAG_MIN) == "0101"
+    # another value at a length asked, the same value at a length not asked,
+    # and an output narrower than TAG_MIN, which is never recorded
+    for v, n in ((value ^ 1, TAG_MIN), (value, TAG_MIN + 1),
+                 (narrow, TAG_MIN - 1)):
+        assert o._owner(v, n) is None
+    assert snapshot() == state and hashes.n == hashed and o.counters == {}
+    # the index is cleared with the memo, on the hash that finds it full
+    for i in range(_MEMO_LIMIT - len(o._memo)):
+        o._prf(format(i, "b"), 7)
+    assert o._owner(value, TAG_MIN) == "0101"
+    fresh = o._prf("1", TAG_MIN)
+    assert len(o._memo) == 1
+    assert o._owner(value, TAG_MIN) is None
+    assert o._owner(fresh, TAG_MIN) == "1"
 
 
 def test_repeated_classical_query_charges_each_time():

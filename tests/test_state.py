@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import event, example, given, settings, strategies as hst
 
 from bqcsim.bits import bits_to_int, dot, int_to_bits, parity
 from conftest import expand, norm, set_branches
@@ -643,11 +643,16 @@ def pure_fn(salt, width, kind):
     return fn
 
 
-def draw_op(data, widths, fresh):
-    """One state operation with its arguments, on the registers present."""
+def draw_op(data, widths, fresh, grow=True):
+    """One state operation with its arguments, on the registers present.
+
+    ``add_gadget``, the one operation that grows the product, is offered
+    only if ``grow``.
+    """
     names = list(widths)
     bits = lambda w: data.draw(hst.text("01", min_size=w, max_size=w))
-    kinds = ["add_gadget", "add_register"] * 2
+    kinds = (["add_gadget", "add_register"] * 2 if grow
+             else ["add_register"] * 2)
     if names:
         kinds += ["map_register"] * 4 + [
             "apply_phase_per_branch", "measure_computational",
@@ -721,15 +726,40 @@ def assert_same_state(got, want):
             assert abs(got[k] * phase - a) <= 1e-12, (k, got[k], a)
 
 
+class Script:
+    """Fixed draws for an explicit example: each ``draw`` returns the next."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+# seed 0, then 18 steps: 16 one-bit gadgets of keys "0" and "1" (draws
+# kind, width, x0, flip), a phase on r0 (salt, register) and a parity
+# measurement of r15 (observable, register) on the 2**16-branch product
+BIG_PRODUCT = Script(0, 18, *("add_gadget", 1, "0", 1) * 16,
+                     "apply_phase_per_branch", 7, "r0",
+                     "measure_computational", True, "r15")
+
+
 @settings(max_examples=300, deadline=None)
-@given(hst.data())
-def test_component_store_matches_single_dict_reference(data):
+@given(data=hst.data(), budget=hst.just(1 << 12))
+@example(data=BIG_PRODUCT, budget=1 << 16)
+def test_component_store_matches_single_dict_reference(data, budget):
+    # the reference, its expansion and the comparison cost O(product) per
+    # step, so no gadget is added once the reference holds ``budget``
+    # branches; the fixed example compares a 2**16-branch product
     seed = data.draw(hst.integers(0, 2**32 - 1))
     new, ref = SparseState(), ReferenceState()
     rng_new, rng_ref = random.Random(seed), random.Random(seed)
     for step in range(data.draw(hst.integers(4, 24))):
         widths = dict(ref.registers)
-        kind, args, kwargs = draw_op(data, widths, f"r{step}")
+        grow = len(ref.branches) < budget
+        if not grow:
+            event("branch budget reached")
+        kind, args, kwargs = draw_op(data, widths, f"r{step}", grow)
         got = outcome_of(new, kind, args, kwargs, rng_new)
         want = outcome_of(ref, kind, args, kwargs, rng_ref)
         if isinstance(want[1], dict):  # a discarded register's amplitudes

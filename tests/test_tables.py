@@ -118,7 +118,7 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
 
 def in_order_row_opener(oracle, table, passes):
     # the reference opener: hash each row's tag in table order until one
-    # opens, whatever the memo holds
+    # opens, whatever the memo and owner index hold
     oracle.count("server", 2 * passes * len(table.rows))
 
     def open_row(key):
@@ -134,10 +134,11 @@ def in_order_row_opener(oracle, table, passes):
 def evaluation(evaluator, memo, opens):
     """Build a table, evaluate it coherently; what the evaluation left.
 
-    ``memo`` is what the server's oracle remembers of the build: all of it
-    ("built"), nothing ("cleared", or "fresh": another instance with the
-    same seed), or one key's rows while the memo is one entry short of
-    full ("full"). Unless ``opens``, one branch holds a key no row opens.
+    ``memo`` is what the server's oracle remembers of the build, in its
+    memo and owner index: all of it ("built"), nothing ("cleared", or
+    "fresh": another instance with the same seed), or one key's rows while
+    the memo is full, so that the evaluation's first hash clears it
+    ("full"). Unless ``opens``, one branch holds a key no row opens.
     """
     o = RandomOracle(41)
     rng = random.Random(41)
@@ -157,11 +158,11 @@ def evaluation(evaluator, memo, opens):
             st.add_register("out", "10110")
     server = RandomOracle(41) if memo == "fresh" else o
     if memo in ("cleared", "full"):
-        o._memo.clear()
+        o._forget()
     if memo == "full":
         warm = a.x0 if evaluator == "phase" else a.x0 + b.x0
         assert tables.lt_decrypt(o, table, warm) is not None
-        for i in range(_MEMO_LIMIT - 1 - len(o._memo)):
+        for i in range(_MEMO_LIMIT - len(o._memo)):
             o._prf(format(i, "b"), 7)
     before = expand(st)
     result = None
@@ -189,8 +190,9 @@ def evaluation(evaluator, memo, opens):
 @pytest.mark.parametrize("evaluator", ["xor", "append", "measure", "phase"])
 def test_memo_first_opener_matches_the_in_order_scan(monkeypatch, evaluator,
                                                      memo, opens):
-    # the memo only orders which rows are tried: payloads, outcome, state,
-    # every party's charges and the rng draws are the in-order scan's
+    # the memo and owner index only decide which tags are hashed: payloads,
+    # outcome, state, every party's charges and the rng draws are the
+    # in-order scan's
     got = evaluation(evaluator, memo, opens)
     assert (got[0] == "undecryptable") is not opens
     monkeypatch.setattr(tables, "_row_opener", in_order_row_opener)
@@ -200,8 +202,8 @@ def test_memo_first_opener_matches_the_in_order_scan(monkeypatch, evaluator,
 def test_coherent_evaluation_hashes_only_the_rows_that_open(hashes):
     # BLAKE2b hashes actually computed, memo hits excluded. The row that
     # opens under a branch key is one the client hashed when it built the
-    # table, so the server reads it from the memo and hashes no row that
-    # does not open. The in-order scan hashed the tag of every row it tried
+    # table, so the server finds it from the owner index and hashes no row
+    # tag. The in-order scan hashed the tag of every row it tried
     # first: 289 for the pipeline and 327 for the 1-shot delegation, whose
     # basis-test and phase-table openers run two passes. The charged
     # queries are the same either way.
@@ -318,6 +320,42 @@ def test_robust_table_branching_structure():
                 assert tables.lt_decrypt(o, t.forward, key) == want
                 assert tables.lt_decrypt(o, t.backward,
                                          kh[b1] + want) == k2[b2] + k3[b3]
+
+
+def test_another_instance_with_no_owners_opens_the_same_rows(hashes):
+    # an instance with the builder's seed has recorded no owner, so it hashes
+    # every tag it tries; it opens the rows, and charges the queries, that
+    # the builder's instance does from its owner index
+    o = RandomOracle(12)
+    rng = random.Random(12)
+    kh, k2, k3 = (sample_key_pair(rng, 4) for _ in range(3))
+    y2, y3 = sample_key_pair(rng, 5), sample_key_pair(rng, 5)
+    perm = list(range(10))
+    rng.shuffle(perm)
+    t = tables.robust_rlt_build(o, kh, k2, k3, y2, y3, perm, 8, rng)
+    fwd = [kh[b1] + k2[b2] + k3[b3]
+           for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)]
+    bwd = [key[:4] + tables.lt_decrypt(o, t.forward, key) for key in fwd]
+    wrong = [key[:-1] + str(1 - int(key[-1])) for key in fwd + bwd]
+
+    def decrypt_all(oracle):
+        hashed = hashes.n
+        opened = [(tables.lt_decrypt(oracle, table, key, "server"),
+                   [tables.dec_row(oracle, row, key, "server")
+                    for row in table.rows])
+                  for table in (t.forward, t.backward)
+                  for key in fwd + bwd + wrong]
+        return opened, oracle.counters["server"], hashes.n - hashed
+
+    other = RandomOracle(12)
+    assert other._owners == {}
+    got, charged, hashed = decrypt_all(o)
+    assert sum(p is not None for p, _ in got) == 16
+    # the builder's instance hashed every tag and mask when it built t
+    assert hashed == 0
+    other_got, other_charged, other_hashed = decrypt_all(other)
+    assert (other_got, other_charged) == (got, charged)
+    assert other_hashed > 0
 
 
 def test_rev_eval_leaves_control_register_in_place():

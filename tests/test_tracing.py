@@ -121,8 +121,7 @@ def hash_work(m):
 def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     # every _prf call and every charged query, as the bench counts them:
     # the charged queries are the protocol's and may not move, and a row
-    # that no branch key opens costs no _prf call while the memo holds the
-    # row that does open
+    # tag with a recorded owner costs no _prf call
     def pipeline():
         oracle = bqcsim.oracle.RandomOracle(1)
         server = bqcsim.protocols.HonestServer(oracle, seed=2)
@@ -147,8 +146,10 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     # one instance, one 16-row table: 32 = 16 rows at two client charges.
     # 521 rows tried = 9 by the two forward decryptions up to the rows they
     # open + 64 guesses * 8 backward rows, none of which opens; 523 = 521
-    # + 2 openings, and 555 = 32 + 523: every charged query is one _prf call
-    assert hash_work(m) == (555, 32, 0, 523)
+    # + 2 openings. Every row tag has the owner the client's build recorded,
+    # so no tag is hashed: 34 = 32 + the 2 unmasks of the forward openings.
+    # Hashing every tag tried made it 555 = 32 + 523
+    assert hash_work(m) == (34, 32, 0, 523)
     assert m["tables.rows_tried"] == 521
 
 

@@ -30,7 +30,7 @@ def main():
         oracle = RandomOracle(seed)
         server = HonestServer(oracle, seed=seed + 1)
         cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4,
-                             J=1)
+                             J=1, test_rounds=1)
         ones, deltas, tr = succ_ubqc(oracle, cfg, circ, server,
                                      random.Random(seed ^ 0xC0FFEE),
                                      shots=SHOTS)

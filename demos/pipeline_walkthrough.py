@@ -21,7 +21,7 @@ def main():
     oracle = RandomOracle(SEED)
     server = HonestServer(oracle, seed=SEED + 1)
     config = PipelineConfig(L=8, N=2, key_width=4, kappa_out=8, pad_base=4,
-                            J=1)
+                            J=1, test_rounds=1)
     print(f"pipeline: N={config.N} -> L={config.L} "
           f"({config.rounds()} doubling rounds)")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import gadget_prep as gp
@@ -25,17 +25,10 @@ from .adversary import (HonestServer, MeasureThenRandomD,
                         RandomGuessBasisTest, _BadTrialSeeds, _drive,
                         estimate, free_lunch_rate)
 from .oracle import RandomOracle
-from .protocols import ProtocolParams
 
-DEFAULTS = {
-    # protocol parameters
-    "pad_len": 8, "kappa_out": 16, "test_rounds": 2, "key_width": 6,
-    # pipeline shape
-    "L": 8, "N": 2, "pad_base": 4, "J": 1,
-    # experiment sizes
-    "shots": 1000, "guesses": 64,
-}
-INT_KEYS = set(DEFAULTS)
+EXPERIMENT = {"shots": 1000, "guesses": 64}  # experiment sizes
+# every other key is a PipelineConfig field, with the field's default
+DEFAULTS = {**asdict(gp.PipelineConfig()), **EXPERIMENT}
 MAY_BE_ZERO = {"test_rounds", "J", "guesses"}  # every other key needs >= 1
 
 
@@ -53,7 +46,7 @@ def parse_config(text: str, base: dict) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in INT_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             cfg[key] = int(value)
@@ -73,7 +66,8 @@ def read_input(name: str, kind: str) -> str:
         raise ConfigError(f"{kind} file {path} is not UTF-8 text")
 
 
-def load_config(args) -> dict:
+def load_config(args) -> tuple[gp.PipelineConfig, dict]:
+    """The command's pipeline config and its experiment sizes."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg = parse_config(read_input(args.config, "config"), cfg)
@@ -83,21 +77,16 @@ def load_config(args) -> dict:
         least = 0 if key in MAY_BE_ZERO else 1
         if value < least:
             raise ConfigError(f"{key}={value}: need at least {least}")
-    return cfg
+    sizes = {key: cfg.pop(key) for key in EXPERIMENT}
+    return gp.PipelineConfig(**cfg), sizes
 
 
-def from_config(cls, cfg: dict):
-    """A ``cls`` whose every field is the config value of the same name."""
-    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
-
-
-def make_pipeline(cfg: dict) -> gp.PipelineConfig:
-    pipeline = from_config(gp.PipelineConfig, cfg)
+def check_shape(config: gp.PipelineConfig) -> None:
+    """Refuse an L/N that is no power of two, before the pipeline runs."""
     try:
-        pipeline.rounds()
+        config.rounds()
     except ValueError as e:
-        raise ConfigError(f"L={pipeline.L} N={pipeline.N}: {e}")
-    return pipeline
+        raise ConfigError(f"L={config.L} N={config.N}: {e}")
 
 
 def check_out(args) -> None:
@@ -128,11 +117,11 @@ def instance(seed: int):
             random.Random(seed ^ 0xC0FFEE))
 
 
-def _run_protocol(name: str, cfg: dict, seed: int):
+def _run_protocol(name: str, config: gp.PipelineConfig, seed: int):
     """Returns (Transcript, stage reports, {name: content} of other files)."""
     oracle, server, rng = instance(seed)
-    params = from_config(ProtocolParams, cfg)
-    w = cfg["key_width"]
+    params = config.params_for_round(1)  # gdgprep-full runs every round
+    w = config.key_width
 
     if name in ("pad-hadamard", "basis-test", "combine"):
         tr, _ = _drive(name.replace("-", "_"), oracle, server, params, rng, w)
@@ -154,14 +143,14 @@ def _run_protocol(name: str, cfg: dict, seed: int):
         _, tr, reps = gp.gdgprep_repeat(oracle, blocks, params, server, rng)
         return tr, reps, {}
     if name == "refresh":
-        gs = gp.send_gadgets(server, rng, cfg["N"], w)
-        lams = gp.send_gadgets(server, rng, cfg["J"], w, prefix="lam")
+        gs = gp.send_gadgets(server, rng, config.N, w)
+        lams = gp.send_gadgets(server, rng, config.J, w, prefix="lam")
         _, tr, reps = gp.security_refreshing(oracle, gs, lams, params,
                                              server, rng)
         return tr, reps, {}
     if name == "gdgprep-full":
-        pipeline = make_pipeline(cfg)
-        _, tr, reps = gp.gdgprep_full(oracle, pipeline, server, rng)
+        check_shape(config)
+        _, tr, reps = gp.gdgprep_full(oracle, config, server, rng)
         return tr, reps, {}
     if name == "qfac8":
         g, = gp.send_gadgets(server, rng, 1, w)
@@ -179,8 +168,8 @@ RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args)
-    tr, reports, files = _run_protocol(args.protocol, cfg, args.seed)
+    config, _ = load_config(args)
+    tr, reports, files = _run_protocol(args.protocol, config, args.seed)
     write_out(args, f"{args.protocol}.log", tr.serialize())
     if reports:
         lines = ["stage\tin\tout\thelpers\tverdict\tqueries"]
@@ -199,10 +188,10 @@ ATTACKS = ("free-lunch-unpermuted", "free-lunch-permuted",
 
 
 def cmd_attack(args) -> int:
-    cfg = load_config(args)
+    config, sizes = load_config(args)
     if args.trials < 1:
         raise ConfigError(f"trials={args.trials}: need at least 1")
-    params = from_config(ProtocolParams, cfg)
+    params = config.params_for_round(1)
     name = args.attack
     cheats = {"hadamard-cheat": (MeasureThenRandomD, "pad_hadamard"),
               "basis-cheat": (RandomGuessBasisTest, "basis_test")}
@@ -213,7 +202,7 @@ def cmd_attack(args) -> int:
         else:
             st = free_lunch_rate(name.removeprefix("free-lunch-"), params,
                                  args.trials, seed0=args.seed,
-                                 guesses=cfg["guesses"])
+                                 guesses=sizes["guesses"])
     except _BadTrialSeeds as e:
         raise ConfigError(e.args[0])
     header = "experiment\ttrials\tsuccesses\tp_hat\twilson95\n"
@@ -238,16 +227,16 @@ def parse_circuit(text: str) -> list[int]:
 
 
 def cmd_ubqc(args) -> int:
-    cfg = load_config(args)
+    config, sizes = load_config(args)
     circuit = parse_circuit(read_input(args.circuit, "circuit"))
-    shots = cfg["shots"]
+    shots = sizes["shots"]
 
-    pipeline = make_pipeline(cfg)
-    if pipeline.L < len(circuit) + 1:
+    check_shape(config)
+    if config.L < len(circuit) + 1:
         raise ConfigError(
-            f"pipeline L={pipeline.L} too small for {len(circuit)} gates")
+            f"pipeline L={config.L} too small for {len(circuit)} gates")
     oracle, server, rng = instance(args.seed)
-    ones, _, tr = qf.succ_ubqc(oracle, pipeline, circuit, server, rng,
+    ones, _, tr = qf.succ_ubqc(oracle, config, circuit, server, rng,
                                shots=shots)
     write_out(args, "ubqc.log", tr.serialize())
     if ones is None:

@@ -64,21 +64,26 @@ class StageReport:
 
 @dataclass
 class PipelineConfig:
-    """Pipeline shape and widths.
+    """Pipeline shape and widths: the one source of protocol defaults.
 
     ``N`` initial gadgets of ``key_width`` bits double over ``rounds()``
     rounds to ``L`` output gadgets; each refresh consumes ``J`` gadgets.
     Round t (from 1) pads with ``pad_base * t`` bits, outputs ``kappa_out``-bit
     keys and runs ``test_rounds`` basis tests per input.
+
+    The CLI and the stand-alone sub-protocol runs read these defaults too.
+    ``kappa_out = 16`` puts the closed-form honest abort rate at 0.015% for
+    L = 8 and 1.6% for L = 1,024; ``pad_base = 8`` makes a stand-alone run,
+    which takes ``params_for_round(1)``, equal to round 1 of the pipeline.
     """
 
     L: int = 8
     N: int = 2
-    key_width: int = 4
-    kappa_out: int = 8
-    pad_base: int = 4
+    key_width: int = 6
+    kappa_out: int = 16
+    pad_base: int = 8
     J: int = 1
-    test_rounds: int = 1
+    test_rounds: int = 2
 
     def rounds(self) -> int:
         q, r = divmod(self.L, self.N)

@@ -24,9 +24,11 @@ from .state import SparseState
 
 @dataclass
 class ProtocolParams:
-    pad_len: int = 8          # table/pad length
-    kappa_out: int = 8        # output key / hash length
-    test_rounds: int = 2      # T, rounds of repeated basis testing
+    """One round's widths; ``PipelineConfig.params_for_round`` builds it."""
+
+    pad_len: int              # table/pad length
+    kappa_out: int            # output key / hash length
+    test_rounds: int = 2      # T, basis-test rounds (PipelineConfig's default)
 
 
 class Transcript:

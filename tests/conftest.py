@@ -10,6 +10,12 @@ from bqcsim.qfactory import OCTANT
 from bqcsim.state import _Component
 
 
+# Narrower widths than PipelineConfig's defaults, as the bench's PIPELINE
+# passes: the pinned hash counts, digests and statistical-gate data of the
+# tests that use them were taken at these inputs.
+SMALL_PIPELINE = dict(key_width=4, kappa_out=8, pad_base=4, test_rounds=1)
+
+
 def expand(state) -> dict:
     """A SparseState's whole product as one map, keyed in register order."""
     return state._expand([n for n, _ in state.registers])

@@ -19,7 +19,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import (HonestServer, ProtocolParams, basis_test_multi,
                               combine, pad_hadamard)
 from bqcsim.state import SparseState, gadget_state
-from conftest import fidelity_vs_angle
+from conftest import SMALL_PIPELINE, fidelity_vs_angle
 
 EXACT = 1 - 1e-9
 
@@ -104,8 +104,7 @@ def test_honest_exact_full_pipeline_and_speed():
     t0 = time.perf_counter()
     o = RandomOracle(77)
     srv = HonestServer(o, seed=78)
-    cfg = gp.PipelineConfig(L=8, N=2, key_width=4, kappa_out=8, pad_base=4,
-                            J=1)
+    cfg = gp.PipelineConfig(L=8, N=2, J=1, **SMALL_PIPELINE)
     out, tr, _ = gp.gdgprep_full(o, cfg, srv, random.Random(5))
     elapsed = time.perf_counter() - t0
     assert tr.passed and len(out) == 8
@@ -129,7 +128,8 @@ def test_honest_abort_rate_matches_the_closed_form():
     # probability 2**-kappa_out, and a pipeline runs (L - N) + 2*T*J of
     # them: 10 here, so P(abort) = 1 - (15/16)**10 = 0.4755. Parameters,
     # seeds and alpha = 1e-3 were fixed before the first run
-    cfg = gp.PipelineConfig(L=8, N=2, J=1, kappa_out=4)
+    cfg = gp.PipelineConfig(L=8, N=2, J=1, key_width=4, kappa_out=4,
+                            pad_base=4, test_rounds=1)
     runs = 300
     tests = (cfg.L - cfg.N) + 2 * cfg.rounds() * cfg.J
     p_abort = 1 - (1 - 2.0 ** -cfg.kappa_out) ** tests
@@ -279,8 +279,7 @@ def test_ubqc_matches_dense_oracle_and_blind_deltas():
         circ = [rng.randrange(8) for _ in range(n)]
         o = RandomOracle(5000 + trial)
         srv = HonestServer(o, seed=trial)
-        cfg = gp.PipelineConfig(L=4, N=2, key_width=4, kappa_out=8,
-                                pad_base=4, J=1)
+        cfg = gp.PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
         ones, deltas, tr = qf.succ_ubqc(o, cfg, circ, srv, rng, shots=shots)
         assert tr.passed
         tv = abs(ones / shots - qf.dense_output_prob(circ))

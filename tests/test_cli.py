@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from bqcsim import cli
 from bqcsim.cli import RUN_PROTOCOLS, ConfigError, main, parse_config, DEFAULTS
+from bqcsim.gadget_prep import PipelineConfig
+from bqcsim.protocols import ProtocolParams
 
 
 def run(argv):
@@ -67,19 +70,36 @@ def test_missing_seed_exit_two():
 
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# comment\nkappa_out = 10\npad_len=5\n")
+    cfg.write_text("# comment\nkappa_out = 10\npad_base=5\n")
     parsed = parse_config(cfg.read_text(), DEFAULTS)
-    assert parsed["kappa_out"] == 10 and parsed["pad_len"] == 5
+    assert parsed["kappa_out"] == 10 and parsed["pad_base"] == 5
     code = run(["run", "pad-hadamard", "--seed", "4", "--out", str(tmp_path),
                 "--config", str(cfg), "--set", "kappa_out=12"])
     assert code == 0
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        parse_config("no_such_knob=1", DEFAULTS)
+    # pad_len is no key: round 1's pad is pad_base bits
+    for text in ("no_such_knob=1", "pad_len=5"):
+        with pytest.raises(ConfigError):
+            parse_config(text, DEFAULTS)
     with pytest.raises(ConfigError):
         parse_config("kappa_out=ten", DEFAULTS)
+
+
+def test_protocol_keys_are_pipeline_config_fields(capsys):
+    # one default set: every protocol key is a PipelineConfig field with
+    # the field's default, and only the experiment sizes are the CLI's own
+    widths = {f.name: f.default for f in fields(PipelineConfig)}
+    assert {k: DEFAULTS[k] for k in widths} == widths
+    assert set(DEFAULTS) - set(widths) == {"shots", "guesses"}
+    # the per-round record keeps one default, and it is the pipeline's
+    kept = {f.name: f.default for f in fields(ProtocolParams)
+            if f.default is not MISSING}
+    assert kept == {"test_rounds": PipelineConfig().test_rounds}
+    assert run(["run", "pad-hadamard", "--seed", "1",
+                "--set", "pad_len=8"]) == 2
+    assert capsys.readouterr().err == "error: line 1: unknown key 'pad_len'\n"
 
 
 def test_bad_config_file_exit_two(tmp_path):
@@ -159,7 +179,6 @@ def test_ubqc_seed_replay_byte_identical(tmp_path):
 # For each config key, a command and a value other than its default that
 # change the command's output bytes: no key is inert.
 KEY_PROBES = {
-    "pad_len": ("run pad-hadamard", 5),
     "kappa_out": ("run pad-hadamard", 12),
     "test_rounds": ("run basis-test", 3),
     "key_width": ("run pad-hadamard", 5),
@@ -206,7 +225,7 @@ def test_no_config_key_is_inert(tmp_path):
     ("run gdgprep-full", "key_width=0"),
     ("run gdgprep-full", "kappa_out=0"),
     ("run gdgprep-full", "pad_base=0"),
-    ("run basis-test", "pad_len=0"),
+    ("run basis-test", "pad_base=0"),
     ("ubqc CIRCUIT", "N=0"),
 ])
 def test_out_of_range_config_exit_two(tmp_path, capsys, command, setting):
@@ -390,7 +409,7 @@ def test_failed_delegation_exits_one_without_histogram(tmp_path, seed):
 GOLDEN = {
     "gdgprep-full": (["run", "gdgprep-full", "--seed", "1"], {
         "gdgprep-full.log":
-            "583036dab502063f507c8dedaae192abcfc1eac790f0e8867e57fb2d35fd28d0",
+            "99aac0335d285b3fd96daaf6287a30d57d73cfb7470a44c96e2d44d2affa2253",
         "gdgprep-full.stages.tsv":
             "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
     }),
@@ -442,14 +461,14 @@ GOLDEN = {
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":
-            "83f71570716e012c280206c179414af6048b11e55a52799fc066609ce7d429ef",
+            "7e6d81649c647009b1003551aa9e510d0127fb9b21ce5616bae79c0e6513c597",
         "ubqc.hist.tsv":
             "e9ae148ef44ac31eef76a7ca9d37bbc678a0bfbc2348a981d1518b6195032ab7",
     }),
     # two full 4,096-shot tiles and a partial one
     "ubqc-tiles": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=8197"], {
         "ubqc.log":
-            "044f922d361c0e0432b03197df4cb7571857553b036b72e4e6952669ab1bbd19",
+            "c7238a8752047951253fc47aa5c21bbae11a7a168f201430ca230846f6eb1c22",
         "ubqc.hist.tsv":
             "def138f176c8b651101a2316e0bca78c8290a855ee82472b301bbbd4af7a3cd4",
     }),

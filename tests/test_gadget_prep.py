@@ -10,6 +10,7 @@ from bqcsim.bits import random_bits
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.state import SparseState
+from conftest import SMALL_PIPELINE
 
 
 def setup(seed):
@@ -214,8 +215,7 @@ def test_pipeline_config_rounds():
 def test_full_pipeline_exact(n, l):
     o = RandomOracle(1000 + l * 10 + n)
     srv = HonestServer(o, seed=5)
-    cfg = gp.PipelineConfig(L=l, N=n, key_width=4, kappa_out=8, pad_base=4,
-                            J=1)
+    cfg = gp.PipelineConfig(L=l, N=n, J=1, **SMALL_PIPELINE)
     out, tr, reps = gp.gdgprep_full(o, cfg, srv, random.Random(n + l))
     assert tr.passed
     assert len(out) == l
@@ -227,8 +227,7 @@ def test_full_pipeline_single_quantum_message():
     # all server registers exist before the first classical round message
     o = RandomOracle(9)
     srv = HonestServer(o, seed=1)
-    cfg = gp.PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4,
-                            J=1)
+    cfg = gp.PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     out, tr, reps = gp.gdgprep_full(o, cfg, srv, random.Random(3))
     init = [i for i, (_, t, _) in enumerate(tr.messages) if t == "gp.init"]
     assert init and init[0] == 0
@@ -262,8 +261,8 @@ def test_full_pipeline_fails_closed_through_every_stage(k, reason,
                                                         last_reports):
     o = RandomOracle(1)
     srv = ZeroTailAt(o, k, seed=2)
-    out, tr, reps = gp.gdgprep_full(o, gp.PipelineConfig(L=8, N=2), srv,
-                                    random.Random(3))
+    cfg = gp.PipelineConfig(L=8, N=2, **SMALL_PIPELINE)
+    out, tr, reps = gp.gdgprep_full(o, cfg, srv, random.Random(3))
     assert out == []
     assert (tr.verdict, tr.fail_reason) == ("fail", f"{reason}: all-zero tail")
     assert [(r.stage, r.verdict) for r in reps[-2:]] == last_reports
@@ -300,7 +299,8 @@ def test_full_pipeline_exact_at_scale(monkeypatch, l, n, j, kappa_out, seed):
             monkeypatch.setattr(SparseState, name, watch(fn))
     o = RandomOracle(seed)
     srv = HonestServer(o, seed=seed)
-    cfg = gp.PipelineConfig(L=l, N=n, J=j, kappa_out=kappa_out)
+    cfg = gp.PipelineConfig(L=l, N=n, J=j, key_width=4, kappa_out=kappa_out,
+                            pad_base=4, test_rounds=1)
     out, tr, reps = gp.gdgprep_full(o, cfg, srv, random.Random(seed))
     assert tr.passed, tr.fail_reason
     assert len(out) == l

@@ -1,5 +1,5 @@
-"""Source hygiene of ``src/bqcsim``: no dead local, no unused import, and
-one way for a gadget to reach the server.
+"""Source hygiene of ``src/bqcsim``: no dead local, no unused import, one
+way for a gadget to reach the server and one builder of a round's widths.
 
 No linter ships with the project, so these checks read the modules'
 syntax trees. A local name that is bound but never read is exempt when it
@@ -91,18 +91,19 @@ def test_checks_catch_what_they_name():
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
 
 
-def calls_outside(tree, method: str, owner: str) -> list[str]:
-    """``fn:line`` for each call of ``.method`` outside function ``owner``
-    (``<module>`` for a call at module level)."""
+def calls_outside(tree, callee: str, owner: str) -> list[str]:
+    """``fn:line`` for each call of ``callee`` or ``.callee`` outside
+    function ``owner`` (``<module>`` for a call at module level)."""
     found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == method and fn != owner):
-            found.append(f"{fn}:{node.lineno}")
+        if isinstance(node, ast.Call) and fn != owner:
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name == callee:
+                found.append(f"{fn}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
@@ -120,6 +121,19 @@ def test_gadgets_reach_the_server_only_through_send_gadgets():
                      "def other(s):\n    s.prepare_gadget()\n")
     assert calls_outside(tree, "prepare_gadget", "send_gadgets") == [
         "other:4"]
+
+
+def test_only_params_for_round_builds_protocol_params():
+    # PipelineConfig holds every width; a round's record is derived from it
+    calls = {path.name: calls_outside(ast.parse(path.read_text()),
+                                      "ProtocolParams", "params_for_round")
+             for path in SRC}
+    assert {name: c for name, c in calls.items() if c} == {}
+    tree = ast.parse("def params_for_round(t):\n    ProtocolParams(t)\n"
+                     "def other(p):\n    p.ProtocolParams(1)\n"
+                     "ProtocolParams(8, 16)\n")
+    assert calls_outside(tree, "ProtocolParams", "params_for_round") == [
+        "other:4", "<module>:5"]
 
 
 ORACLE_PRIVATE = {"_memo", "_heads", "_owners", "_forget"}

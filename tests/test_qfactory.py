@@ -14,7 +14,7 @@ from bqcsim import tables
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
-from conftest import fidelity_vs_angle
+from conftest import SMALL_PIPELINE, fidelity_vs_angle
 
 
 def make_qfac(seed, width=5):
@@ -459,7 +459,7 @@ def test_succ_ubqc_end_to_end():
 
     o = RandomOracle(21)
     srv = HonestServer(o, seed=22)
-    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    cfg = PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     circ = [2, 5]
     shots = 3000
     ones, deltas, tr = qf.succ_ubqc(o, cfg, circ, srv, random.Random(7),
@@ -475,7 +475,7 @@ def test_succ_ubqc_rejects_oversized_circuit():
 
     o = RandomOracle(23)
     srv = HonestServer(o, seed=24)
-    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    cfg = PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     ones, _, tr = qf.succ_ubqc(o, cfg, [1] * 9, srv, random.Random(1))
     assert ones is None and not tr.passed
 
@@ -490,7 +490,7 @@ def test_succ_ubqc_keeps_the_qfactory_fail_reason():
 
     o = RandomOracle(21)
     srv = BadD(o, seed=22)
-    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    cfg = PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
     assert (ones, deltas) == (None, [])
     assert (tr.verdict, tr.fail_reason) == ("fail", "qfactory: malformed d")
@@ -502,7 +502,7 @@ def test_succ_ubqc_fails_closed_when_the_pipeline_fails():
 
     o = RandomOracle(21)
     srv = WrongR(o, seed=22)
-    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    cfg = PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
     assert (ones, deltas) == (None, [])
     assert (tr.verdict, tr.fail_reason) == (
@@ -517,7 +517,7 @@ def test_succ_ubqc_fails_closed_when_the_qubit_cannot_be_handed_off(
 
     o = RandomOracle(21)
     srv = server_cls(o, seed=22)
-    cfg = PipelineConfig(L=4, N=2, key_width=4, kappa_out=8, pad_base=4, J=1)
+    cfg = PipelineConfig(L=4, N=2, J=1, **SMALL_PIPELINE)
     ones, deltas, tr = qf.succ_ubqc(o, cfg, [2, 5], srv, random.Random(7))
     assert (ones, deltas) == (None, [])
     assert tr.verdict == "fail"

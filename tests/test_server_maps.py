@@ -26,7 +26,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.qfactory import qfac8
 from bqcsim.state import SparseState
-from conftest import expand
+from conftest import SMALL_PIPELINE, expand
 
 
 # -- the scratch-and-merge sequences ----------------------------------------
@@ -299,8 +299,8 @@ def test_pipeline_matches_scratch_and_merge_server():
         oracle = RandomOracle(4)
         server = server_cls(oracle, seed=5)
         prf_calls = counting_prf(oracle)
-        out, tr, _ = gdgprep_full(oracle, PipelineConfig(L=4, N=2), server,
-                                  random.Random(6))
+        cfg = PipelineConfig(L=4, N=2, **SMALL_PIPELINE)
+        out, tr, _ = gdgprep_full(oracle, cfg, server, random.Random(6))
         return (out, tr.serialize(), dict(oracle.counters), prf_calls[0],
                 getattr(oracle, "uncompute_prf", 0), snapshot(server.state))
 

@@ -14,7 +14,7 @@ from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
 from bqcsim.protocols import HonestServer
 from bqcsim.qfactory import succ_ubqc
 from bqcsim.state import SparseState, gadget_state
-from conftest import expand, norm
+from conftest import SMALL_PIPELINE, expand, norm
 from test_oracle import reference_prf
 
 
@@ -210,7 +210,7 @@ def test_coherent_evaluation_hashes_only_the_rows_that_open(hashes):
     def run(delegate):
         o = RandomOracle(1)
         server = HonestServer(o, seed=2)
-        cfg = PipelineConfig(L=4, N=2)
+        cfg = PipelineConfig(L=4, N=2, **SMALL_PIPELINE)
         if delegate:
             tr = succ_ubqc(o, cfg, [2, 5, 1], server, random.Random(3))[2]
         else:

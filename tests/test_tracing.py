@@ -13,6 +13,7 @@ from pathlib import Path
 import bqcsim
 import bqcsim.adversary  # noqa: F401  (loads every layer module)
 import bqcsim.qfactory  # noqa: F401
+from conftest import SMALL_PIPELINE
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -55,7 +56,8 @@ def test_every_pipeline_stage_the_bench_names_is_timed():
         tracer.begin_op(0)
         oracle = bqcsim.oracle.RandomOracle(1)
         server = bqcsim.protocols.HonestServer(oracle, seed=2)
-        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2,
+                                                **SMALL_PIPELINE)
         _, tr, _ = bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
                                                    random.Random(3))
         tracer.end_op()
@@ -74,8 +76,8 @@ def test_blind_shot_names_the_bench_reads_are_timed():
         tracer.begin_op(0)
         oracle = bqcsim.oracle.RandomOracle(21)
         server = bqcsim.protocols.HonestServer(oracle, seed=22)
-        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2, key_width=4,
-                                                kappa_out=8, pad_base=4, J=1)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2, J=1,
+                                                **SMALL_PIPELINE)
         ones, _, tr = bqcsim.qfactory.succ_ubqc(oracle, cfg, [2, 5], server,
                                                 random.Random(7), shots=10)
         tracer.end_op()
@@ -125,7 +127,8 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     def pipeline():
         oracle = bqcsim.oracle.RandomOracle(1)
         server = bqcsim.protocols.HonestServer(oracle, seed=2)
-        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2,
+                                                **SMALL_PIPELINE)
         return bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
                                                random.Random(3))[1]
 
@@ -162,7 +165,8 @@ def test_single_map_server_steps_keep_their_traced_names():
         tracer.begin_op(0)
         oracle = bqcsim.oracle.RandomOracle(1)
         server = bqcsim.protocols.HonestServer(oracle, seed=2)
-        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2)
+        cfg = bqcsim.gadget_prep.PipelineConfig(L=4, N=2,
+                                                **SMALL_PIPELINE)
         _, tr, _ = bqcsim.gadget_prep.gdgprep_full(oracle, cfg, server,
                                                    random.Random(3))
         tracer.end_op()

@@ -159,22 +159,9 @@ class HonestServer:
     # -- 8-basis qfactory --------------------------------------------------
 
     def respond_phase_table(self, reg: str, table, qubit_reg: str) -> str:
-        """Turn the gadget into the qubit ``qubit_reg`` and return ``d``.
-
-        The qubit holds each branch's index, 0 where the phase table's
-        first row (the x0 row) opens; the table then phases the gadget
-        register, which is Hadamard-measured into ``d``.
-        """
-        row0 = table.rows[0]
-        tag0 = int(row0.tag, 2)
-        self.oracle.count("server", 2)
-
-        def index(old: str, val: str) -> str:
-            t = self.oracle._prf(row0.tag_pad + val, len(row0.tag))
-            return "0" if t == tag0 else "1"
-
-        self.state.add_register(qubit_reg, "0")
-        self.state.map_register(qubit_reg, index, keys=[reg])
+        """Index ``reg`` into ``qubit_reg``, phase ``reg`` by the table and
+        return its Hadamard outcome ``d``."""
+        tables.index_eval(self.oracle, self.state, reg, table, qubit_reg)
         tables.phase_eval(self.oracle, self.state, reg, table)
         return self.state.measure_hadamard(reg, self.rng)
 

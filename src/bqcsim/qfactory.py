@@ -230,19 +230,18 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
               server, rng, shots: int = 1):
     """Pipeline -> qfactory per gadget -> blind cluster computation.
 
-    The pipeline must yield at least n+1 gadgets for an n-gate circuit.
+    An n-gate circuit needs L >= n+1 gadgets; a smaller L fails at once.
     Returns (ones count, delta octants, Transcript), the deltas as
     ``ubqc_shots`` returns them: one flat int8 array, one byte per delta.
     A delegation that fails before its shots returns (None, [], Transcript).
     """
     tr = Transcript()
+    need = len(circuit_octants) + 1
+    if config.L < need:
+        tr.finish(False, f"L={config.L} too small for {need - 1} gates")
+        return None, [], tr
     gadgets, sub, _ = gdgprep_full(oracle, config, server, rng)
     if not tr.absorb(sub):
-        return None, [], tr
-
-    need = len(circuit_octants) + 1
-    if len(gadgets) < need:
-        tr.finish(False, "pipeline yielded too few gadgets")
         return None, [], tr
     params = config.params_for_round(config.rounds() or 1)
     qubits = []

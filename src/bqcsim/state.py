@@ -316,7 +316,7 @@ class SparseState:
         """Hadamard-measure every qubit of a register.
 
         Returns the outcome string ``d``, removes the register, and applies
-        the residual phase (-1)^(d . s) for each branch's former value ``s``.
+        the relative phases (-1)^(d . s) of the branches' former values ``s``.
         Raises ValueError if the register holds more than two values: an
         honest register holds a gadget.
         """
@@ -356,13 +356,12 @@ class SparseState:
             d_int |= 1 << lead
         d = int_to_bits(d_int, w)
 
-        # contraction par already gives s1 its sign relative to s0, so the
-        # residual phase (-1)^(d . s) leaves only (-1)^(d . s0) to apply
-        sign = (-1) ** parity(d_int & bits_to_int(values[0]))
+        # contraction par already gives s1 its sign relative to s0; the
+        # rest, (-1)^(d . s0) on every branch, is a global phase
         del self._regs[name]
         del self._where[name]
         comp.names.pop(i)
-        comp.branches = {k: v * sign for k, v in contracted[par].items()
+        comp.branches = {k: v for k, v in contracted[par].items()
                          if abs(v) > ATOL}
         self._normalize(comp)
         self._refactor(comp)

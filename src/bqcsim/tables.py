@@ -13,17 +13,20 @@ reversible table with its secret output permutation (a reversible table
 whose rows are also keyed by a helper gadget), and phase tables (plain
 lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
-Server-side evaluation is one SparseState call per step. Four evaluators
-share one private row opener, which charges the passes and parses the rows
-once; it opens a row for every branch it is asked about. Every row tag has
-at least ``TAG_MIN`` bits and was hashed at the build, so ``dec_row`` and the
-opener decide it from the input the oracle's owner index records (wrong only
-by a collision, at most 2**-64 per check), and hash a tag only without one.
-``lt_eval_coherent`` XORs the payload into a register,
-``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it and
-``phase_eval`` phases by it; the last two are charged as the compute and
-uncompute passes of the server's circuit. ``rev_eval`` runs reversible
-tables, plain or branching, with controls that stay in place.
+Server-side evaluation is one SparseState call per step (``index_eval``
+first adds its qubit). Five evaluators share one private row opener, which
+charges the server and parses the rows once; it opens a row for every
+branch it is asked about. Every row tag has at least ``TAG_MIN`` bits and
+was hashed at the build, so ``dec_row`` and the opener decide it from the
+input the oracle's owner index records (wrong only by a collision, at most
+2**-64 per check), and hash a tag only without one. ``lt_eval_coherent``
+XORs the payload into a register, ``lt_append_coherent`` appends it,
+``lt_measure_coherent`` measures it, ``phase_eval`` phases by it and
+``index_eval`` marks where row 0 opens. A pass costs one server query per
+row check and one per payload unmask: XOR and append make one pass,
+measure and phase a compute and an uncompute pass, and the index checks
+row 0's tag alone in both. ``rev_eval`` runs reversible tables, plain or
+branching, with controls that stay in place.
 """
 
 from __future__ import annotations
@@ -123,36 +126,35 @@ def lt_decrypt(oracle, table: LookupTable, key: str, party: str = "client"):
     return None
 
 
-def _row_opener(oracle, table: LookupTable, passes: int):
-    """Charge ``passes`` coherent passes over ``table``; return its row opener.
+def _row_opener(oracle, table: LookupTable, queries: int):
+    """Charge the server ``queries`` queries; return ``table``'s row opener.
 
-    Each pass costs the server one superposed query per row check and one
-    per payload unmask. The rows are parsed to integers once. The opener
-    maps a branch key to (payload as an int, width) of the row it opens,
-    and raises UndecryptableBranch if none opens. Rows whose tag has a
-    recorded owner are indexed by the key that opens them (the first per
+    The rows are parsed to integers once. The opener maps a branch key to
+    (payload as an int, width, position in ``table.rows``) of the row it
+    opens, and raises UndecryptableBranch if none opens. Rows whose tag has
+    a recorded owner are indexed by the key that opens them (the first per
     key); a key not in the index hashes, in row order, only the other tags.
     That is the in-order scan's row unless two rows open under one key.
     """
-    oracle.count("server", 2 * passes * len(table.rows))
+    oracle.count("server", queries)
     prf = oracle._prf
     by_key, unknown = {}, []
-    for r in table.rows:
-        tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2))
+    for i, r in enumerate(table.rows):
+        tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2), i)
         owner = oracle._owner(tag, len(r.tag))
         if owner is None:
             unknown.append((r.tag_pad, len(r.tag), tag, row))
         elif owner.startswith(r.tag_pad):
             by_key.setdefault(owner[len(r.tag_pad):], row)
 
-    def open_row(key: str) -> tuple[int, int]:
+    def open_row(key: str) -> tuple[int, int, int]:
         row = by_key.get(key) or next(
             (row for tag_pad, tag_len, tag, row in unknown
              if prf(tag_pad + key, tag_len) == tag), None)
         if row is None:
             raise UndecryptableBranch("no row opens under branch key")
-        ct_pad, n, ct = row
-        return prf(ct_pad + key, n) ^ ct, n
+        ct_pad, n, ct, i = row
+        return prf(ct_pad + key, n) ^ ct, n, i
 
     return open_row
 
@@ -165,10 +167,10 @@ def lt_eval_coherent(oracle, state, key_regs: list[str], out_reg: str,
     abort there), and raises ValueError if out_reg is not as wide as the
     payload of the row that opens; the state is then left as it was.
     """
-    open_row = _row_opener(oracle, table, 1)
+    open_row = _row_opener(oracle, table, 2 * len(table.rows))
 
     def decrypt(out: str, key: str) -> str:
-        payload, n = open_row(key)
+        payload, n, _ = open_row(key)
         if len(out) != n:
             raise ValueError(f"width mismatch: {len(out)} vs {n}")
         return int_to_bits(int(out, 2) ^ payload, n)
@@ -184,10 +186,10 @@ def lt_append_coherent(oracle, state, key_regs: list[str], dst: str,
     reversible. Fails closed like :func:`lt_eval_coherent`, with ValueError
     for a payload that is not ``table.payload_len`` bits wide.
     """
-    open_row = _row_opener(oracle, table, 1)
+    open_row = _row_opener(oracle, table, 2 * len(table.rows))
 
     def append(v: str, key: str) -> str:
-        return v + int_to_bits(*open_row(key))
+        return v + int_to_bits(*open_row(key)[:2])
 
     state.map_register(dst, append, keys=key_regs,
                        width=state.width(dst) + table.payload_len)
@@ -200,9 +202,9 @@ def lt_measure_coherent(oracle, state, reg: str, table: LookupTable,
     Branches whose payload differs from the outcome are dropped; fails
     closed like :func:`lt_eval_coherent`, leaving the state as it was.
     """
-    open_row = _row_opener(oracle, table, 2)
-    return state.measure_computational(reg, rng,
-                                       lambda v: int_to_bits(*open_row(v)))
+    open_row = _row_opener(oracle, table, 4 * len(table.rows))
+    return state.measure_computational(
+        reg, rng, lambda v: int_to_bits(*open_row(v)[:2]))
 
 
 # -- reversible tables -----------------------------------------------------
@@ -266,8 +268,6 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
     is a control of ``rev_eval``. Tag length equals the pad length on both
     sides.
     """
-    if len(perm) != y2.width + y3.width:
-        raise ValueError("permutation must cover the concatenated outputs")
     fwd, bwd = [], []
     for b1 in (0, 1):
         for b2 in (0, 1):
@@ -290,12 +290,12 @@ def phase_lt_build(oracle, pair: KeyPair, n: int, pad_len: int,
 
     The secret offset m is sampled from [0, 4); payloads are m and m + n
     without modular reduction so the evaluated phases are exact for every
-    m. The x0 row comes first, which lets the evaluating server derive the
-    branch index from which row opens.
+    m. The x0 row comes first, so :func:`index_eval` reads each branch's
+    index from the row that opens.
     """
     m = rng.randrange(4)
     width = max(3, (3 + n).bit_length())
-    rows = [enc(oracle, pair[b], format(m + b * n, f"0{width}b"), pad_len,
+    rows = [enc(oracle, pair[b], int_to_bits(m + b * n, width), pad_len,
                 pad_len, rng) for b in (0, 1)]
     return LookupTable(rows, width, pair.width)
 
@@ -305,8 +305,22 @@ def phase_eval(oracle, state, reg: str, table: LookupTable) -> None:
 
     One phase map on reg; fails closed like :func:`lt_measure_coherent`.
     """
-    open_row = _row_opener(oracle, table, 2)
+    open_row = _row_opener(oracle, table, 4 * len(table.rows))
     state.apply_phase_per_branch(reg, lambda v: math.pi * open_row(v)[0] / 4)
+
+
+def index_eval(oracle, state, reg: str, table: LookupTable, dst: str) -> None:
+    """Add the one-bit register dst, "0" where reg's value opens row 0 (a
+    phase table's x0 row) and "1" where it opens another; fails closed like
+    :func:`lt_eval_coherent`, removing dst again."""
+    open_row = _row_opener(oracle, table, 2)
+    state.add_register(dst, "0")
+    try:
+        state.map_register(dst, lambda _, v: "1" if open_row(v)[2] else "0",
+                           keys=[reg])
+    except UndecryptableBranch:
+        state.discard_register(dst)
+        raise
 
 
 def serialize_table(table: LookupTable) -> str:

@@ -1,5 +1,6 @@
 """Source hygiene of ``src/bqcsim``: no dead local, no unused import, one
-way for a gadget to reach the server and one builder of a round's widths.
+way for a gadget to reach the server, one builder of a round's widths, and
+no row hashing or query charging outside the oracle and the tables layer.
 
 No linter ships with the project, so these checks read the modules'
 syntax trees. A local name that is bound but never read is exempt when it
@@ -159,3 +160,31 @@ def test_only_the_oracle_names_its_memo_and_owner_index():
     tree = ast.parse("o._memo.clear()\nx = o._owner(t, 64)\n_owners = {}\n")
     assert sorted(names_used(tree, ORACLE_PRIVATE)) == ["_memo:1",
                                                         "_owners:3"]
+
+
+def oracle_internals(tree) -> list[str]:
+    """``name:line`` for each use of ``_prf`` or ``_owner``, and
+    ``count:line`` for each call of ``.count`` on an ``oracle``."""
+    found = names_used(tree, {"_prf", "_owner"})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"):
+            owner = node.func.value
+            if "oracle" in (getattr(owner, "attr", None),
+                            getattr(owner, "id", None)):
+                found.append(f"count:{node.lineno}")
+    return found
+
+
+def test_only_the_oracle_and_tables_hash_rows_or_charge_queries():
+    # every row the server opens goes through the tables layer, which
+    # charges it; other layers query the oracle through its public calls
+    used = {path.name: oracle_internals(ast.parse(path.read_text()))
+            for path in SRC if path.name not in ("oracle.py", "tables.py")}
+    assert {name: u for name, u in used.items() if u} == {}
+    tree = ast.parse("self.oracle.count('server', 2)\noracle.count('s')\n"
+                     "t = self.oracle._prf(x, 8)\nbin(v).count('1')\n"
+                     "s.count('1')\no._owner(t, 64)\n")
+    assert sorted(oracle_internals(tree)) == ["_owner:6", "_prf:3",
+                                              "count:1", "count:2"]

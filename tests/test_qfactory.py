@@ -480,6 +480,19 @@ def test_succ_ubqc_rejects_oversized_circuit():
     assert ones is None and not tr.passed
 
 
+def test_succ_ubqc_refuses_a_too_large_circuit_before_the_pipeline():
+    from bqcsim.gadget_prep import PipelineConfig
+
+    # a passing pipeline yields exactly L gadgets: 2 cannot run 3 gates
+    o = RandomOracle(23)
+    srv = HonestServer(o, seed=24)
+    cfg = PipelineConfig(L=2, N=2, J=1, **SMALL_PIPELINE)
+    ones, deltas, tr = qf.succ_ubqc(o, cfg, [1, 2, 3], srv, random.Random(1))
+    assert (ones, deltas) == (None, [])
+    assert (tr.verdict, tr.fail_reason) == ("fail", "L=2 too small for 3 gates")
+    assert (tr.messages, srv.state.registers, o.counters) == ([], [], {})
+
+
 def test_succ_ubqc_keeps_the_qfactory_fail_reason():
     from bqcsim.gadget_prep import PipelineConfig
 

@@ -116,16 +116,16 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
             assert expand(st) == before
 
 
-def in_order_row_opener(oracle, table, passes):
+def in_order_row_opener(oracle, table, queries):
     # the reference opener: hash each row's tag in table order until one
     # opens, whatever the memo and owner index hold
-    oracle.count("server", 2 * passes * len(table.rows))
+    oracle.count("server", queries)
 
     def open_row(key):
-        for r in table.rows:
+        for i, r in enumerate(table.rows):
             if oracle._prf(r.tag_pad + key, len(r.tag)) == int(r.tag, 2):
                 n = len(r.ct)
-                return oracle._prf(r.ct_pad + key, n) ^ int(r.ct, 2), n
+                return oracle._prf(r.ct_pad + key, n) ^ int(r.ct, 2), n, i
         raise tables.UndecryptableBranch("no row opens under branch key")
 
     return open_row
@@ -145,7 +145,7 @@ def evaluation(evaluator, memo, opens):
     a, b, c = (sample_key_pair(rng, 4) for _ in range(3))
     st = SparseState()
     st.add_gadget("a", a.x0, a.x1 if opens else c.x0)
-    if evaluator == "phase":
+    if evaluator in ("phase", "index"):
         table = tables.phase_lt_build(o, a, 3, 8, rng)
     else:
         st.add_gadget("b", b.x0, b.x1)
@@ -160,7 +160,7 @@ def evaluation(evaluator, memo, opens):
     if memo in ("cleared", "full"):
         o._forget()
     if memo == "full":
-        warm = a.x0 if evaluator == "phase" else a.x0 + b.x0
+        warm = a.x0 if evaluator in ("phase", "index") else a.x0 + b.x0
         assert tables.lt_decrypt(o, table, warm) is not None
         for i in range(_MEMO_LIMIT - len(o._memo)):
             o._prf(format(i, "b"), 7)
@@ -173,6 +173,8 @@ def evaluation(evaluator, memo, opens):
             tables.lt_append_coherent(server, st, ["a", "b"], "out", table)
         elif evaluator == "measure":
             result = tables.lt_measure_coherent(server, st, "a", table, rng)
+        elif evaluator == "index":
+            tables.index_eval(server, st, "a", table, "q")
         else:
             tables.phase_eval(server, st, "a", table)
     except tables.UndecryptableBranch:
@@ -187,7 +189,8 @@ def evaluation(evaluator, memo, opens):
 
 @pytest.mark.parametrize("opens", [True, False])
 @pytest.mark.parametrize("memo", ["built", "cleared", "fresh", "full"])
-@pytest.mark.parametrize("evaluator", ["xor", "append", "measure", "phase"])
+@pytest.mark.parametrize("evaluator",
+                         ["xor", "append", "measure", "phase", "index"])
 def test_memo_first_opener_matches_the_in_order_scan(monkeypatch, evaluator,
                                                      memo, opens):
     # the memo and owner index only decide which tags are hashed: payloads,
@@ -206,7 +209,10 @@ def test_coherent_evaluation_hashes_only_the_rows_that_open(hashes):
     # tag. The in-order scan hashed the tag of every row it tried
     # first: 289 for the pipeline and 327 for the 1-shot delegation, whose
     # basis-test and phase-table openers run two passes. The charged
-    # queries are the same either way.
+    # queries are the same either way. The qubit index of each qfac8 opens
+    # its rows the same way; a check of row 0's tag alone hashed the x1
+    # branch's input, 185 in all: three more, not four, because in the
+    # first qfac8 the memo held that input from an earlier hash.
     def run(delegate):
         o = RandomOracle(1)
         server = HonestServer(o, seed=2)
@@ -220,7 +226,7 @@ def test_coherent_evaluation_hashes_only_the_rows_that_open(hashes):
 
     assert run(False) == (151, {"client": 152, "server": 164})
     hashes.n = 0
-    assert run(True) == (185, {"client": 184, "server": 236})
+    assert run(True) == (182, {"client": 184, "server": 236})
 
 
 def test_lt_rows_are_shuffled_but_ordered_mode_keeps_first():
@@ -320,6 +326,19 @@ def test_robust_table_branching_structure():
                 assert tables.lt_decrypt(o, t.forward, key) == want
                 assert tables.lt_decrypt(o, t.backward,
                                          kh[b1] + want) == k2[b2] + k3[b3]
+
+
+@pytest.mark.parametrize("width", [9, 11])
+def test_robust_table_refuses_a_wrong_permutation_before_any_draw(width):
+    # the first row's output permutation raises: no pad drawn, no charge
+    o = RandomOracle(12)
+    rng = random.Random(12)
+    kh, k2, k3, y2, y3 = (sample_key_pair(rng, 5) for _ in range(5))
+    draws = rng.getstate()
+    with pytest.raises(ValueError, match="permutation"):
+        tables.robust_rlt_build(o, kh, k2, k3, y2, y3, list(range(width)),
+                                8, rng)
+    assert (rng.getstate(), o.counters) == (draws, {})
 
 
 def test_another_instance_with_no_owners_opens_the_same_rows(hashes):

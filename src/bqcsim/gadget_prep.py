@@ -215,19 +215,18 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
     """Consume J fresh gadgets to extend and re-pad N existing ones."""
     tr = Transcript()
     n, j_rounds = len(gadgets), len(lams)
-    kout = params.kappa_out
     failed = StageReport("refresh", n + j_rounds, 0, 0, "fail")
     # keys as held in the registers, growing with each extension round
     cur = [pair for pair, _ in gadgets]
 
     for j, (lam_pair, lam_reg) in enumerate(lams):
         for i, (pair, reg) in enumerate(gadgets):
-            y = sample_key_pair(rng, kout)
+            y = sample_key_pair(rng, params.kappa_out)
             mapping = [
                 (cur[i][b] + lam_pair[b2], y[b])
                 for b in (0, 1) for b2 in (0, 1)
             ]
-            table = tables.lt_build(oracle, mapping, params.pad_len, kout, rng)
+            table = tables.lt_build(oracle, mapping, params.pad_len, rng)
             tr.send("client", f"sr.table[{j}][{i}]",
                     tables.serialize_table(table))
             server.extend_gadget(reg, lam_reg, table)

@@ -7,12 +7,13 @@ empty BLAKE2b state, which is never updated. ``RandomOracle._prf`` is that
 function, uncounted; it returns the output bits as one integer, which
 ``int_to_bits`` writes as a {0,1} string. The table primitives call it directly
 and charge their queries themselves. Each instance keeps a memo of the
-outputs it has computed and an owner index: for each output of at least
-``TAG_MIN`` bits, the input that produced it, read by ``RandomOracle._owner``
-without hashing. A row opens under a key exactly when its tag's owner is
-``tag_pad + key``: any other input matches the tag only through a collision,
-probability at most 2**-64 per check. Both are cleared together when the
-memo holds ``_MEMO_LIMIT`` entries, and neither changes an output or a count.
+outputs it has computed and an owner index: one dict from each
+``TAG_BITS``-bit output (the width of every table row tag) to the input that
+produced it, read by ``RandomOracle._owner`` without hashing. A row opens
+under a key exactly when its tag's owner is ``tag_pad + key``: any other
+input matches the tag only through a collision, probability at most 2**-64
+per check. Both are cleared together when the memo holds ``_MEMO_LIMIT``
+entries, and neither changes an output or a count.
 On top of the PRF the module provides:
 
 * superposed queries -- branch-wise append of ``H(prefix || v)`` to the
@@ -32,9 +33,9 @@ from .bits import int_to_bits
 
 _TAG_PREFIX = "#"  # reserved: honest inputs are pure {'0','1'} strings
 _MEMO_LIMIT = 4096  # PRF outputs kept per instance; a full memo is cleared
-# Outputs this wide have a recorded owner. Tables pad row tags up to it:
-# narrower tags collide too often at desk scale, opening the wrong row.
-TAG_MIN = 64
+# The width of every table row tag, and the one output width with a recorded
+# owner: narrower tags collide too often at desk scale, opening the wrong row.
+TAG_BITS = 64
 _EMPTY = blake2b(digest_size=32)  # every hash copies it; it is never updated
 
 
@@ -48,8 +49,8 @@ class RandomOracle:
         # shift of their whole digest); each hash copies the shared _EMPTY
         self._heads: dict[int, tuple[str, range, int]] = {}
         self._memo: dict[str, int] = {}  # block-0 hash input -> output bits
-        # out_len >= TAG_MIN -> {output bits: the input that hashed to them}
-        self._owners: dict[int, dict[int, str]] = {}
+        # TAG_BITS-bit output -> the input that hashed to it
+        self._owners: dict[int, str] = {}
 
     # -- raw PRF -----------------------------------------------------------
 
@@ -85,8 +86,8 @@ class RandomOracle:
             if len(self._memo) >= _MEMO_LIMIT:
                 self._forget()
             self._memo[key] = out
-            if out_len >= TAG_MIN:
-                self._owners.setdefault(out_len, {})[out] = inp
+            if out_len == TAG_BITS:
+                self._owners[out] = inp
         return out
 
     def _forget(self) -> None:
@@ -94,11 +95,10 @@ class RandomOracle:
         self._memo.clear()
         self._owners.clear()
 
-    def _owner(self, value: int, out_len: int) -> str | None:
-        """The recorded input whose ``out_len``-bit output is ``value``, or
+    def _owner(self, value: int) -> str | None:
+        """The recorded input whose ``TAG_BITS``-bit output is ``value``, or
         None. Read-only: it hashes nothing and adds no entry anywhere."""
-        owners = self._owners.get(out_len)
-        return None if owners is None else owners.get(value)
+        return self._owners.get(value)
 
     # -- accounting --------------------------------------------------------
 

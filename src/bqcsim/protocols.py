@@ -206,7 +206,7 @@ def basis_test_multi(oracle, pair: KeyPair, reg: str, rounds: int,
     for t in range(rounds):
         r = random_bits(rng, params.kappa_out)
         table = tables.lt_build(oracle, [(pair.x0, r), (pair.x1, r)],
-                                params.pad_len, params.kappa_out, rng)
+                                params.pad_len, rng)
         tr.send("client", "bt.table", tables.serialize_table(table))
         answer = server.respond_basis_test(reg, table)
         tr.send("server", "bt.r", answer)

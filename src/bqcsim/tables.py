@@ -16,8 +16,8 @@ lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 Server-side evaluation is one SparseState call per step (``index_eval``
 first adds its qubit). Five evaluators share one private row opener, which
 charges the server and parses the rows once; it opens a row for every
-branch it is asked about. Every row tag has at least ``TAG_MIN`` bits and
-was hashed at the build, so ``dec_row`` and the opener decide it from the
+branch it is asked about. Every row tag is ``TAG_BITS`` bits and was
+hashed at the build, so ``dec_row`` and the opener decide it from the
 input the oracle's owner index records (wrong only by a collision, at most
 2**-64 per check), and hash a tag only without one. ``lt_eval_coherent``
 XORs the payload into a register, ``lt_append_coherent`` appends it,
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .bits import apply_perm, int_to_bits, random_bits
 from .keychain import KeyPair
-from .oracle import TAG_MIN
+from .oracle import TAG_BITS
 
 
 class UndecryptableBranch(ValueError):
@@ -67,21 +67,19 @@ class ReversibleTable:
 # -- row primitives --------------------------------------------------------
 
 
-def enc(oracle, key: str, payload: str, pad_len: int, tag_len: int,
-        rng) -> TableRow:
+def enc(oracle, key: str, payload: str, pad_len: int, rng) -> TableRow:
     if pad_len < 1:
         raise ValueError("pad length must be >= 1")
     if not payload:
         raise ValueError("cannot encrypt an empty payload")
-    tag_len = max(tag_len, TAG_MIN)
     ct_pad = random_bits(rng, pad_len)
     tag_pad = random_bits(rng, pad_len)
     n = len(payload)
     oracle.count("client", 2)
     ct = oracle._prf(ct_pad + key, n) ^ int(payload, 2)
-    tag = oracle._prf(tag_pad + key, tag_len)
+    tag = oracle._prf(tag_pad + key, TAG_BITS)
     return TableRow(ct_pad, int_to_bits(ct, n), tag_pad,
-                    int_to_bits(tag, tag_len))
+                    int_to_bits(tag, TAG_BITS))
 
 
 def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
@@ -89,9 +87,9 @@ def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
     when the oracle records no owner for it."""
     oracle.count(party)
     tag, inp = int(row.tag, 2), row.tag_pad + key
-    owner = oracle._owner(tag, len(row.tag))
+    owner = oracle._owner(tag)
     if (owner != inp if owner is not None
-            else oracle._prf(inp, len(row.tag)) != tag):
+            else oracle._prf(inp, TAG_BITS) != tag):
         return None
     oracle.count(party)
     n = len(row.ct)
@@ -101,7 +99,7 @@ def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
 # -- plain lookup tables ---------------------------------------------------
 
 
-def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng) -> LookupTable:
+def lt_build(oracle, mapping, pad_len: int, rng) -> LookupTable:
     """Table from [(key, payload), ...] of uniform widths, rows shuffled."""
     rows = []
     payload_len = key_len = 0
@@ -112,7 +110,7 @@ def lt_build(oracle, mapping, pad_len: int, tag_len: int, rng) -> LookupTable:
         if rows and (len(key), len(payload)) != (key_len, payload_len):
             raise ValueError("mixed key or payload widths in table mapping")
         seen.add(key)
-        rows.append(enc(oracle, key, payload, pad_len, tag_len, rng))
+        rows.append(enc(oracle, key, payload, pad_len, rng))
         payload_len, key_len = len(payload), len(key)
     rng.shuffle(rows)
     return LookupTable(rows, payload_len, key_len)
@@ -141,16 +139,16 @@ def _row_opener(oracle, table: LookupTable, queries: int):
     by_key, unknown = {}, []
     for i, r in enumerate(table.rows):
         tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2), i)
-        owner = oracle._owner(tag, len(r.tag))
+        owner = oracle._owner(tag)
         if owner is None:
-            unknown.append((r.tag_pad, len(r.tag), tag, row))
+            unknown.append((r.tag_pad, tag, row))
         elif owner.startswith(r.tag_pad):
             by_key.setdefault(owner[len(r.tag_pad):], row)
 
     def open_row(key: str) -> tuple[int, int, int]:
         row = by_key.get(key) or next(
-            (row for tag_pad, tag_len, tag, row in unknown
-             if prf(tag_pad + key, tag_len) == tag), None)
+            (row for tag_pad, tag, row in unknown
+             if prf(tag_pad + key, TAG_BITS) == tag), None)
         if row is None:
             raise UndecryptableBranch("no row opens under branch key")
         ct_pad, n, ct, i = row
@@ -212,16 +210,10 @@ def lt_measure_coherent(oracle, state, reg: str, table: LookupTable,
 
 def revlt_build(oracle, in_pairs: list[KeyPair], out_pairs: list[KeyPair],
                 pad_len: int, rng) -> ReversibleTable:
-    """Bijection between key tuples: forward x_b -> y_b, backward inverts.
-
-    Tag lengths follow the keys they authenticate: output length forward,
-    input length backward.
-    """
+    """Bijection between key tuples: forward x_b -> y_b, backward inverts."""
     if len(in_pairs) != len(out_pairs):
         raise ValueError("pair count mismatch")
     n = len(in_pairs)
-    out_len = sum(p.width for p in out_pairs)
-    in_len = sum(p.width for p in in_pairs)
     fwd, bwd = [], []
     for combo in range(1 << n):
         bs = [(combo >> i) & 1 for i in range(n)]
@@ -230,8 +222,8 @@ def revlt_build(oracle, in_pairs: list[KeyPair], out_pairs: list[KeyPair],
         fwd.append((key_in, key_out))
         bwd.append((key_out, key_in))
     return ReversibleTable(
-        lt_build(oracle, fwd, pad_len, out_len, rng),
-        lt_build(oracle, bwd, pad_len, in_len, rng),
+        lt_build(oracle, fwd, pad_len, rng),
+        lt_build(oracle, bwd, pad_len, rng),
     )
 
 
@@ -265,8 +257,7 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
     Identity-style on helper branch b1=0, CNOT-style on b1=1:
         help_b1 || x2_b2 || x3_b3  ->  perm(y2_b2 || y3_(b3 xor b1*b2))
     The backward table inverts each helper branch separately, so the helper
-    is a control of ``rev_eval``. Tag length equals the pad length on both
-    sides.
+    is a control of ``rev_eval``.
     """
     fwd, bwd = [], []
     for b1 in (0, 1):
@@ -276,8 +267,8 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
                 fwd.append((k_help[b1] + k2[b2] + k3[b3], out))
                 bwd.append((k_help[b1] + out, k2[b2] + k3[b3]))
     return ReversibleTable(
-        lt_build(oracle, fwd, pad_len, pad_len, rng),
-        lt_build(oracle, bwd, pad_len, pad_len, rng),
+        lt_build(oracle, fwd, pad_len, rng),
+        lt_build(oracle, bwd, pad_len, rng),
     )
 
 
@@ -295,8 +286,8 @@ def phase_lt_build(oracle, pair: KeyPair, n: int, pad_len: int,
     """
     m = rng.randrange(4)
     width = max(3, (3 + n).bit_length())
-    rows = [enc(oracle, pair[b], int_to_bits(m + b * n, width), pad_len,
-                pad_len, rng) for b in (0, 1)]
+    rows = [enc(oracle, pair[b], int_to_bits(m + b * n, width), pad_len, rng)
+            for b in (0, 1)]
     return LookupTable(rows, width, pair.width)
 
 

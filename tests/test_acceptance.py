@@ -305,5 +305,5 @@ def test_enc_roundtrip_500_instances():
         key = "".join(rng.choice("01") for _ in range(rng.randrange(1, 12)))
         payload = "".join(rng.choice("01")
                           for _ in range(rng.randrange(1, 24)))
-        row = tables.enc(o, key, payload, 6, 12, rng)
+        row = tables.enc(o, key, payload, 6, rng)
         assert tables.dec_row(o, row, key) == payload

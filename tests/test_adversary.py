@@ -145,7 +145,7 @@ def test_free_lunch_trial_is_the_same_when_every_tag_is_hashed(monkeypatch,
 
     monkeypatch.setattr(adversary, "RandomOracle", recording_oracle)
     with_owners = trials()
-    monkeypatch.setattr(RandomOracle, "_owner", lambda self, value, n: None)
+    monkeypatch.setattr(RandomOracle, "_owner", lambda self, value: None)
     assert trials() == with_owners
 
 

@@ -413,6 +413,15 @@ GOLDEN = {
         "gdgprep-full.stages.tsv":
             "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
     }),
+    # round 2's pad is 64 bits, exactly TAG_BITS: the widest pad whose
+    # tags were never narrowed to TAG_BITS
+    "gdgprep-full-pad64": (["run", "gdgprep-full", "--seed", "1",
+                            "--set", "pad_base=32"], {
+        "gdgprep-full.log":
+            "36d08e4eee6b78028e4e00a1870a55a8c1038382765048a3440b3623ed9c97ba",
+        "gdgprep-full.stages.tsv":
+            "21c3554f431c00d1d0002e1c29e65b3e77a15fc6d6b63f6a3d40330fcd699bae",
+    }),
     "gdgprep-1pn": (["run", "gdgprep-1pn", "--seed", "1"], {
         "gdgprep-1pn.log":
             "9615dc8db02b4728e99fb98c5ed55d48cc246b99820ff3cdae473e03d155da0d",

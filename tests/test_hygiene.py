@@ -157,7 +157,7 @@ def test_only_the_oracle_names_its_memo_and_owner_index():
                                   ORACLE_PRIVATE)
             for path in SRC if path.name != "oracle.py"}
     assert {name: u for name, u in used.items() if u} == {}
-    tree = ast.parse("o._memo.clear()\nx = o._owner(t, 64)\n_owners = {}\n")
+    tree = ast.parse("o._memo.clear()\nx = o._owner(t)\n_owners = {}\n")
     assert sorted(names_used(tree, ORACLE_PRIVATE)) == ["_memo:1",
                                                         "_owners:3"]
 
@@ -185,6 +185,6 @@ def test_only_the_oracle_and_tables_hash_rows_or_charge_queries():
     assert {name: u for name, u in used.items() if u} == {}
     tree = ast.parse("self.oracle.count('server', 2)\noracle.count('s')\n"
                      "t = self.oracle._prf(x, 8)\nbin(v).count('1')\n"
-                     "s.count('1')\no._owner(t, 64)\n")
+                     "s.count('1')\no._owner(t)\n")
     assert sorted(oracle_internals(tree)) == ["_owner:6", "_prf:3",
                                               "count:1", "count:2"]

@@ -7,7 +7,7 @@ import pytest
 
 from bqcsim import oracle, tables
 from bqcsim.bits import int_to_bits
-from bqcsim.oracle import _MEMO_LIMIT, TAG_MIN, RandomOracle
+from bqcsim.oracle import _MEMO_LIMIT, TAG_BITS, RandomOracle
 from bqcsim.state import SparseState
 from conftest import expand
 
@@ -70,30 +70,29 @@ def test_owner_reads_the_index_and_changes_nothing(hashes):
     o = RandomOracle(31)
 
     def snapshot():
-        return (dict(o._heads), dict(o._memo),
-                {n: dict(d) for n, d in o._owners.items()})
+        return dict(o._heads), dict(o._memo), dict(o._owners)
 
-    # nothing asked at this length yet: no head or index, and none is made
-    assert o._owner(0, TAG_MIN) is None
+    # nothing hashed yet: no head or index, and none is made
+    assert o._owner(0) is None
     assert snapshot() == ({}, {}, {})
-    value = o._prf("0101", TAG_MIN)
-    narrow = o._prf("0101", TAG_MIN - 1)
+    value = o._prf("0101", TAG_BITS)
+    # outputs one bit narrower or wider than TAG_BITS are never recorded
+    for n in (TAG_BITS - 1, TAG_BITS + 1):
+        other = o._prf("0101", n)
+        assert o._owner(other) is None
+    assert o._owners == {value: "0101"}
     state, hashed = snapshot(), hashes.n
-    assert o._owner(value, TAG_MIN) == "0101"
-    # another value at a length asked, the same value at a length not asked,
-    # and an output narrower than TAG_MIN, which is never recorded
-    for v, n in ((value ^ 1, TAG_MIN), (value, TAG_MIN + 1),
-                 (narrow, TAG_MIN - 1)):
-        assert o._owner(v, n) is None
+    assert o._owner(value) == "0101"
+    assert o._owner(value ^ 1) is None
     assert snapshot() == state and hashes.n == hashed and o.counters == {}
     # the index is cleared with the memo, on the hash that finds it full
     for i in range(_MEMO_LIMIT - len(o._memo)):
         o._prf(format(i, "b"), 7)
-    assert o._owner(value, TAG_MIN) == "0101"
-    fresh = o._prf("1", TAG_MIN)
+    assert o._owner(value) == "0101"
+    fresh = o._prf("1", TAG_BITS)
     assert len(o._memo) == 1
-    assert o._owner(value, TAG_MIN) is None
-    assert o._owner(fresh, TAG_MIN) == "1"
+    assert o._owner(value) is None
+    assert o._owner(fresh) == "1"
 
 
 def test_repeated_classical_query_charges_each_time():
@@ -107,7 +106,7 @@ def test_repeated_classical_query_charges_each_time():
 def test_repeated_coherent_eval_charges_every_row():
     o = RandomOracle(12)
     rng = random.Random(13)
-    table = tables.lt_build(o, [("0011", "101"), ("1100", "101")], 4, 8, rng)
+    table = tables.lt_build(o, [("0011", "101"), ("1100", "101")], 4, rng)
     st = SparseState()
     st.add_gadget("k", "0011", "1100")
     st.add_register("out", "000")

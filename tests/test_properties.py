@@ -115,7 +115,7 @@ def test_enc_dec_roundtrip(seed, payload, key_len):
     o = RandomOracle(seed)
     rng = random.Random(seed)
     key = "".join(rng.choice("01") for _ in range(key_len))
-    row = tables.enc(o, key, payload, 8, 16, rng)
+    row = tables.enc(o, key, payload, 8, rng)
     assert tables.dec_row(o, row, key) == payload
 
 

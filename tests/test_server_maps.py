@@ -223,18 +223,18 @@ def run_steps(seed, steps):
         y = sample_key_pair(rng, 8)
         table = tables.lt_build(oracle, [(v + lam[b2], y[i & 1])
                                          for i, v in enumerate(values)
-                                         for b2 in (0, 1)], 8, 8, rng)
+                                         for b2 in (0, 1)], 8, rng)
         record(extend(server, reg, lam_reg, table))
         keys[reg] = [v + y[i & 1] for i, v in enumerate(values)]
 
     # basis tests: an honest one on the entangled helper, and one whose
     # payload is z's first subscript, so its outcome halves z's values
     r = random_bits(rng, 8)
-    table = tables.lt_build(oracle, [(v, r) for v in keys["h"]], 8, 8, rng)
+    table = tables.lt_build(oracle, [(v, r) for v in keys["h"]], 8, rng)
     record(basis_test(server, "h", table))
     table = tables.lt_build(oracle, [(v, int_to_bits(i >> 1, 8))
                                      for i, v in enumerate(keys["z"])],
-                            8, 8, rng)
+                            8, rng)
     record(basis_test(server, "z", table))
 
     # phase tables: on the entangled helper and on a lone gadget
@@ -329,7 +329,7 @@ def refresh_table(oracle, rng, pair, lam, payload):
     """A refresh table keyed by ``pair``'s keys followed by ``lam``'s."""
     return tables.lt_build(oracle, [(pair[b] + lam[b2], payload)
                                     for b in (0, 1) for b2 in (0, 1)],
-                           8, 8, rng)
+                           8, rng)
 
 
 def test_extend_gadget_fails_closed_on_an_unopened_key():
@@ -382,7 +382,7 @@ def test_basis_test_and_phase_table_fail_closed_on_an_unopened_key():
     half = KeyPair(g.x0, next(v for v in ("0000", "0001", "0010")
                               if v not in (g.x0, g.x1)))
     table = tables.lt_build(oracle, [(half.x0, "1" * 8), (half.x1, "1" * 8)],
-                            8, 8, rng)
+                            8, rng)
     ptable = tables.phase_lt_build(oracle, half, 3, 8, rng)
     before, draws = snapshot(server.state), server.rng.getstate()
     for step in (lambda: server.respond_basis_test("g", table),
@@ -397,7 +397,7 @@ def test_basis_test_and_phase_table_fail_closed_on_an_unopened_key():
 def test_basis_test_and_phase_table_are_one_state_call_each(monkeypatch):
     oracle, server, rng, g, lam = refresh_world()
     r = random_bits(rng, 8)
-    table = tables.lt_build(oracle, [(g.x0, r), (g.x1, r)], 8, 8, rng)
+    table = tables.lt_build(oracle, [(g.x0, r), (g.x1, r)], 8, rng)
     ptable = tables.phase_lt_build(oracle, g, 3, 8, rng)
     calls = []
     for name, fn in list(vars(SparseState).items()):

@@ -8,10 +8,11 @@ import pytest
 
 from bqcsim import tables
 from bqcsim.bits import apply_perm, int_to_bits, random_bits, xor
-from bqcsim.gadget_prep import PipelineConfig, gdgprep_full
+from bqcsim.gadget_prep import (PipelineConfig, gdgprep_full,
+                                security_refreshing, send_gadgets)
 from bqcsim.keychain import KeyPair, sample_key_pair
-from bqcsim.oracle import _MEMO_LIMIT, RandomOracle
-from bqcsim.protocols import HonestServer
+from bqcsim.oracle import _MEMO_LIMIT, TAG_BITS, RandomOracle
+from bqcsim.protocols import HonestServer, ProtocolParams, basis_test_multi
 from bqcsim.qfactory import succ_ubqc
 from bqcsim.state import SparseState, gadget_state
 from conftest import SMALL_PIPELINE, expand, norm
@@ -21,18 +22,18 @@ from test_oracle import reference_prf
 def test_row_encrypts_and_opens_with_the_key():
     o = RandomOracle(1)
     rng = random.Random(1)
-    row = tables.enc(o, "110011", "10101", 8, 16, rng)
+    row = tables.enc(o, "110011", "10101", 8, rng)
     assert tables.dec_row(o, row, "110011") == "10101"
     assert tables.dec_row(o, row, "110010") is None
     with pytest.raises(ValueError, match="empty payload"):
-        tables.enc(o, "110011", "", 8, 16, rng)
+        tables.enc(o, "110011", "", 8, rng)
 
 
 def test_row_ciphertext_is_masked():
     # the ciphertext field itself never equals the payload for these keys
     o = RandomOracle(2)
     rng = random.Random(2)
-    row = tables.enc(o, "0" * 8, "1" * 32, 8, 16, rng)
+    row = tables.enc(o, "0" * 8, "1" * 32, 8, rng)
     assert row.ct != "1" * 32
     # independent re-derivation of the mask
     mask = int_to_bits(o._prf(row.ct_pad + "0" * 8, 32), 32)
@@ -44,7 +45,7 @@ def test_lt_build_and_decrypt_roundtrip():
     o = RandomOracle(3)
     rng = random.Random(3)
     mapping = [("00", "1111"), ("01", "0000"), ("10", "1010")]
-    t = tables.lt_build(o, mapping, 8, 16, rng)
+    t = tables.lt_build(o, mapping, 8, rng)
     for key, payload in mapping:
         assert tables.lt_decrypt(o, t, key) == payload
     assert tables.lt_decrypt(o, t, "11") is None
@@ -53,7 +54,7 @@ def test_lt_build_and_decrypt_roundtrip():
 def test_lt_build_rejects_duplicate_keys():
     o = RandomOracle(4)
     with pytest.raises(ValueError):
-        tables.lt_build(o, [("0", "1"), ("0", "0")], 4, 8, random.Random(0))
+        tables.lt_build(o, [("0", "1"), ("0", "0")], 4, random.Random(0))
 
 
 @pytest.mark.parametrize("mapping", [
@@ -63,7 +64,7 @@ def test_lt_build_rejects_duplicate_keys():
 def test_lt_build_rejects_mixed_widths(mapping):
     # the header records one key and one payload width for every row
     with pytest.raises(ValueError, match="mixed key or payload widths"):
-        tables.lt_build(RandomOracle(4), mapping, 4, 8, random.Random(0))
+        tables.lt_build(RandomOracle(4), mapping, 4, random.Random(0))
 
 
 def reference_decrypt(o, row, key):
@@ -81,8 +82,7 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
         keys = [int_to_bits(v, kw) for v in rng.sample(range(1 << kw), 4)]
         wrong, keys = keys[0], keys[1:]
         mapping = [(k, random_bits(rng, pw)) for k in keys]
-        t = tables.lt_build(o, mapping, rng.randint(1, 8),
-                            rng.choice((8, 64, 100)), rng)
+        t = tables.lt_build(o, mapping, rng.randint(1, 8), rng)
         for key, payload in mapping + [(wrong, None)]:
             assert tables.lt_decrypt(o, t, key) == payload
             for row in t.rows:
@@ -114,6 +114,49 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
                 tables.lt_eval_coherent(o, st, ["k"], "out", t)
             assert not isinstance(err.value, tables.UndecryptableBranch)
             assert expand(st) == before
+
+
+def test_every_row_tag_is_tag_bits_wide(monkeypatch):
+    # one table of each kind, with kappa_out, pads and keys wider than
+    # TAG_BITS: the tag width follows none of them
+    o, rng = RandomOracle(52), random.Random(52)
+    server = HonestServer(o, seed=52)
+    built = []  # (rows, {key that opens a row: its payload or None})
+    real_build = tables.lt_build
+
+    def recording_build(oracle, mapping, pad_len, rng):
+        table = real_build(oracle, mapping, pad_len, rng)
+        built.append((table.rows, dict(mapping)))
+        return table
+
+    monkeypatch.setattr(tables, "lt_build", recording_build)
+    wide = ProtocolParams(pad_len=72, kappa_out=100)
+    (g, reg), = send_gadgets(server, rng, 1, 6)
+    assert basis_test_multi(o, g, reg, 1, wide, server, rng).passed
+    lams = send_gadgets(server, rng, 1, 6, prefix="lam")
+    _, tr, _ = security_refreshing(o, [(g, reg)], lams, wide, server, rng)
+    assert tr.passed
+    kh, k2, k3 = (sample_key_pair(rng, 4) for _ in range(3))
+    y2, y3 = sample_key_pair(rng, 5), sample_key_pair(rng, 5)
+    tables.robust_rlt_build(o, kh, k2, k3, y2, y3, list(range(10)), 72, rng)
+    ins, outs = ([sample_key_pair(rng, 40) for _ in range(2)]
+                 for _ in range(2))
+    tables.revlt_build(o, ins, outs, 8, rng)
+    pt = tables.phase_lt_build(o, g, 3, 72, rng)
+    built.append((pt.rows, {g.x0: None, g.x1: None}))
+    assert [len(rows) for rows, _ in built] == [2, 4, 8, 8, 4, 4, 2]
+    for rows, keys in built:
+        for row in rows:
+            assert len(row.tag) == TAG_BITS
+            opened = {k: tables.dec_row(o, row, k) for k in keys}
+            (key, payload), = ((k, p) for k, p in opened.items()
+                               if p is not None)
+            assert keys[key] in (None, payload)
+    # only TAG_BITS-bit outputs have a recorded owner
+    owners = dict(o._owners)
+    for n in (TAG_BITS - 1, TAG_BITS + 1, 100):
+        o._prf("0110", n)
+    assert o._owners == owners
 
 
 def in_order_row_opener(oracle, table, queries):
@@ -151,7 +194,7 @@ def evaluation(evaluator, memo, opens):
         st.add_gadget("b", b.x0, b.x1)
         keys = [a[i] + b[j] for i in (0, 1) for j in (0, 1)]
         table = tables.lt_build(o, [(k, random_bits(rng, 5)) for k in keys],
-                                8, 16, rng)
+                                8, rng)
         if evaluator == "measure":
             st.merge_registers(["a", "b"], "a")
         else:
@@ -234,7 +277,7 @@ def test_lt_rows_are_shuffled_but_ordered_mode_keeps_first():
     mapping = [(format(i, "04b"), "1") for i in range(16)]
     orders = set()
     for seed in range(5):
-        t = tables.lt_build(o, mapping, 4, 8, random.Random(seed))
+        t = tables.lt_build(o, mapping, 4, random.Random(seed))
         orders.add(tuple(r.tag for r in t.rows))
     assert len(orders) > 1
 
@@ -243,7 +286,7 @@ def test_coherent_eval_matches_classical_decrypt():
     o = RandomOracle(6)
     rng = random.Random(6)
     pair = KeyPair("0011", "1100")
-    t = tables.lt_build(o, [(pair.x0, "101"), (pair.x1, "010")], 8, 16, rng)
+    t = tables.lt_build(o, [(pair.x0, "101"), (pair.x1, "010")], 8, rng)
     st = SparseState()
     st.add_gadget("k", pair.x0, pair.x1)
     st.add_register("out", "000")
@@ -255,7 +298,7 @@ def test_coherent_eval_matches_classical_decrypt():
 def test_coherent_eval_raises_on_unopenable_branch():
     o = RandomOracle(7)
     rng = random.Random(7)
-    t = tables.lt_build(o, [("00", "1")], 8, 16, rng)
+    t = tables.lt_build(o, [("00", "1")], 8, rng)
     st = SparseState()
     st.add_gadget("k", "00", "11")
     st.add_register("out", "0")
@@ -266,7 +309,7 @@ def test_coherent_eval_raises_on_unopenable_branch():
 def test_coherent_eval_charges_queries_to_the_evaluator():
     o = RandomOracle(8)
     rng = random.Random(8)
-    t = tables.lt_build(o, [("0", "1"), ("1", "0")], 4, 8, rng)
+    t = tables.lt_build(o, [("0", "1"), ("1", "0")], 4, rng)
     st = SparseState()
     st.add_gadget("k", "0", "1")
     st.add_register("out", "0")
@@ -440,7 +483,7 @@ def test_ordered_phase_table_puts_x0_row_first():
 
 def test_serialize_table_is_line_stable():
     o = RandomOracle(16)
-    t = tables.lt_build(o, [("0", "1"), ("1", "0")], 4, 8, random.Random(0))
+    t = tables.lt_build(o, [("0", "1"), ("1", "0")], 4, random.Random(0))
     s1 = tables.serialize_table(t)
     s2 = tables.serialize_table(t)
     assert s1 == s2

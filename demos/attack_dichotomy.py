@@ -24,7 +24,8 @@ def main():
         print(f"{variant}\t{kout}\t\t{st.p_hat:.3f}\t[{lo:.3f},{hi:.3f}]")
 
     print("\npadded Hadamard test, 5000 trials per row")
-    params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1)
+    params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1,
+                            key_width=8)
     for name, cls in (("honest", HonestServer),
                       ("measure-then-guess", MeasureThenRandomD)):
         st = estimate(cls, "pad_hadamard", params, 5000, experiment=name)

@@ -94,19 +94,19 @@ class RandomGuessBasisTest(HonestServer):
 # -- trial harness ---------------------------------------------------------
 
 
-def _drive(protocol: str, oracle, server, params, rng, width: int):
-    """Run a named protocol on ``width``-bit gadgets; (transcript, secrets)."""
+def _drive(protocol: str, oracle, server, params, rng):
+    """Run a protocol on ``key_width``-bit gadgets; (transcript, secrets)."""
     if protocol == "pad_hadamard":
-        (pair, reg), = send_gadgets(server, rng, 1, width)
+        (pair, reg), = send_gadgets(server, rng, 1, params.key_width)
         tr = pad_hadamard(oracle, pair, reg, params, server, rng)
         return tr, {"pair": pair}
     if protocol == "basis_test":
-        (pair, reg), = send_gadgets(server, rng, 1, width)
+        (pair, reg), = send_gadgets(server, rng, 1, params.key_width)
         tr = basis_test_multi(oracle, pair, reg, params.test_rounds,
                               params, server, rng)
         return tr, {"pair": pair}
     if protocol == "combine":
-        (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, width)
+        (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, params.key_width)
         new, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
         return tr, {"pair_a": pa, "pair_b": pb, "combined": new}
     raise ValueError(f"unknown protocol id: {protocol}")
@@ -118,7 +118,7 @@ def run_with_adversary(protocol: str, adversary_cls, params: ProtocolParams,
     oracle = RandomOracle(seed)
     rng = random.Random(seed ^ 0x5DEECE66D)
     server = adversary_cls(oracle, seed=seed + 1)
-    tr, secrets = _drive(protocol, oracle, server, params, rng, 8)
+    tr, secrets = _drive(protocol, oracle, server, params, rng)
     return tr.verdict, secrets, tr
 
 
@@ -193,9 +193,9 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
     # is drawn from rng, since Random(seed) also draws the keys
     oracle = RandomOracle(seed)
     server = HonestServer(oracle, seed=rng.getrandbits(64))
-    (h_pair, _), = send_gadgets(server, rng, 1, 6, prefix="h")
-    k2 = sample_key_pair(rng, 6)
-    (k3, k3_reg), = send_gadgets(server, rng, 1, 6, prefix="x")
+    (h_pair, _), = send_gadgets(server, rng, 1, params.key_width, prefix="h")
+    k2 = sample_key_pair(rng, params.key_width)
+    (k3, k3_reg), = send_gadgets(server, rng, 1, params.key_width, prefix="x")
     y2 = sample_key_pair(rng, kout)
     y3 = sample_key_pair(rng, kout)
     perm = list(range(2 * kout))

@@ -121,10 +121,10 @@ def _run_protocol(name: str, config: gp.PipelineConfig, seed: int):
     """Returns (Transcript, stage reports, {name: content} of other files)."""
     oracle, server, rng = instance(seed)
     params = config.params_for_round(1)  # gdgprep-full runs every round
-    w = config.key_width
+    w = params.key_width
 
     if name in ("pad-hadamard", "basis-test", "combine"):
-        tr, _ = _drive(name.replace("-", "_"), oracle, server, params, rng, w)
+        tr, _ = _drive(name.replace("-", "_"), oracle, server, params, rng)
         return tr, [], {}
     if name == "gdgprep-1pn":
         h, *gs = gp.send_gadgets(server, rng, 4, w)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 from . import tables
 from .bits import random_bits
-from .keychain import KeyPair, permute_blocks, sample_key_pair
-from .protocols import (ProtocolParams, Transcript, basis_test_multi,
-                        pad_hadamard)
+from .keychain import KeyPair, sample_key_pair
+from .protocols import (PipelineConfig, ProtocolParams, Transcript,
+                        basis_test_multi, pad_hadamard)
 
 Gadget = tuple[KeyPair, str]  # client-side key pair + server register name
 
@@ -60,43 +60,6 @@ class StageReport:
     def line(self) -> str:
         return (f"{self.stage}\t{self.gadgets_in}\t{self.gadgets_out}"
                 f"\t{self.helpers_consumed}\t{self.verdict}\t{self.queries}")
-
-
-@dataclass
-class PipelineConfig:
-    """Pipeline shape and widths: the one source of protocol defaults.
-
-    ``N`` initial gadgets of ``key_width`` bits double over ``rounds()``
-    rounds to ``L`` output gadgets; each refresh consumes ``J`` gadgets.
-    Round t (from 1) pads with ``pad_base * t`` bits, outputs ``kappa_out``-bit
-    keys and runs ``test_rounds`` basis tests per input.
-
-    The CLI and the stand-alone sub-protocol runs read these defaults too.
-    ``kappa_out = 16`` puts the closed-form honest abort rate at 0.015% for
-    L = 8 and 1.6% for L = 1,024; ``pad_base = 8`` makes a stand-alone run,
-    which takes ``params_for_round(1)``, equal to round 1 of the pipeline.
-    """
-
-    L: int = 8
-    N: int = 2
-    key_width: int = 6
-    kappa_out: int = 16
-    pad_base: int = 8
-    J: int = 1
-    test_rounds: int = 2
-
-    def rounds(self) -> int:
-        q, r = divmod(self.L, self.N)
-        if r or q < 1 or q & (q - 1):
-            raise ValueError("L/N must be a power of two")
-        return q.bit_length() - 1
-
-    def params_for_round(self, t: int) -> ProtocolParams:
-        return ProtocolParams(
-            pad_len=self.pad_base * t,
-            kappa_out=self.kappa_out,
-            test_rounds=self.test_rounds,
-        )
 
 
 def _absorb(tr: Transcript, reports: list[StageReport], sub):
@@ -200,7 +163,7 @@ def gdgprep_repeat(oracle, blocks: list[tuple[list[Gadget], Gadget]],
     perm = list(range(len(blocks)))
     rng.shuffle(perm)
     tr.send("client", "gp.block_perm", ",".join(map(str, perm)))
-    flat = [g for block in permute_blocks(results, perm) for g in block]
+    flat = [g for p in perm for g in results[p]]
     tr.finish(True)
     helpers_used = sum(len(h) for h, _ in blocks)
     reports.append(StageReport("repeat", n_in, len(flat), helpers_used, "pass"))

@@ -1,4 +1,4 @@
-"""Client-side key bookkeeping: sampling, combining, permuting."""
+"""Client-side key bookkeeping: sampling and combining key pairs."""
 
 from __future__ import annotations
 
@@ -51,10 +51,3 @@ def combine_keys(pair_a: KeyPair, pair_b: KeyPair, outcome_bit: int,
     if outcome_bit == 0:
         return KeyPair(p0 + pair_a.x0 + pair_b.x0, p1 + pair_a.x1 + pair_b.x1)
     return KeyPair(p0 + pair_a.x0 + pair_b.x1, p1 + pair_a.x1 + pair_b.x0)
-
-
-def permute_blocks(key_blocks: list, perm: list[int]) -> list:
-    """Block i of the output is block perm[i] of the input."""
-    if sorted(perm) != list(range(len(key_blocks))):
-        raise ValueError("not a permutation of the block indices")
-    return [key_blocks[p] for p in perm]

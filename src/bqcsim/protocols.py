@@ -23,12 +23,53 @@ from .state import SparseState
 
 
 @dataclass
+class PipelineConfig:
+    """Pipeline shape and widths: the one source of protocol defaults.
+
+    ``N`` initial gadgets of ``key_width`` bits double over ``rounds()``
+    rounds to ``L`` output gadgets; each refresh consumes ``J`` gadgets.
+    Round t (from 1) pads with ``pad_base * t`` bits, outputs ``kappa_out``-bit
+    keys and runs ``test_rounds`` basis tests per input.
+
+    A stand-alone run or attack takes every width from
+    ``params_for_round(1)``. ``kappa_out = 16`` puts the closed-form honest
+    abort rate at 0.015% for L = 8 and 1.6% for L = 1,024; ``pad_base = 8``
+    makes a stand-alone run equal to round 1 of the pipeline.
+    """
+
+    L: int = 8
+    N: int = 2
+    key_width: int = 6
+    kappa_out: int = 16
+    pad_base: int = 8
+    J: int = 1
+    test_rounds: int = 2
+
+    def rounds(self) -> int:
+        q, r = divmod(self.L, self.N)
+        if r or q < 1 or q & (q - 1):
+            raise ValueError("L/N must be a power of two")
+        return q.bit_length() - 1
+
+    def params_for_round(self, t: int) -> ProtocolParams:
+        return ProtocolParams(pad_len=self.pad_base * t,
+                              kappa_out=self.kappa_out,
+                              test_rounds=self.test_rounds,
+                              key_width=self.key_width)
+
+
+@dataclass
 class ProtocolParams:
-    """One round's widths; ``PipelineConfig.params_for_round`` builds it."""
+    """One round's widths; ``PipelineConfig.params_for_round`` builds it.
+
+    ``key_width`` is the width of each gadget a stand-alone run or attack
+    sends. Both defaults are ``PipelineConfig``'s.
+    """
 
     pad_len: int              # table/pad length
     kappa_out: int            # output key / hash length
-    test_rounds: int = 2      # T, basis-test rounds (PipelineConfig's default)
+    test_rounds: int = PipelineConfig.test_rounds  # T, basis-test rounds
+    key_width: int = PipelineConfig.key_width      # sent gadgets' width
 
 
 class Transcript:

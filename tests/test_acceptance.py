@@ -197,7 +197,8 @@ def test_gadget_arithmetic_ratios():
 def test_pad_hadamard_honest_rate_matches_analytic():
     kout = 16
     trials = 10000
-    params = ProtocolParams(pad_len=6, kappa_out=kout, test_rounds=1)
+    params = ProtocolParams(pad_len=6, kappa_out=kout, test_rounds=1,
+                            key_width=8)
     st = estimate(HonestServer, "pad_hadamard", params, trials,
                   experiment="honest_ph")
     p_exp = 1 - 2.0 ** -kout  # only the all-zero tail is rejected
@@ -206,7 +207,8 @@ def test_pad_hadamard_honest_rate_matches_analytic():
 
 
 def test_pad_hadamard_cheater_rate_half():
-    params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1)
+    params = ProtocolParams(pad_len=6, kappa_out=16, test_rounds=1,
+                            key_width=8)
     st = estimate(MeasureThenRandomD, "pad_hadamard", params, 10000,
                   experiment="cheat_ph")
     assert 0.48 <= st.p_hat <= 0.52

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from scipy.stats import chisquare
@@ -14,7 +15,7 @@ from bqcsim.adversary import (HonestServer, MeasureThenRandomD,
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import ProtocolParams
 
-PARAMS = ProtocolParams(pad_len=6, kappa_out=12, test_rounds=1)
+PARAMS = ProtocolParams(pad_len=6, kappa_out=12, test_rounds=1, key_width=8)
 
 
 def test_trial_stats_validation_and_wilson():
@@ -83,6 +84,42 @@ def test_wilson_calibration_on_known_coin():
         if lo <= 0.5 <= hi:
             covered += 1
     assert covered >= 93
+
+
+def test_cheat_trials_send_gadgets_of_key_width():
+    # the cheater measures a key_width-bit gadget and answers a d of
+    # key_width + kappa_out bits
+    narrow = replace(PARAMS, key_width=3)
+    for seed in range(5):
+        _, secrets, tr = run_with_adversary("pad_hadamard", MeasureThenRandomD,
+                                            narrow, seed)
+        d, = [m[2] for m in tr.messages if m[1] == "ph.d"]
+        assert secrets["pair"].width == 3
+        assert len(d) == 3 + narrow.kappa_out
+
+
+def test_free_lunch_trial_sends_gadgets_of_key_width(monkeypatch):
+    sent, sampled = [], []
+    real_send, real_sample = adversary.send_gadgets, adversary.sample_key_pair
+
+    def recording_send(server, rng, count, width, prefix="g"):
+        sent.append((prefix, count, width))
+        return real_send(server, rng, count, width, prefix)
+
+    def recording_sample(rng, width):
+        sampled.append(width)
+        return real_sample(rng, width)
+
+    monkeypatch.setattr(adversary, "send_gadgets", recording_send)
+    monkeypatch.setattr(adversary, "sample_key_pair", recording_sample)
+    p = ProtocolParams(pad_len=8, kappa_out=4, key_width=3)
+    for variant in ("unpermuted", "permuted"):
+        sent.clear()
+        sampled.clear()
+        free_lunch_attack(1, variant, p)
+        assert sent == [("h", 1, 3), ("x", 1, 3)]
+        # k2 at key_width, then the two output pairs at kappa_out
+        assert sampled == [3, 4, 4]
 
 
 def test_free_lunch_unknown_variant():

@@ -93,10 +93,11 @@ def test_protocol_keys_are_pipeline_config_fields(capsys):
     widths = {f.name: f.default for f in fields(PipelineConfig)}
     assert {k: DEFAULTS[k] for k in widths} == widths
     assert set(DEFAULTS) - set(widths) == {"shots", "guesses"}
-    # the per-round record keeps one default, and it is the pipeline's
+    # the per-round record keeps two defaults, and they are the pipeline's
     kept = {f.name: f.default for f in fields(ProtocolParams)
             if f.default is not MISSING}
-    assert kept == {"test_rounds": PipelineConfig().test_rounds}
+    assert kept == {"test_rounds": PipelineConfig().test_rounds,
+                    "key_width": PipelineConfig().key_width}
     assert run(["run", "pad-hadamard", "--seed", "1",
                 "--set", "pad_len=8"]) == 2
     assert capsys.readouterr().err == "error: line 1: unknown key 'pad_len'\n"
@@ -449,9 +450,14 @@ GOLDEN = {
             "56714c8a89592e8899d9d02cb67297533a86e6a026d04ad10da8c5da03f3d3db",
     }),
     "hadamard-cheat": (["attack", "hadamard-cheat", "--seed", "1",
-                        "--trials", "40"], {
+                        "--trials", "40", "--set", "key_width=8"], {
         "hadamard-cheat.tsv":
             "76a04a48f8a6922584352a79a9f691f122da31a221de04979cec098426378e2f",
+    }),
+    "hadamard-cheat-default": (["attack", "hadamard-cheat", "--seed", "1",
+                                "--trials", "40"], {
+        "hadamard-cheat.tsv":
+            "4a96aba830cf8fabfd2c667e2add6916d7e648b39ac79912231cb1b327653d38",
     }),
     "basis-cheat": (["attack", "basis-cheat", "--seed", "1",
                      "--trials", "40"], {

@@ -35,3 +35,10 @@ def test_attack_dichotomy_rates():
     out = run_demo("attack_dichotomy.py")
     rates = dict(re.findall(r"^(\w+)\t20\t\t([0-9.]+)\t", out, re.M))
     assert rates == {"unpermuted": "1.000", "permuted": "0.000"}, out
+
+
+def test_abort_budget_largest_pipelines():
+    # closed form at epsilon = 1%, N = 2, J = 1: the largest L per kappa_out
+    out = run_demo("abort_budget.py")
+    largest = dict(re.findall(r"^(\d+)\t\t(\d+)\t", out, re.M))
+    assert largest == {"8": "2", "12": "32", "16": "512", "20": "8192"}, out

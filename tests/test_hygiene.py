@@ -1,6 +1,7 @@
 """Source hygiene of ``src/bqcsim``: no dead local, no unused import, one
-way for a gadget to reach the server, one builder of a round's widths, and
-no row hashing or query charging outside the oracle and the tables layer.
+way for a gadget to reach the server, one builder of a round's widths, no
+row hashing or query charging outside the oracle and the tables layer, and
+no public function that only code outside ``src`` calls, beyond a fixed few.
 
 No linter ships with the project, so these checks read the modules'
 syntax trees. A local name that is bound but never read is exempt when it
@@ -188,3 +189,39 @@ def test_only_the_oracle_and_tables_hash_rows_or_charge_queries():
                      "s.count('1')\no._owner(t)\n")
     assert sorted(oracle_internals(tree)) == ["_owner:6", "_prf:3",
                                               "count:1", "count:2"]
+
+
+def unreferenced_public(trees) -> set[str]:
+    """Each public module function or ``Class.method`` of ``trees`` whose
+    name no variable or attribute of ``trees`` reads or writes."""
+    used = set()
+    for tree in trees:
+        used.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute)))
+    found = set()
+    for tree in trees:
+        for node in tree.body:
+            defs = ([node] if isinstance(node, FUNCS)
+                    else node.body if isinstance(node, ast.ClassDef) else [])
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            found.update(owner + d.name for d in defs
+                         if isinstance(d, FUNCS) and not d.name.startswith("_")
+                         and d.name not in used)
+    return found
+
+
+# Used only by the bench and the tests: reference implementations they
+# check the program against, and the closed form of a pipeline's helpers.
+# The set may shrink; an API made for its own unit tests may not join it.
+OUTSIDE_ONLY = {"expected_helper_count", "SparseState.components",
+                "SparseState.fidelity", "gadget_state", "revlt_build"}
+
+
+def test_every_other_public_function_has_a_caller_in_src():
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    assert unreferenced_public(trees) == OUTSIDE_ONLY
+    tree = ast.parse("def f(): g()\ndef g(): pass\ndef h(): pass\n"
+                     "def _i(): pass\nclass C:\n    def m(self): self.f\n"
+                     "    def n(self): pass\n    def _o(self): pass\n")
+    assert unreferenced_public([tree]) == {"h", "C.m", "C.n"}

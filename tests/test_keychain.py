@@ -1,11 +1,10 @@
-"""Key pair sampling, combination and block permutation."""
+"""Key pair sampling and combination."""
 
 import random
 
 import pytest
 
-from bqcsim.keychain import (KeyPair, combine_keys, permute_blocks,
-                             sample_key_pair)
+from bqcsim.keychain import KeyPair, combine_keys, sample_key_pair
 
 
 def test_pair_invariants():
@@ -45,10 +44,3 @@ def test_combine_prefixes_pads_per_subscript():
     b = KeyPair("0", "1")
     c = combine_keys(a, b, 0, pads=("111", "000"))
     assert (c.x0, c.x1) == ("11100", "00011")
-
-
-def test_permute_blocks():
-    blocks = ["a", "b", "c"]
-    assert permute_blocks(blocks, [2, 0, 1]) == ["c", "a", "b"]
-    with pytest.raises(ValueError):
-        permute_blocks(blocks, [0, 0, 1])

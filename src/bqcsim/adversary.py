@@ -30,8 +30,8 @@ from .bits import bits_to_int, int_to_bits, random_bits
 from .gadget_prep import send_gadgets
 from .keychain import sample_key_pair
 from .oracle import RandomOracle
-from .protocols import (HonestServer, ProtocolParams, basis_test_multi,
-                        combine, pad_hadamard)
+from .protocols import (HonestServer, ProtocolParams, Transcript,
+                        basis_test_multi, combine, pad_hadamard)
 
 
 @dataclass
@@ -96,18 +96,20 @@ class RandomGuessBasisTest(HonestServer):
 
 def _drive(protocol: str, oracle, server, params, rng):
     """Run a protocol on ``key_width``-bit gadgets; (transcript, secrets)."""
+    tr = Transcript()
     if protocol == "pad_hadamard":
         (pair, reg), = send_gadgets(server, rng, 1, params.key_width)
-        tr = pad_hadamard(oracle, pair, reg, params, server, rng)
+        tr.run(pad_hadamard, oracle, pair, reg, params, server, rng)
         return tr, {"pair": pair}
     if protocol == "basis_test":
         (pair, reg), = send_gadgets(server, rng, 1, params.key_width)
-        tr = basis_test_multi(oracle, pair, reg, params.test_rounds,
-                              params, server, rng)
+        tr.run(basis_test_multi, oracle, pair, reg, params.test_rounds,
+               params, server, rng)
         return tr, {"pair": pair}
     if protocol == "combine":
         (pa, ra), (pb, rb) = send_gadgets(server, rng, 2, params.key_width)
-        new, tr, _ = combine(oracle, pa, pb, ra, rb, params, server, rng)
+        new, _ = tr.run(combine, oracle, pa, pb, ra, rb, params, server,
+                        rng) or (None, None)
         return tr, {"pair_a": pa, "pair_b": pb, "combined": new}
     raise ValueError(f"unknown protocol id: {protocol}")
 

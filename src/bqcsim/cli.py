@@ -25,11 +25,13 @@ from .adversary import (HonestServer, MeasureThenRandomD,
                         RandomGuessBasisTest, _BadTrialSeeds, _drive,
                         estimate, free_lunch_rate)
 from .oracle import RandomOracle
+from .protocols import Transcript
 
 EXPERIMENT = {"shots": 1000, "guesses": 64}  # experiment sizes
 # every other key is a PipelineConfig field, with the field's default
 DEFAULTS = {**asdict(gp.PipelineConfig()), **EXPERIMENT}
 MAY_BE_ZERO = {"test_rounds", "J", "guesses"}  # every other key needs >= 1
+ATTACK_UNREAD = ("L", "N", "J", "shots")  # keys no attack reads
 
 
 class ConfigError(Exception):
@@ -66,13 +68,20 @@ def read_input(name: str, kind: str) -> str:
         raise ConfigError(f"{kind} file {path} is not UTF-8 text")
 
 
-def load_config(args) -> tuple[gp.PipelineConfig, dict]:
-    """The command's pipeline config and its experiment sizes."""
-    cfg = dict(DEFAULTS)
+def load_config(args, unread=()) -> tuple[gp.PipelineConfig, dict]:
+    """The command's pipeline config and its experiment sizes.
+
+    Setting a key of ``unread``, which the command does not read, is an
+    error.
+    """
+    given = {}
     if args.config:
-        cfg = parse_config(read_input(args.config, "config"), cfg)
+        given = parse_config(read_input(args.config, "config"), given)
     for item in args.set or []:
-        cfg = parse_config(item, cfg)
+        given = parse_config(item, given)
+    if bad := [key for key in unread if key in given]:
+        raise ConfigError(f"{args.command} reads no {', '.join(bad)}")
+    cfg = {**DEFAULTS, **given}
     for key, value in cfg.items():
         least = 0 if key in MAY_BE_ZERO else 1
         if value < least:
@@ -118,48 +127,45 @@ def instance(seed: int):
 
 
 def _run_protocol(name: str, config: gp.PipelineConfig, seed: int):
-    """Returns (Transcript, stage reports, {name: content} of other files)."""
+    """Returns (Transcript, {name: content} of other files)."""
     oracle, server, rng = instance(seed)
     params = config.params_for_round(1)  # gdgprep-full runs every round
     w = params.key_width
 
     if name in ("pad-hadamard", "basis-test", "combine"):
         tr, _ = _drive(name.replace("-", "_"), oracle, server, params, rng)
-        return tr, [], {}
+        return tr, {}
+    if name == "gdgprep-full":
+        check_shape(config)
+        _, tr, _ = gp.gdgprep_full(oracle, config, server, rng)
+        return tr, {}
+    tr = Transcript()
     if name == "gdgprep-1pn":
         h, *gs = gp.send_gadgets(server, rng, 4, w)
-        _, tr, reps = gp.gdgprep_1pn(oracle, h, gs, params, server, rng)
-        return tr, reps, {}
-    if name == "gdgprep-logk":
+        tr.run(gp.gdgprep_1pn, oracle, h, gs, params, server, rng)
+    elif name == "gdgprep-logk":
         h1, h2, seed_g = gp.send_gadgets(server, rng, 3, w)
-        _, tr, reps = gp.gdgprep_logk(oracle, [h1, h2], seed_g, params,
-                                      server, rng)
-        return tr, reps, {}
-    if name == "gdgprep-repeat":
+        tr.run(gp.gdgprep_logk, oracle, [h1, h2], seed_g, params, server,
+               rng)
+    elif name == "gdgprep-repeat":
         blocks = []
         for m in range(2):
             h, s = gp.send_gadgets(server, rng, 2, w, prefix=f"b{m}g")
             blocks.append(([h], s))
-        _, tr, reps = gp.gdgprep_repeat(oracle, blocks, params, server, rng)
-        return tr, reps, {}
-    if name == "refresh":
+        tr.run(gp.gdgprep_repeat, oracle, blocks, params, server, rng)
+    elif name == "refresh":
         gs = gp.send_gadgets(server, rng, config.N, w)
         lams = gp.send_gadgets(server, rng, config.J, w, prefix="lam")
-        _, tr, reps = gp.security_refreshing(oracle, gs, lams, params,
-                                             server, rng)
-        return tr, reps, {}
-    if name == "gdgprep-full":
-        check_shape(config)
-        _, tr, reps = gp.gdgprep_full(oracle, config, server, rng)
-        return tr, reps, {}
-    if name == "qfac8":
+        tr.run(gp.security_refreshing, oracle, gs, lams, params, server, rng)
+    elif name == "qfac8":
         g, = gp.send_gadgets(server, rng, 1, w)
-        qb, tr = qf.qfac8(oracle, g, params, server, rng)
+        qb = tr.run(qf.qfac8, oracle, g, params, server, rng)
         # the client keeps its angle: no message carries it
-        if qb is None:
-            return tr, [], {}
-        return tr, [], {"qfac8.angle.tsv": f"theta_index\n{qb.angle}\n"}
-    raise ConfigError(f"unknown protocol: {name}")
+        if qb is not None:
+            return tr, {"qfac8.angle.tsv": f"theta_index\n{qb.angle}\n"}
+    else:
+        raise ConfigError(f"unknown protocol: {name}")
+    return tr, {}
 
 
 RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
@@ -169,11 +175,11 @@ RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
 
 def cmd_run(args) -> int:
     config, _ = load_config(args)
-    tr, reports, files = _run_protocol(args.protocol, config, args.seed)
+    tr, files = _run_protocol(args.protocol, config, args.seed)
     write_out(args, f"{args.protocol}.log", tr.serialize())
-    if reports:
+    if tr.reports:
         lines = ["stage\tin\tout\thelpers\tverdict\tqueries"]
-        lines += [r.line() for r in reports]
+        lines += [r.line() for r in tr.reports]
         write_out(args, f"{args.protocol}.stages.tsv", "\n".join(lines) + "\n")
     for file_name, content in files.items():
         write_out(args, file_name, content)
@@ -188,7 +194,7 @@ ATTACKS = ("free-lunch-unpermuted", "free-lunch-permuted",
 
 
 def cmd_attack(args) -> int:
-    config, sizes = load_config(args)
+    config, sizes = load_config(args, ATTACK_UNREAD)
     if args.trials < 1:
         raise ConfigError(f"trials={args.trials}: need at least 1")
     params = config.params_for_round(1)

@@ -17,11 +17,12 @@ Stages, bottom to top:
 ``combine`` (in :mod:`bqcsim.protocols`) is a stand-alone sub-protocol; no
 stage runs it.
 
-Every stage returns its output gadgets as (KeyPair, register) tuples plus a
-transcript and its StageReports, whose gadget arithmetic is asserted by
-tests. A stage folds each sub-stage's result into its own transcript and
-reports with ``_absorb``, and each sub-protocol's transcript with
-``Transcript.absorb``; a failing sub-step fails the stage.
+Every stage takes the run's transcript as its last argument, appends its
+messages and its StageReport (whose gadget arithmetic is asserted by tests)
+to it, and returns its output gadgets as (KeyPair, register) tuples. A
+failing check raises ``Rejected`` through every stage above it; the 1pn and
+refresh stages prefix its reason and file their ``"fail"`` report on the
+way (``Transcript.rejecting``). ``gdgprep_full`` is a run's entry point.
 """
 
 from __future__ import annotations
@@ -62,41 +63,29 @@ class StageReport:
                 f"\t{self.helpers_consumed}\t{self.verdict}\t{self.queries}")
 
 
-def _absorb(tr: Transcript, reports: list[StageReport], sub):
-    """Fold a sub-stage's ``(out, transcript, reports)`` into a stage.
-
-    Appends the reports, absorbs the transcript and returns ``out``; a
-    failed sub-stage fails ``tr`` with its reason and gives None.
-    """
-    out, sub_tr, sub_reports = sub
-    reports.extend(sub_reports)
-    return out if tr.absorb(sub_tr) else None
-
-
 # -- doubling --------------------------------------------------------------
 
 
 def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
-                params: ProtocolParams, server, rng):
+                params: ProtocolParams, server, rng, tr: Transcript):
     """One shared helper turns n gadgets into 2n (n = 1: the 2 -> 2 step).
 
     The transcript carries both directions of every branching table the
     server evaluates.
     """
-    tr = Transcript()
     h_pair, h_reg = helper
     n = len(k3_list)
     kout = params.kappa_out
     failed = StageReport("1pn", n + 1, 0, 0, "fail")
 
-    for pair, reg in k3_list:
-        # the input for T rounds, then the helper for one; the order is
-        # part of the transcript
-        for p, r, rounds in ((pair, reg, params.test_rounds),
-                             (h_pair, h_reg, 1)):
-            bt = basis_test_multi(oracle, p, r, rounds, params, server, rng)
-            if not tr.absorb(bt, "1pn: basis test"):
-                return [], tr, [failed]
+    with tr.rejecting("1pn: basis test", failed):
+        for pair, reg in k3_list:
+            # the input for T rounds, then the helper for one; the order is
+            # part of the transcript
+            for p, r, rounds in ((pair, reg, params.test_rounds),
+                                 (h_pair, h_reg, 1)):
+                basis_test_multi(oracle, p, r, rounds, params, server, rng,
+                                 tr)
 
     plan = []
     for i, (k3_pair, k3_reg) in enumerate(k3_list):
@@ -116,9 +105,8 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         server.eval_robust(h_reg, k2, k3_reg, table, out_reg)
         plan.append((y2, y3, perm, out_reg))
 
-    ph = pad_hadamard(oracle, h_pair, h_reg, params, server, rng)
-    if not tr.absorb(ph, "1pn: pad hadamard"):
-        return [], tr, [failed]
+    with tr.rejecting("1pn: pad hadamard", failed):
+        pad_hadamard(oracle, h_pair, h_reg, params, server, rng, tr)
 
     out: list[Gadget] = []
     for i, (y2, y3, perm, out_reg) in enumerate(plan):
@@ -126,57 +114,43 @@ def gdgprep_1pn(oracle, helper: Gadget, k3_list: list[Gadget],
         r2, r3 = f"{out_reg}a", f"{out_reg}b"
         server.depermute_split(out_reg, perm, kout, (r2, r3))
         out.extend([(y2, r2), (y3, r3)])
-    tr.finish(True)
-    return out, tr, [StageReport("1pn", n + 1, 2 * n, 1, "pass")]
+    tr.reports.append(StageReport("1pn", n + 1, 2 * n, 1, "pass"))
+    return out
 
 
 def gdgprep_logk(oracle, helpers: list[Gadget], seed: Gadget,
-                 params: ProtocolParams, server, rng):
+                 params: ProtocolParams, server, rng, tr: Transcript):
     """R doubling rounds: R + 1 gadgets -> 2^R."""
-    tr = Transcript()
     cur = [seed]
-    reports = []
     for helper in helpers:
-        cur = _absorb(tr, reports, gdgprep_1pn(oracle, helper, cur, params,
-                                               server, rng))
-        if cur is None:
-            return [], tr, reports
-    tr.finish(True)
-    reports.append(StageReport("logk", len(helpers) + 1, len(cur),
-                               len(helpers), "pass"))
-    return cur, tr, reports
+        cur = gdgprep_1pn(oracle, helper, cur, params, server, rng, tr)
+    tr.reports.append(StageReport("logk", len(helpers) + 1, len(cur),
+                                  len(helpers), "pass"))
+    return cur
 
 
 def gdgprep_repeat(oracle, blocks: list[tuple[list[Gadget], Gadget]],
-                   params: ProtocolParams, server, rng):
+                   params: ProtocolParams, server, rng, tr: Transcript):
     """M independent doubling blocks, then a random block permutation."""
-    tr = Transcript()
-    reports = []
-    results = []
-    n_in = sum(len(h) + 1 for h, _ in blocks)
-    for helpers, seed in blocks:
-        out = _absorb(tr, reports, gdgprep_logk(oracle, helpers, seed, params,
-                                                server, rng))
-        if out is None:
-            return [], tr, reports
-        results.append(out)
+    results = [gdgprep_logk(oracle, helpers, seed, params, server, rng, tr)
+               for helpers, seed in blocks]
     perm = list(range(len(blocks)))
     rng.shuffle(perm)
     tr.send("client", "gp.block_perm", ",".join(map(str, perm)))
     flat = [g for p in perm for g in results[p]]
-    tr.finish(True)
+    n_in = sum(len(h) + 1 for h, _ in blocks)
     helpers_used = sum(len(h) for h, _ in blocks)
-    reports.append(StageReport("repeat", n_in, len(flat), helpers_used, "pass"))
-    return flat, tr, reports
+    tr.reports.append(StageReport("repeat", n_in, len(flat), helpers_used,
+                                  "pass"))
+    return flat
 
 
 # -- security refreshing ---------------------------------------------------
 
 
 def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
-                        params: ProtocolParams, server, rng):
+                        params: ProtocolParams, server, rng, tr: Transcript):
     """Consume J fresh gadgets to extend and re-pad N existing ones."""
-    tr = Transcript()
     n, j_rounds = len(gadgets), len(lams)
     failed = StageReport("refresh", n + j_rounds, 0, 0, "fail")
     # keys as held in the registers, growing with each extension round
@@ -194,9 +168,8 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
                     tables.serialize_table(table))
             server.extend_gadget(reg, lam_reg, table)
             cur[i] = KeyPair(cur[i].x0 + y.x0, cur[i].x1 + y.x1)
-        ph = pad_hadamard(oracle, lam_pair, lam_reg, params, server, rng)
-        if not tr.absorb(ph, "refresh: pad hadamard"):
-            return [], tr, [failed]
+        with tr.rejecting("refresh: pad hadamard", failed):
+            pad_hadamard(oracle, lam_pair, lam_reg, params, server, rng, tr)
 
     out: list[Gadget] = []
     for i, (_, reg) in enumerate(gadgets):
@@ -204,38 +177,32 @@ def security_refreshing(oracle, gadgets: list[Gadget], lams: list[Gadget],
         tr.send("client", f"sr.pad[{i}]", pad)
         server.prepend_pad(reg, pad)
         out.append((KeyPair(pad + cur[i].x0, pad + cur[i].x1), reg))
-    tr.finish(True)
-    return out, tr, [StageReport("refresh", n + j_rounds, n, j_rounds, "pass")]
+    tr.reports.append(StageReport("refresh", n + j_rounds, n, j_rounds,
+                                  "pass"))
+    return out
 
 
 # -- one-round and full pipeline -------------------------------------------
 
 
 def gdgprep_oneround(oracle, blocks: list[tuple[list[Gadget], Gadget]],
-                     lams: list[Gadget], params: ProtocolParams, server, rng):
+                     lams: list[Gadget], params: ProtocolParams, server, rng,
+                     tr: Transcript):
     """One doubling round: ``gdgprep_repeat``, then ``security_refreshing``.
 
     ``blocks`` is the block structure of the repeat stage and ``lams`` the
     gadgets its refresh consumes.
     """
-    tr = Transcript()
-    reports: list[StageReport] = []
-    expanded = _absorb(tr, reports, gdgprep_repeat(oracle, blocks, params,
-                                                   server, rng))
-    if expanded is None:
-        return [], tr, reports
-    out = _absorb(tr, reports, security_refreshing(oracle, expanded, lams,
-                                                   params, server, rng))
-    if out is None:
-        return [], tr, reports
-    tr.finish(True)
+    expanded = gdgprep_repeat(oracle, blocks, params, server, rng, tr)
+    out = security_refreshing(oracle, expanded, lams, params, server, rng, tr)
     helpers_used = sum(len(h) for h, _ in blocks) + len(lams)
-    reports.append(StageReport("oneround", len(blocks) + helpers_used,
-                               len(out), helpers_used, "pass"))
-    return out, tr, reports
+    tr.reports.append(StageReport("oneround", len(blocks) + helpers_used,
+                                  len(out), helpers_used, "pass"))
+    return out
 
 
-def gdgprep_full(oracle, config: PipelineConfig, server, rng):
+def gdgprep_full(oracle, config: PipelineConfig, server, rng,
+                 tr: Transcript | None = None):
     """The complete pipeline: one quantum message, then classical rounds.
 
     Round t doubles the gadget count by giving every current gadget a fresh
@@ -243,12 +210,24 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     expansion block, followed by two refresh layers. After T = log2(L/N)
     rounds the server holds Gadget(K_out) with |K_out| = L.
 
+    A run of its own (no ``tr``) returns (output gadgets, or [] on
+    rejection, Transcript, stage reports). Given the run's ``tr``, the
+    pipeline continues that record and raises ``Rejected`` on failure.
+
     An honest run aborts with probability 1 - (1 - 2**-kappa_out)**n: each
     of its n = (L - N) + 2*T*J padded Hadamard tests rejects an honest
     all-zero tail with probability 2**-kappa_out.
     """
-    tr = Transcript()
-    reports: list[StageReport] = []
+    if tr is None:
+        tr = Transcript()
+        out = tr.run(_pipeline, oracle, config, server, rng)
+    else:
+        out = _pipeline(oracle, config, server, rng, tr)
+    return out or [], tr, tr.reports
+
+
+def _pipeline(oracle, config: PipelineConfig, server, rng, tr: Transcript):
+    """``gdgprep_full``'s rounds on the run's record."""
     t_rounds = config.rounds()
 
     # the single quantum message: every gadget the pipeline will consume
@@ -267,21 +246,16 @@ def gdgprep_full(oracle, config: PipelineConfig, server, rng):
     for t in range(t_rounds):
         params = config.params_for_round(t + 1)
         blocks = [([helpers[t][m]], cur[m]) for m in range(len(cur))]
-        out = _absorb(tr, reports, gdgprep_oneround(
-            oracle, blocks, lam1[t], params, server, rng))
-        if out is None:
-            return [], tr, reports
-        cur = _absorb(tr, reports, security_refreshing(
-            oracle, out, lam2[t], params, server, rng))
-        if cur is None:
-            return [], tr, reports
+        out = gdgprep_oneround(oracle, blocks, lam1[t], params, server, rng,
+                               tr)
+        cur = security_refreshing(oracle, out, lam2[t], params, server, rng,
+                                  tr)
 
-    tr.finish(True)
     queries = oracle.counters.get("server", 0) - server_q0
     helpers_total = sum(len(h) for h in helpers) + 2 * t_rounds * config.J
-    reports.append(StageReport("full", config.N, len(cur), helpers_total,
-                               "pass", queries))
-    return cur, tr, reports
+    tr.reports.append(StageReport("full", config.N, len(cur), helpers_total,
+                                  "pass", queries))
+    return cur
 
 
 def expected_helper_count(config: PipelineConfig) -> int:

@@ -5,15 +5,19 @@ messages. The server side is pluggable: :class:`HonestServer` implements the
 intended quantum behavior on a SparseState; adversaries subclass it and
 override individual responses (see :mod:`bqcsim.adversary`).
 
-Every run appends its messages to a :class:`Transcript`, which serializes to
-tab-separated records so equal seeds replay byte-identically. A record
-usually takes one line, but table payloads contain newlines, so a record
-may span several lines (the ROADMAP moves transcripts to JSON Lines).
+A run has one :class:`Transcript`, made by its entry point. Every driver
+takes it as its last argument and appends its messages to it; a failed
+check raises :class:`Rejected`, which ends the run, and
+:meth:`Transcript.run` turns it into the fail verdict. The transcript
+serializes to tab-separated records so equal seeds replay byte-identically.
+A record usually takes one line, but table payloads contain newlines, so a
+record may span several lines (the ROADMAP moves transcripts to JSON Lines).
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import tables
@@ -72,11 +76,16 @@ class ProtocolParams:
     key_width: int = PipelineConfig.key_width      # sent gadgets' width
 
 
+class Rejected(Exception):
+    """A client check failed; the reason ends the run as its verdict."""
+
+
 class Transcript:
-    """Append-only message log with a single pass/fail verdict."""
+    """One run's append-only message log, stage reports and verdict."""
 
     def __init__(self):
         self.messages: list[tuple[str, str, str]] = []
+        self.reports: list = []  # gadget_prep.StageReport, in finish order
         self.verdict: str | None = None
         self.fail_reason: str | None = None
 
@@ -89,17 +98,27 @@ class Transcript:
         self.verdict = "pass" if ok else "fail"
         self.fail_reason = reason
 
-    def absorb(self, sub: Transcript, what: str = "") -> bool:
-        """Append ``sub``'s messages and return whether ``sub`` passed.
+    @contextmanager
+    def rejecting(self, what: str, failed=None):
+        """Prefix ``what`` to a rejection raised inside, after filing the
+        stage report ``failed`` when given."""
+        try:
+            yield
+        except Rejected as e:
+            if failed is not None:
+                self.reports.append(failed)
+            raise Rejected(f"{what}: {e.args[0]}") from None
 
-        A failed ``sub`` fails this transcript with its reason, prefixed by
-        ``what`` when given.
-        """
-        self.messages.extend(sub.messages)
-        if not sub.passed:
-            reason = sub.fail_reason
-            self.finish(False, f"{what}: {reason}" if what else reason)
-        return sub.passed
+    def run(self, step, *args):
+        """Run ``step(*args, self)`` to its verdict and return its output:
+        pass if it returns, fail with the reason (and None) if it rejects."""
+        try:
+            out = step(*args, self)
+        except Rejected as e:
+            self.finish(False, e.args[0])
+            return None
+        self.finish(True)
+        return out
 
     @property
     def passed(self) -> bool:
@@ -217,33 +236,27 @@ def is_bitstring(answer, width: int) -> bool:
 
 
 def pad_hadamard(oracle, pair: KeyPair, reg: str, params: ProtocolParams,
-                 server, rng) -> Transcript:
+                 server, rng, tr: Transcript) -> None:
     """Padded Hadamard test on one gadget (consumes it on the server)."""
-    tr = Transcript()
     pad = random_bits(rng, params.pad_len)
     tr.send("client", "ph.pad", pad)
     d = server.respond_pad_hadamard(reg, pad, params.kappa_out)
     tr.send("server", "ph.d", d)
     if not is_bitstring(d, pair.width + params.kappa_out):
-        tr.finish(False, "malformed d")
-        return tr
+        raise Rejected("malformed d")
     h0 = oracle.query_classical(pad + pair.x0, params.kappa_out)
     h1 = oracle.query_classical(pad + pair.x1, params.kappa_out)
     w0, w1 = pair.x0 + h0, pair.x1 + h1
-    tail = d[-params.kappa_out:]
-    if tail == "0" * params.kappa_out:
-        tr.finish(False, "all-zero tail")
-    elif dot(d, w0) != dot(d, w1):
-        tr.finish(False, "parity mismatch")
-    else:
-        tr.finish(True)
-    return tr
+    if d[-params.kappa_out:] == "0" * params.kappa_out:
+        raise Rejected("all-zero tail")
+    if dot(d, w0) != dot(d, w1):
+        raise Rejected("parity mismatch")
 
 
 def basis_test_multi(oracle, pair: KeyPair, reg: str, rounds: int,
-                     params: ProtocolParams, server, rng) -> Transcript:
+                     params: ProtocolParams, server, rng,
+                     tr: Transcript) -> None:
     """T sequential basis tests: each round, both keys decrypt to one fresh r."""
-    tr = Transcript()
     for t in range(rounds):
         r = random_bits(rng, params.kappa_out)
         table = tables.lt_build(oracle, [(pair.x0, r), (pair.x1, r)],
@@ -252,23 +265,18 @@ def basis_test_multi(oracle, pair: KeyPair, reg: str, rounds: int,
         answer = server.respond_basis_test(reg, table)
         tr.send("server", "bt.r", answer)
         if not is_bitstring(answer, params.kappa_out):
-            tr.finish(False, f"round {t}: malformed r")
-            return tr
+            raise Rejected(f"round {t}: malformed r")
         if answer != r:
-            tr.finish(False, f"round {t}: wrong r")
-            return tr
-    tr.finish(True)
-    return tr
+            raise Rejected(f"round {t}: wrong r")
 
 
 def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
-            params: ProtocolParams, server, rng):
+            params: ProtocolParams, server, rng, tr: Transcript):
     """Combine two gadgets into one by measuring the subscript XOR.
 
     The output keys are prefixed by a fresh pad per output subscript.
-    Returns (new KeyPair or None, Transcript, output register name).
+    Returns (new KeyPair, output register name).
     """
-    tr = Transcript()
     tag_a0 = oracle.tag(pair_a.x0)
     tag_b0 = oracle.tag(pair_b.x0)
     tr.send("client", "cb.tags", tag_a0 + "," + tag_b0)
@@ -287,8 +295,5 @@ def combine(oracle, pair_a: KeyPair, pair_b: KeyPair, reg_a: str, reg_b: str,
     tr.send("server", "cb.outcome", str(outcome))
     # bool and float answers compare equal to 0 or 1 but are not bits
     if type(outcome) is not int or outcome not in (0, 1):
-        tr.finish(False, "non-bit response")
-        return None, tr, name
-    new_pair = combine_keys(pair_a, pair_b, outcome, pads)
-    tr.finish(True)
-    return new_pair, tr, name
+        raise Rejected("non-bit response")
+    return combine_keys(pair_a, pair_b, outcome, pads), name

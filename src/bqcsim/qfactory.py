@@ -16,9 +16,9 @@ and then running the kernel: the tile fixes the draws, nothing is kept
 between delegations, and the working memory beyond the returned deltas is
 one tile's. The deltas are one flat int8 array, one byte per delta.
 ``succ_ubqc`` chains the full gadget pipeline, the qfactory, and the
-cluster computation end to end; it returns ``[]`` for the deltas when a
-delegation fails before its shots. A dense statevector evaluator of
-the same circuits is the comparison oracle.
+cluster computation end to end on one transcript; it returns ``[]`` for the
+deltas when a delegation fails before its shots. A dense statevector
+evaluator of the same circuits is the comparison oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 from . import tables
 from .bits import dot
 from .gadget_prep import Gadget, PipelineConfig, gdgprep_full
-from .protocols import (ProtocolParams, Transcript, basis_test_multi,
-                        is_bitstring)
+from .protocols import (ProtocolParams, Rejected, Transcript,
+                        basis_test_multi, is_bitstring)
 from .state import EntangledDiscardError
 
 OCTANT = math.pi / 4
@@ -48,20 +48,19 @@ class PreparedQubit:
     angle: int  # the octant k of theta = k*pi/4, 4*t1 + 2*t2 + t3
 
 
-def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
+def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng,
+          tr: Transcript) -> PreparedQubit:
     """One gadget -> one 8-basis qubit on the server.
 
-    Returns (PreparedQubit | None, Transcript). The finished qubit must be
-    unentangled from the rest of the server state: it is extracted into
-    explicit amplitudes for the computation layer, or the run fails.
+    The finished qubit must be unentangled from the rest of the server
+    state: it is extracted into explicit amplitudes for the computation
+    layer, or the run is rejected.
     """
-    tr = Transcript()
     pair, reg = gadget
 
-    bt = basis_test_multi(oracle, pair, reg, params.test_rounds, params,
-                          server, rng)
-    if not tr.absorb(bt, "basis test"):
-        return None, tr
+    with tr.rejecting("basis test"):
+        basis_test_multi(oracle, pair, reg, params.test_rounds, params,
+                         server, rng, tr)
 
     t2, t3 = rng.randrange(2), rng.randrange(2)
     ptable = tables.phase_lt_build(oracle, pair, 2 * t2 + t3,
@@ -72,8 +71,7 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     d = server.respond_phase_table(reg, ptable, qubit_reg)
     tr.send("server", "qf.d", d)
     if not is_bitstring(d, pair.width):
-        tr.finish(False, "malformed d")
-        return None, tr
+        raise Rejected("malformed d")
 
     t1 = dot(d, pair.delta())
     # the one simulator step outside the protocol: the qubit leaves the
@@ -81,14 +79,11 @@ def qfac8(oracle, gadget: Gadget, params: ProtocolParams, server, rng):
     try:
         g = server.state.discard_register(qubit_reg)
     except (KeyError, EntangledDiscardError) as e:
-        tr.finish(False, f"hand-off: {e.args[0]}")
-        return None, tr
+        raise Rejected(f"hand-off: {e.args[0]}") from None
     if not g.keys() <= {"0", "1"}:
-        tr.finish(False, f"hand-off: {qubit_reg!r} is not one bit wide")
-        return None, tr
-    tr.finish(True)
+        raise Rejected(f"hand-off: {qubit_reg!r} is not one bit wide")
     alpha, beta = g.get("0", 0j), g.get("1", 0j)
-    return PreparedQubit(alpha, beta, 4 * t1 + 2 * t2 + t3), tr
+    return PreparedQubit(alpha, beta, 4 * t1 + 2 * t2 + t3)
 
 
 # -- dense circuit oracle --------------------------------------------------
@@ -236,22 +231,22 @@ def succ_ubqc(oracle, config: PipelineConfig, circuit_octants: list[int],
     A delegation that fails before its shots returns (None, [], Transcript).
     """
     tr = Transcript()
+    ones, deltas = tr.run(_delegate, oracle, config, circuit_octants,
+                          server, rng, shots) or (None, [])
+    return ones, deltas, tr
+
+
+def _delegate(oracle, config: PipelineConfig, circuit_octants: list[int],
+              server, rng, shots: int, tr: Transcript):
+    """``succ_ubqc``'s steps on the run's record: (ones, deltas)."""
     need = len(circuit_octants) + 1
     if config.L < need:
-        tr.finish(False, f"L={config.L} too small for {need - 1} gates")
-        return None, [], tr
-    gadgets, sub, _ = gdgprep_full(oracle, config, server, rng)
-    if not tr.absorb(sub):
-        return None, [], tr
+        raise Rejected(f"L={config.L} too small for {need - 1} gates")
+    gadgets, _, _ = gdgprep_full(oracle, config, server, rng, tr)
     params = config.params_for_round(config.rounds() or 1)
-    qubits = []
-    for g in gadgets[:need]:
-        qb, qtr = qfac8(oracle, g, params, server, rng)
-        if not tr.absorb(qtr, "qfactory"):
-            return None, [], tr
-        qubits.append(qb)
-
+    with tr.rejecting("qfactory"):
+        qubits = [qfac8(oracle, g, params, server, rng, tr)
+                  for g in gadgets[:need]]
     ones, deltas = ubqc_shots(qubits, circuit_octants, rng, shots)
     tr.send("client", "ubqc.result", f"shots={shots} ones={ones}")
-    tr.finish(True)
-    return ones, deltas, tr
+    return ones, deltas

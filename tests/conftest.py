@@ -6,6 +6,7 @@ import math
 import pytest
 
 from bqcsim import oracle
+from bqcsim.protocols import Transcript
 from bqcsim.qfactory import OCTANT
 from bqcsim.state import _Component
 
@@ -14,6 +15,15 @@ from bqcsim.state import _Component
 # passes: the pinned hash counts, digests and statistical-gate data of the
 # tests that use them were taken at these inputs.
 SMALL_PIPELINE = dict(key_width=4, kappa_out=8, pad_base=4, test_rounds=1)
+
+
+def run_alone(step, *args):
+    """``step(*args)`` as a run of its own: (its output, its Transcript).
+
+    The output is None when the run is rejected.
+    """
+    tr = Transcript()
+    return tr.run(step, *args), tr
 
 
 def expand(state) -> dict:

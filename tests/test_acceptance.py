@@ -19,7 +19,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import (HonestServer, ProtocolParams, basis_test_multi,
                               combine, pad_hadamard)
 from bqcsim.state import SparseState, gadget_state
-from conftest import SMALL_PIPELINE, fidelity_vs_angle
+from conftest import SMALL_PIPELINE, fidelity_vs_angle, run_alone
 
 EXACT = 1 - 1e-9
 
@@ -51,17 +51,17 @@ def test_honest_exact_all_protocols():
     for seed in (1, 2):  # 2 -> 2: the shared-helper step with one input
         o, srv, rng, params = fresh(seed)
         h, g = gadgets(srv, rng, 2)
-        out, tr, _ = gp.gdgprep_1pn(o, h, [g], params, srv, rng)
+        out, tr = run_alone(gp.gdgprep_1pn, o, h, [g], params, srv, rng)
         assert tr.passed and len(out) == 2 and exact(srv, out)
 
     o, srv, rng, params = fresh(3)
     h, *gs = gadgets(srv, rng, 4)
-    out, tr, _ = gp.gdgprep_1pn(o, h, gs, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_1pn, o, h, gs, params, srv, rng)
     assert tr.passed and len(out) == 6 and exact(srv, out)
 
     o, srv, rng, params = fresh(4)
     h1, h2, s = gadgets(srv, rng, 3)
-    out, tr, _ = gp.gdgprep_logk(o, [h1, h2], s, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_logk, o, [h1, h2], s, params, srv, rng)
     assert tr.passed and len(out) == 4 and exact(srv, out)
 
     o, srv, rng, params = fresh(5)
@@ -70,13 +70,13 @@ def test_honest_exact_all_protocols():
         hb = gadgets(srv, rng, 1, prefix=f"h{m}")
         sb, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((hb, sb))
-    out, tr, _ = gp.gdgprep_repeat(o, blocks, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_repeat, o, blocks, params, srv, rng)
     assert tr.passed and exact(srv, out)
 
     o, srv, rng, params = fresh(6)
     gs = gadgets(srv, rng, 2)
     lams = gadgets(srv, rng, 2, prefix="lam")
-    out, tr, _ = gp.security_refreshing(o, gs, lams, params, srv, rng)
+    out, tr = run_alone(gp.security_refreshing, o, gs, lams, params, srv, rng)
     assert tr.passed and exact(srv, out)
 
     o, srv, rng, params = fresh(7)
@@ -86,7 +86,7 @@ def test_honest_exact_all_protocols():
         sb, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((hb, sb))
     lams = gadgets(srv, rng, 1, prefix="lam")
-    out, tr, _ = gp.gdgprep_oneround(o, blocks, lams, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_oneround, o, blocks, lams, params, srv, rng)
     assert tr.passed and exact(srv, out)
 
     # simple drivers on kappa_out up to 24 and key widths 4..8
@@ -94,10 +94,11 @@ def test_honest_exact_all_protocols():
         o, srv, rng, params = fresh(seed, kappa_out=kout)
         p = sample_key_pair(rng, width)
         reg = srv.prepare_gadget("g", p)
-        assert basis_test_multi(o, p, reg, 2, params, srv, rng).passed
+        assert run_alone(basis_test_multi, o, p, reg, 2, params, srv,
+                         rng)[1].passed
         assert srv.state.fidelity(
             gadget_state([(reg, p.x0, p.x1)])) >= EXACT
-        assert pad_hadamard(o, p, reg, params, srv, rng).passed
+        assert run_alone(pad_hadamard, o, p, reg, params, srv, rng)[1].passed
 
 
 def test_honest_exact_full_pipeline_and_speed():
@@ -116,7 +117,7 @@ def test_honest_exact_qfac8():
     o, srv, rng, params = fresh(10, kappa_out=12)
     p = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", p)
-    qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+    qb, tr = run_alone(qf.qfac8, o, (p, reg), params, srv, rng)
     assert tr.passed and fidelity_vs_angle(qb) >= EXACT
 
 
@@ -154,8 +155,8 @@ def test_gadget_arithmetic_ratios():
         o, srv, rng, params = fresh(20 + n)
         h, = gadgets(srv, rng, 1, prefix="h")
         gs = gadgets(srv, rng, n)
-        out, tr, reps = gp.gdgprep_1pn(o, h, gs, params, srv, rng)
-        r = reps[-1]
+        _, tr = run_alone(gp.gdgprep_1pn, o, h, gs, params, srv, rng)
+        r = tr.reports[-1]
         assert (r.gadgets_in, r.gadgets_out, r.helpers_consumed) == \
             (n + 1, 2 * n, 1)
 
@@ -164,8 +165,8 @@ def test_gadget_arithmetic_ratios():
         o, srv, rng, params = fresh(30 + R)
         hs = gadgets(srv, rng, R, prefix="h")
         s, = gadgets(srv, rng, 1)
-        out, tr, reps = gp.gdgprep_logk(o, hs, s, params, srv, rng)
-        r = reps[-1]
+        _, tr = run_alone(gp.gdgprep_logk, o, hs, s, params, srv, rng)
+        r = tr.reports[-1]
         assert (r.gadgets_in, r.gadgets_out) == (R + 1, 2 ** R)
 
     # M(R+1) -> M 2^R
@@ -176,8 +177,8 @@ def test_gadget_arithmetic_ratios():
             hb = gadgets(srv, rng, R, prefix=f"h{m}")
             sb, = gadgets(srv, rng, 1, prefix=f"s{m}")
             blocks.append((hb, sb))
-        out, tr, reps = gp.gdgprep_repeat(o, blocks, params, srv, rng)
-        r = reps[-1]
+        _, tr = run_alone(gp.gdgprep_repeat, o, blocks, params, srv, rng)
+        r = tr.reports[-1]
         assert (r.gadgets_in, r.gadgets_out) == (M * (R + 1), M * 2 ** R)
 
     # N+J -> N (kappa_out raised so the honest 2^-kappa_out rejection of a
@@ -186,8 +187,9 @@ def test_gadget_arithmetic_ratios():
         o, srv, rng, params = fresh(60 + 10 * N + J, kappa_out=16)
         gs = gadgets(srv, rng, N)
         lams = gadgets(srv, rng, J, prefix="lam")
-        out, tr, reps = gp.security_refreshing(o, gs, lams, params, srv, rng)
-        r = reps[-1]
+        _, tr = run_alone(gp.security_refreshing, o, gs, lams, params, srv,
+                          rng)
+        r = tr.reports[-1]
         assert (r.gadgets_in, r.gadgets_out) == (N + J, N)
 
 
@@ -246,7 +248,7 @@ def test_qfac8_500_runs_exact():
         params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
         p = sample_key_pair(rng, 5)
         reg = srv.prepare_gadget("g", p)
-        qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+        qb, tr = run_alone(qf.qfac8, o, (p, reg), params, srv, rng)
         assert tr.passed
         assert fidelity_vs_angle(qb) >= EXACT
         # theta1 is exactly the parity the protocol defines
@@ -264,7 +266,7 @@ def test_qfac8_theta1_uniform():
         params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
         p = sample_key_pair(rng, 5)
         reg = srv.prepare_gadget("g", p)
-        qb, tr = qf.qfac8(o, (p, reg), params, srv, rng)
+        qb, tr = run_alone(qf.qfac8, o, (p, reg), params, srv, rng)
         total += qb.angle >> 2
     assert abs(total / trials - 0.5) <= 0.03
 

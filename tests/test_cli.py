@@ -257,6 +257,21 @@ def test_near_power_of_two_shape_exits_two_at_once():
     assert proc.stderr.startswith("error: ")
 
 
+def test_attack_refuses_the_keys_it_does_not_read(tmp_path, capsys):
+    attack = ["attack", "hadamard-cheat", "--seed", "1", "--trials", "40"]
+    out = tmp_path / "out"
+    for key in cli.ATTACK_UNREAD:
+        cfg = tmp_path / f"{key}.txt"
+        cfg.write_text(f"{key}=4\n")
+        for given in (["--set", f"{key}=4"], ["--config", str(cfg)]):
+            assert run(attack + given + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: attack reads no {key}\n"
+    assert run(attack + ["--set", "L=6", "--set", "N=5", "--set", "J=3",
+                         "--set", "shots=7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: attack reads no L, N, J, shots\n"
+    assert not out.exists()
+
+
 def test_attack_rejects_fewer_than_one_trial(tmp_path):
     for trials in ("0", "-3"):
         assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
@@ -498,6 +513,59 @@ def test_golden_digests(tmp_path, name):
     out = tmp_path / "out"
     argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
     assert run(argv + ["--out", str(out)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir()}
+    assert got == want
+
+
+# sha256 of every output file of fixed runs that an honest server fails,
+# each by a padded Hadamard test's all-zero tail at kappa_out = 1 or 2.
+# Refactors of how a failure reaches the verdict must keep them.
+REJECTED = {
+    # rejected in round 1's second refresh
+    "gdgprep-full-refresh": (["run", "gdgprep-full", "--seed", "3", "--set",
+                              "kappa_out=1", "--set", "L=16"], {
+        "gdgprep-full.log":
+            "0994be8b8e4b143d8df6e9c6b81807171307898774a36c5b136f4ff4c11b7f86",
+        "gdgprep-full.stages.tsv":
+            "7040d16eb9d1b925b9ad24126c823ddd2ff625782ad0efdc999047bae3cd6ac9",
+    }),
+    # rejected in round 2's first 1pn step
+    "gdgprep-full-1pn": (["run", "gdgprep-full", "--seed", "5", "--set",
+                          "kappa_out=2", "--set", "L=16"], {
+        "gdgprep-full.log":
+            "93f69b810eec606b2640349420b6d2ceeb49c002868c24f20513b4aeab0ae1cc",
+        "gdgprep-full.stages.tsv":
+            "b5f1cd4d420d06d0ef2bdea7ac99dc02eb14f89d410f4521f92ad1167a8d3f78",
+    }),
+    "refresh": (["run", "refresh", "--seed", "1", "--set", "kappa_out=1"], {
+        "refresh.log":
+            "4abe901d8157b7c91050f23d935ef71eb5d80a432cef2ddd739cf7aa063d907b",
+        "refresh.stages.tsv":
+            "2f0f65bb3cabd6eeca06cc65e81cd6c674a97c1ace22db24ac7c5ee9e36b6f19",
+    }),
+    "gdgprep-1pn": (["run", "gdgprep-1pn", "--seed", "2", "--set",
+                     "kappa_out=1"], {
+        "gdgprep-1pn.log":
+            "0e916ae5958cfcb83fafbdc78511b1a2e149519642fe3cdd47031833685e02b0",
+        "gdgprep-1pn.stages.tsv":
+            "493b18fccd6f6c805bfaa5c1dfcef880d61fda78ad1fe992ec566a9548bcd5d8",
+    }),
+    "ubqc": (["ubqc", "CIRCUIT", "--seed", "2", "--set", "kappa_out=1"], {
+        "ubqc.log":
+            "0dd4257d4595a2b0f06dc8f7af545fbdb0cd7ecd5ab9af837a61b0bfe64be45f",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_run_digests(tmp_path, name):
+    argv, want = REJECTED[name]
+    circ = tmp_path / "circ.txt"
+    circ.write_text("1 3 6\n")  # a 3-gate circuit
+    out = tmp_path / "out"
+    argv = [str(circ) if a == "CIRCUIT" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 1
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in out.iterdir()}
     assert got == want

@@ -10,7 +10,7 @@ from bqcsim.bits import random_bits
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.state import SparseState
-from conftest import SMALL_PIPELINE
+from conftest import SMALL_PIPELINE, run_alone
 
 
 def setup(seed):
@@ -41,9 +41,11 @@ def test_basic_two_to_two():
     for seed in range(10):
         o, srv, rng, params = setup(seed)
         helper, g = gadgets(srv, rng, 2)
-        out, tr, reps = gp.gdgprep_1pn(o, helper, [g], params, srv, rng)
+        out, tr = run_alone(gp.gdgprep_1pn, o, helper, [g], params, srv,
+                            rng)
         assert tr.passed
-        assert (reps[-1].gadgets_in, reps[-1].gadgets_out) == (2, 2)
+        r = tr.reports[-1]
+        assert (r.gadgets_in, r.gadgets_out) == (2, 2)
         assert all(p.width == params.kappa_out for p, _ in out)
         assert_exact(srv, out)
 
@@ -51,7 +53,7 @@ def test_basic_two_to_two():
 def test_1p1_includes_basis_tests():
     o, srv, rng, params = setup(77)
     helper, g = gadgets(srv, rng, 2)
-    out, tr, reps = gp.gdgprep_1pn(o, helper, [g], params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_1pn, o, helper, [g], params, srv, rng)
     assert tr.passed
     # test_rounds on the input, then one round on the helper
     tags = [t for _, t, _ in tr.messages]
@@ -79,8 +81,8 @@ def test_1pn_transcript_carries_every_evaluated_table(n):
     rng = random.Random(602 + n)
     params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=1)
     helper, = gadgets(srv, rng, 1, prefix="h")
-    out, tr, _ = gp.gdgprep_1pn(o, helper, gadgets(srv, rng, n), params,
-                                srv, rng)
+    out, tr = run_alone(gp.gdgprep_1pn, o, helper, gadgets(srv, rng, n),
+                        params, srv, rng)
     assert tr.passed and len(srv.evaluated) == n
     sent = [(t, p) for _, t, p in tr.messages if t.startswith("gp.robust_")]
     assert [t for t, _ in sent] == [f"gp.robust_{d}[{i}]" for i in range(n)
@@ -112,11 +114,11 @@ def test_1pn_fails_closed_when_helper_basis_test_fails(n):
     rng = random.Random(702 + n)
     params = ProtocolParams(pad_len=5, kappa_out=8, test_rounds=2)
     helper, = gadgets(srv, rng, 1, prefix="h")
-    out, tr, reps = gp.gdgprep_1pn(o, helper, gadgets(srv, rng, n), params,
-                                   srv, rng)
-    assert out == [] and not tr.passed
+    out, tr = run_alone(gp.gdgprep_1pn, o, helper, gadgets(srv, rng, n),
+                        params, srv, rng)
+    assert out is None and not tr.passed
     assert tr.fail_reason == "1pn: basis test: round 0: wrong r"
-    assert [(r.stage, r.gadgets_out, r.verdict) for r in reps] == [
+    assert [(r.stage, r.gadgets_out, r.verdict) for r in tr.reports] == [
         ("1pn", 0, "fail")]
     tags = [t for _, t, _ in tr.messages]
     # the input's test_rounds passed, the helper's round failed, and no
@@ -129,10 +131,10 @@ def test_1pn_doubles_n_gadgets_with_one_helper(n):
     o, srv, rng, params = setup(100 + n)
     helper, = gadgets(srv, rng, 1, prefix="h")
     gs = gadgets(srv, rng, n)
-    out, tr, reps = gp.gdgprep_1pn(o, helper, gs, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_1pn, o, helper, gs, params, srv, rng)
     assert tr.passed
     assert len(out) == 2 * n
-    r = reps[-1]
+    r = tr.reports[-1]
     assert (r.gadgets_in, r.gadgets_out, r.helpers_consumed) == (n + 1, 2 * n, 1)
     assert_exact(srv, out)
 
@@ -142,10 +144,11 @@ def test_logk_expansion_ratio(r_rounds):
     o, srv, rng, params = setup(200 + r_rounds)
     helpers = gadgets(srv, rng, r_rounds, prefix="h")
     seed_g, = gadgets(srv, rng, 1)
-    out, tr, reps = gp.gdgprep_logk(o, helpers, seed_g, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_logk, o, helpers, seed_g, params, srv,
+                        rng)
     assert tr.passed
     assert len(out) == 2 ** r_rounds
-    r = reps[-1]
+    r = tr.reports[-1]
     assert (r.gadgets_in, r.gadgets_out) == (r_rounds + 1, 2 ** r_rounds)
     assert_exact(srv, out)
 
@@ -158,9 +161,9 @@ def test_repeat_blocks_and_permutation():
         h = gadgets(srv, rng, 1, prefix=f"h{m}")
         s, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((h, s))
-    out, tr, reps = gp.gdgprep_repeat(o, blocks, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_repeat, o, blocks, params, srv, rng)
     assert tr.passed
-    r = reps[-1]
+    r = tr.reports[-1]
     assert (r.gadgets_in, r.gadgets_out) == (m_blocks * 2, m_blocks * 2)
     assert any(t == "gp.block_perm" for _, t, _ in tr.messages)
     assert_exact(srv, out)
@@ -171,9 +174,10 @@ def test_refresh_n_plus_j_to_n(n, j):
     o, srv, rng, params = setup(400 + 10 * n + j)
     gs = gadgets(srv, rng, n)
     lams = gadgets(srv, rng, j, prefix="lam")
-    out, tr, reps = gp.security_refreshing(o, gs, lams, params, srv, rng)
+    out, tr = run_alone(gp.security_refreshing, o, gs, lams, params, srv,
+                        rng)
     assert tr.passed
-    r = reps[-1]
+    r = tr.reports[-1]
     assert (r.gadgets_in, r.gadgets_out, r.helpers_consumed) == (n + j, n, j)
     # each key is the published pad, the old key, then one kappa_out block
     # per refresh round
@@ -195,7 +199,8 @@ def test_oneround_single_sweep():
         s, = gadgets(srv, rng, 1, prefix=f"s{m}")
         blocks.append((h, s))
     lams = gadgets(srv, rng, 1, prefix="lam")
-    out, tr, reps = gp.gdgprep_oneround(o, blocks, lams, params, srv, rng)
+    out, tr = run_alone(gp.gdgprep_oneround, o, blocks, lams, params, srv,
+                        rng)
     assert tr.passed
     assert len(out) == 4
     assert_exact(srv, out)
@@ -266,6 +271,8 @@ def test_full_pipeline_fails_closed_through_every_stage(k, reason,
     assert out == []
     assert (tr.verdict, tr.fail_reason) == ("fail", f"{reason}: all-zero tail")
     assert [(r.stage, r.verdict) for r in reps[-2:]] == last_reports
+    # the failed stage filed its report once; no stage above it filed one
+    assert [r.verdict for r in reps].count("fail") == 1
     # the rejected answer is the last record: the client sent nothing after
     assert tr.messages[-1][:2] == ("server", "ph.d")
     assert sum(t == "ph.d" for _, t, _ in tr.messages) == k

@@ -1,6 +1,7 @@
 """Source hygiene of ``src/bqcsim``: no dead local, no unused import, one
 way for a gadget to reach the server, one builder of a round's widths, no
-row hashing or query charging outside the oracle and the tables layer, and
+row hashing or query charging outside the oracle and the tables layer, one
+transcript per run and one place where a rejection becomes its verdict, and
 no public function that only code outside ``src`` calls, beyond a fixed few.
 
 No linter ships with the project, so these checks read the modules'
@@ -136,6 +137,66 @@ def test_only_params_for_round_builds_protocol_params():
                      "ProtocolParams(8, 16)\n")
     assert calls_outside(tree, "ProtocolParams", "params_for_round") == [
         "other:4", "<module>:5"]
+
+
+# the entry points of a run, the only makers of its Transcript
+RUN_ENTRIES = {"adversary.py": ["_drive"], "cli.py": ["_run_protocol"],
+               "gadget_prep.py": ["gdgprep_full"],
+               "qfactory.py": ["succ_ubqc"]}
+
+
+def test_only_a_run_entry_point_makes_a_transcript():
+    calls = {path.name: [c.partition(":")[0] for c in calls_outside(
+        ast.parse(path.read_text()), "Transcript", None)] for path in SRC}
+    assert {name: c for name, c in calls.items() if c} == RUN_ENTRIES
+    tree = ast.parse("def succ_ubqc():\n    tr = Transcript()\n"
+                     "def stage(tr):\n    sub = p.Transcript()\n")
+    assert calls_outside(tree, "Transcript", "succ_ubqc") == ["stage:4"]
+
+
+CATCH_ALL = {"Rejected", "Exception", "BaseException"}
+
+
+def handlers_catching(tree, names) -> list[str]:
+    """``where:line`` for each ``except`` clause that is bare or names one
+    of ``names``; ``where`` is the enclosing ``Class.function``, function
+    or ``<module>``."""
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.ExceptHandler):
+            kinds = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if any(k is None or getattr(k, "id", getattr(k, "attr", None))
+                   in names for k in kinds):
+                where = f"{cls}.{fn}" if cls else fn
+                found.append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, "<module>")
+    return found
+
+
+def test_only_the_transcript_catches_a_rejection():
+    # a failed check travels up as Rejected; Transcript.run alone turns it
+    # into the verdict, and rejecting only prefixes it on the way
+    caught = {path.name: [h for h in handlers_catching(
+        ast.parse(path.read_text()), CATCH_ALL)
+        if not h.startswith("Transcript.")] for path in SRC}
+    assert {name: c for name, c in caught.items() if c} == {}
+    tree = ast.parse("class Transcript:\n    def run(self):\n"
+                     "        try: f()\n        except Rejected: pass\n"
+                     "def stage():\n    try: f()\n"
+                     "    except (KeyError, p.Rejected): pass\n"
+                     "    except ValueError: pass\n"
+                     "try: f()\nexcept: pass\n")
+    assert handlers_catching(tree, CATCH_ALL) == [
+        "Transcript.run:4", "stage:7", "<module>:10"]
 
 
 ORACLE_PRIVATE = {"_memo", "_heads", "_owners", "_forget"}

@@ -11,7 +11,7 @@ from bqcsim.bits import (apply_perm, dot, int_to_bits, invert_perm,
 from bqcsim.keychain import KeyPair, combine_keys, sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.state import ATOL, SparseState, gadget_state
-from conftest import norm
+from conftest import norm, run_alone
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=24)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -147,7 +147,7 @@ def test_basis_test_non_collapsing(seed):
     p = sample_key_pair(rng, 5)
     reg = srv.prepare_gadget("g", p)
     expect = gadget_state([(reg, p.x0, p.x1)])
-    tr = basis_test_multi(o, p, reg, 2, params, srv, rng)
+    _, tr = run_alone(basis_test_multi, o, p, reg, 2, params, srv, rng)
     assert tr.passed
     assert srv.state.fidelity(expect) > 1 - 1e-9
 
@@ -175,7 +175,8 @@ def test_transcript_replay_byte_identical(seed):
         rng = random.Random(seed ^ 0x1234)
         p = sample_key_pair(rng, 6)
         reg = srv.prepare_gadget("g", p)
-        return pad_hadamard(o, p, reg, ProtocolParams(pad_len=5, kappa_out=8),
-                            srv, rng).serialize()
+        params = ProtocolParams(pad_len=5, kappa_out=8)
+        return run_alone(pad_hadamard, o, p, reg, params, srv,
+                         rng)[1].serialize()
 
     assert run() == run()

@@ -7,9 +7,11 @@ import pytest
 from bqcsim.bits import dot
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
-from bqcsim.protocols import (HonestServer, ProtocolParams, Transcript,
-                              basis_test_multi, combine, pad_hadamard)
+from bqcsim.protocols import (HonestServer, ProtocolParams, Rejected,
+                              Transcript, basis_test_multi, combine,
+                              pad_hadamard)
 from bqcsim.state import gadget_state
+from conftest import run_alone
 
 
 def setup(seed, width=6, **kw):
@@ -33,33 +35,47 @@ def test_transcript_single_verdict():
     assert tr.serialize().endswith("verdict\tpass\t\n")
 
 
-def test_transcript_absorb_appends_and_prefixes_failures():
-    def sub(ok):
-        s = Transcript()
-        s.send("server", "y", "0")
-        s.finish(ok, None if ok else "wrong r")
-        return s
+def test_transcript_run_sets_the_verdict_and_files_each_report_once():
+    def stage(fault, tr):
+        tr.send("server", "y", "0")
+        with tr.rejecting("outer", failed="outer report"):
+            with tr.rejecting("inner", failed="inner report"):
+                if fault:
+                    raise fault
+        return "out"
 
     tr = Transcript()
-    assert tr.absorb(sub(True), "ignored") and tr.verdict is None
-    assert not tr.absorb(sub(False), "round 1")
-    assert tr.messages == [("server", "y", "0")] * 2
-    assert (tr.verdict, tr.fail_reason) == ("fail", "round 1: wrong r")
-    bare = Transcript()
-    assert not bare.absorb(sub(False))
-    assert bare.fail_reason == "wrong r"
+    assert tr.run(stage, None) == "out"
+    assert (tr.verdict, tr.fail_reason, tr.reports) == ("pass", None, [])
+    with pytest.raises(RuntimeError):
+        tr.finish(False)
+
+    tr = Transcript()
+    assert tr.run(stage, Rejected("wrong r")) is None
+    assert tr.messages == [("server", "y", "0")]
+    assert (tr.verdict, tr.fail_reason) == ("fail", "outer: inner: wrong r")
+    assert tr.reports == ["inner report", "outer report"]
+    with pytest.raises(RuntimeError):
+        tr.finish(True)
+
+    # only a rejection becomes the verdict; any other error propagates
+    tr = Transcript()
+    with pytest.raises(ValueError):
+        tr.run(stage, ValueError("bug"))
+    assert (tr.verdict, tr.reports) == (None, [])
+    assert not issubclass(Rejected, ValueError)
 
 
 def test_pad_hadamard_honest_passes():
     for seed in range(30):
         o, srv, rng, params, pair, reg = setup(seed)
-        tr = pad_hadamard(o, pair, reg, params, srv, rng)
+        _, tr = run_alone(pad_hadamard, o, pair, reg, params, srv, rng)
         assert tr.passed, tr.fail_reason
 
 
 def test_pad_hadamard_d_satisfies_parity_relation():
     o, srv, rng, params, pair, reg = setup(99)
-    tr = pad_hadamard(o, pair, reg, params, srv, rng)
+    _, tr = run_alone(pad_hadamard, o, pair, reg, params, srv, rng)
     pad = tr.messages[0][2]
     d = tr.messages[1][2]
     h0 = o.query_classical(pad + pair.x0, params.kappa_out)
@@ -79,7 +95,7 @@ def test_pad_hadamard_rejects_malformed_d():
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = pad_hadamard(o, pair, reg, params, srv, rng)
+    _, tr = run_alone(pad_hadamard, o, pair, reg, params, srv, rng)
     assert not tr.passed and tr.fail_reason == "malformed d"
 
 
@@ -95,7 +111,7 @@ def test_pad_hadamard_rejects_zero_tail():
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = pad_hadamard(o, pair, reg, params, srv, rng)
+    _, tr = run_alone(pad_hadamard, o, pair, reg, params, srv, rng)
     assert not tr.passed and tr.fail_reason == "all-zero tail"
 
 
@@ -103,7 +119,7 @@ def test_basis_test_honest_and_non_collapsing():
     for seed in range(20):
         o, srv, rng, params, pair, reg = setup(seed)
         expect = gadget_state([(reg, pair.x0, pair.x1)])
-        tr = basis_test_multi(o, pair, reg, 3, params, srv, rng)
+        _, tr = run_alone(basis_test_multi, o, pair, reg, 3, params, srv, rng)
         assert tr.passed
         # the gadget survives the test unchanged
         assert srv.state.fidelity(expect) > 1 - 1e-9
@@ -120,7 +136,7 @@ def test_basis_test_catches_wrong_answer():
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = basis_test_multi(o, pair, reg, 1, params, srv, rng)
+    _, tr = run_alone(basis_test_multi, o, pair, reg, 1, params, srv, rng)
     assert (tr.verdict, tr.fail_reason) == ("fail", "round 0: wrong r")
 
 
@@ -137,7 +153,7 @@ def test_basis_test_sends_table_then_r_each_round_and_stops_at_a_fault():
     o, _, rng, params, pair, _ = setup(8)
     srv = WrongInRoundTwo(o, seed=9)
     reg = srv.prepare_gadget("g", pair)
-    tr = basis_test_multi(o, pair, reg, 5, params, srv, rng)
+    _, tr = run_alone(basis_test_multi, o, pair, reg, 5, params, srv, rng)
     assert (tr.verdict, tr.fail_reason) == ("fail", "round 2: wrong r")
     assert [(s, t) for s, t, _ in tr.messages] == [
         ("client", "bt.table"), ("server", "bt.r")] * 3
@@ -155,7 +171,7 @@ def test_basis_test_rejects_malformed_r(answer):
     params = ProtocolParams(pad_len=6, kappa_out=8)
     pair = sample_key_pair(rng, 6)
     reg = srv.prepare_gadget("g", pair)
-    tr = basis_test_multi(o, pair, reg, 1, params, srv, rng)
+    _, tr = run_alone(basis_test_multi, o, pair, reg, 1, params, srv, rng)
     assert (tr.verdict, tr.fail_reason) == ("fail", "round 0: malformed r")
 
 
@@ -169,8 +185,9 @@ def test_basis_test_two_runs_both_pairs():
     r1 = srv.prepare_gadget("a", p1)
     r3 = srv.prepare_gadget("b", p3)
     # the gdgprep_1pn order: the input for two rounds, then the helper once
-    assert basis_test_multi(o, p3, r3, 2, params, srv, rng).passed
-    assert basis_test_multi(o, p1, r1, 1, params, srv, rng).passed
+    for p, r, rounds in ((p3, r3, 2), (p1, r1, 1)):
+        assert run_alone(basis_test_multi, o, p, r, rounds, params, srv,
+                         rng)[1].passed
     expect = gadget_state([("a", p1.x0, p1.x1), ("b", p3.x0, p3.x1)])
     assert srv.state.fidelity(expect) > 1 - 1e-9
 
@@ -185,7 +202,8 @@ def test_combine_produces_matching_gadget():
         pb = sample_key_pair(rng, 6)
         ra = srv.prepare_gadget("a", pa)
         rb = srv.prepare_gadget("b", pb)
-        new, tr, out_reg = combine(o, pa, pb, ra, rb, params, srv, rng)
+        (new, out_reg), tr = run_alone(combine, o, pa, pb, ra, rb, params,
+                                       srv, rng)
         assert tr.passed
         assert new.width == params.pad_len + pa.width + pb.width
         expect = gadget_state([(out_reg, new.x0, new.x1)])
@@ -207,8 +225,8 @@ def test_combine_rejects_non_bit_outcome(outcome):
     pb = sample_key_pair(rng, 6)
     ra = srv.prepare_gadget("a", pa)
     rb = srv.prepare_gadget("b", pb)
-    new, tr, _ = combine(o, pa, pb, ra, rb, params, srv, rng)
-    assert new is None
+    out, tr = run_alone(combine, o, pa, pb, ra, rb, params, srv, rng)
+    assert out is None
     assert (tr.verdict, tr.fail_reason) == ("fail", "non-bit response")
 
 
@@ -223,7 +241,7 @@ def test_combine_outcome_distribution():
         pb = sample_key_pair(rng, 5)
         ra = srv.prepare_gadget("a", pa)
         rb = srv.prepare_gadget("b", pb)
-        _, tr, _ = combine(o, pa, pb, ra, rb, params, srv, rng)
+        _, tr = run_alone(combine, o, pa, pb, ra, rb, params, srv, rng)
         outcomes.append(int(tr.messages[-1][2]))
     ones = sum(outcomes)
     assert 70 < ones < 130  # ~Bin(200, 1/2)
@@ -232,6 +250,7 @@ def test_combine_outcome_distribution():
 def test_seed_replay_identical_transcripts():
     def run():
         o, srv, rng, params, pair, reg = setup(42)
-        return pad_hadamard(o, pair, reg, params, srv, rng).serialize()
+        return run_alone(pad_hadamard, o, pair, reg, params, srv,
+                         rng)[1].serialize()
 
     assert run() == run()

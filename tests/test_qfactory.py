@@ -14,7 +14,7 @@ from bqcsim import tables
 from bqcsim.keychain import sample_key_pair
 from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
-from conftest import SMALL_PIPELINE, fidelity_vs_angle
+from conftest import SMALL_PIPELINE, fidelity_vs_angle, run_alone
 
 
 def make_qfac(seed, width=5):
@@ -24,7 +24,7 @@ def make_qfac(seed, width=5):
     params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=2)
     pair = sample_key_pair(rng, width)
     reg = srv.prepare_gadget("g", pair)
-    return qf.qfac8(o, (pair, reg), params, srv, rng)
+    return run_alone(qf.qfac8, o, (pair, reg), params, srv, rng)
 
 
 @pytest.mark.parametrize("answer", [None, 5, "0101", "01x10"])
@@ -39,8 +39,8 @@ def test_qfac8_fails_closed_on_malformed_d(answer):
     rng = random.Random(5)
     params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=1)
     pair = sample_key_pair(rng, 5)
-    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
-                      srv, rng)
+    qb, tr = run_alone(qf.qfac8, o, (pair, srv.prepare_gadget("g", pair)),
+                       params, srv, rng)
     assert qb is None
     assert (tr.verdict, tr.fail_reason) == ("fail", "malformed d")
 
@@ -59,8 +59,8 @@ def test_qfac8_fails_closed_on_a_failed_basis_test():
     rng = random.Random(5)
     params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=2)
     pair = sample_key_pair(rng, 5)
-    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
-                      srv, rng)
+    qb, tr = run_alone(qf.qfac8, o, (pair, srv.prepare_gadget("g", pair)),
+                       params, srv, rng)
     assert qb is None
     assert (tr.verdict, tr.fail_reason) == (
         "fail", "basis test: round 0: wrong r")
@@ -112,8 +112,8 @@ def test_qfac8_fails_closed_when_the_qubit_cannot_be_handed_off(server_cls,
     rng = random.Random(5)
     params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=1)
     pair = sample_key_pair(rng, 5)
-    qb, tr = qf.qfac8(o, (pair, srv.prepare_gadget("g", pair)), params,
-                      srv, rng)
+    qb, tr = run_alone(qf.qfac8, o, (pair, srv.prepare_gadget("g", pair)),
+                       params, srv, rng)
     assert qb is None
     assert (tr.verdict, tr.fail_reason) == ("fail", reason)
 

@@ -26,7 +26,7 @@ from bqcsim.oracle import RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams
 from bqcsim.qfactory import qfac8
 from bqcsim.state import SparseState
-from conftest import SMALL_PIPELINE, expand
+from conftest import SMALL_PIPELINE, expand, run_alone
 
 
 # -- the scratch-and-merge sequences ----------------------------------------
@@ -278,7 +278,7 @@ def test_qfac8_matches_scratch_register_server():
         reg = server.prepare_gadget("g", pair)
         prf_calls = counting_prf(oracle)
         params = ProtocolParams(pad_len=6, kappa_out=8, test_rounds=2)
-        qb, tr = qfac8(oracle, (pair, reg), params, server, rng)
+        qb, tr = run_alone(qfac8, oracle, (pair, reg), params, server, rng)
         return (qb, tr.serialize(), dict(oracle.counters), prf_calls[0],
                 getattr(oracle, "uncompute_prf", 0), snapshot(server.state))
 

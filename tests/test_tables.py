@@ -15,7 +15,7 @@ from bqcsim.oracle import _MEMO_LIMIT, TAG_BITS, RandomOracle
 from bqcsim.protocols import HonestServer, ProtocolParams, basis_test_multi
 from bqcsim.qfactory import succ_ubqc
 from bqcsim.state import SparseState, gadget_state
-from conftest import SMALL_PIPELINE, expand, norm
+from conftest import SMALL_PIPELINE, expand, norm, run_alone
 from test_oracle import reference_prf
 
 
@@ -132,9 +132,11 @@ def test_every_row_tag_is_tag_bits_wide(monkeypatch):
     monkeypatch.setattr(tables, "lt_build", recording_build)
     wide = ProtocolParams(pad_len=72, kappa_out=100)
     (g, reg), = send_gadgets(server, rng, 1, 6)
-    assert basis_test_multi(o, g, reg, 1, wide, server, rng).passed
+    assert run_alone(basis_test_multi, o, g, reg, 1, wide, server,
+                     rng)[1].passed
     lams = send_gadgets(server, rng, 1, 6, prefix="lam")
-    _, tr, _ = security_refreshing(o, [(g, reg)], lams, wide, server, rng)
+    _, tr = run_alone(security_refreshing, o, [(g, reg)], lams, wide, server,
+                      rng)
     assert tr.passed
     kh, k2, k3 = (sample_key_pair(rng, 4) for _ in range(3))
     y2, y3 = sample_key_pair(rng, 5), sample_key_pair(rng, 5)

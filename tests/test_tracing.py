@@ -13,7 +13,7 @@ from pathlib import Path
 import bqcsim
 import bqcsim.adversary  # noqa: F401  (loads every layer module)
 import bqcsim.qfactory  # noqa: F401
-from conftest import SMALL_PIPELINE
+from conftest import SMALL_PIPELINE, run_alone
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,8 +36,8 @@ def test_tracer_installs_and_reports_metrics():
         pair = bqcsim.keychain.sample_key_pair(rng, 6)
         reg = server.prepare_gadget("g", pair)
         params = bqcsim.protocols.ProtocolParams(pad_len=6, kappa_out=8)
-        tr = bqcsim.protocols.pad_hadamard(oracle, pair, reg, params, server,
-                                           rng)
+        _, tr = run_alone(bqcsim.protocols.pad_hadamard, oracle, pair, reg,
+                          params, server, rng)
         tracer.end_op()
         tracer.add_transcripts([tr])
     finally:
@@ -199,7 +199,8 @@ def test_phase_table_answer_counts_as_server_time():
         params = bqcsim.protocols.ProtocolParams(pad_len=6, kappa_out=8,
                                                  test_rounds=0)
         tracer.begin_op(0)
-        qb, tr = bqcsim.qfactory.qfac8(oracle, gadget, params, server, rng)
+        qb, tr = run_alone(bqcsim.qfactory.qfac8, oracle, gadget, params,
+                           server, rng)
         tracer.end_op()
     finally:
         tracer.uninstall()

@@ -10,9 +10,11 @@ The free-lunch attack is the classical measure-then-decrypt attack against
 the branching reversible table: with no output permutation it recovers all
 four output keys from two decrypted rows; with the permutation it is
 reduced to guessing bit-position subsets and verifying them against row
-tags. A guess is one ``2*kappa_out``-bit random word, redrawn until exactly
-``kappa_out`` bits are set: a uniform choice of the positions that carry
-the first half.
+tags. It reads each direction of the table through one ``tables.lt_decrypt``
+reader, which indexes the rows once: the forward one opens the two rows,
+and each guess is one lookup in the backward one. A guess is one
+``2*kappa_out``-bit random word, redrawn until exactly ``kappa_out`` bits
+are set: a uniform choice of the positions that carry the first half.
 
 Trial t of a run started at ``seed0 >= 0`` uses seed
 ``seed0 * 2**40 + step*t``, so distinct ``seed0`` share no trial and
@@ -209,10 +211,9 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
     h_val = h_pair.x1
     x3_val = server.state.measure_computational(k3_reg, server.rng)
 
-    out_a = tables.lt_decrypt(oracle, table.forward,
-                              h_val + k2.x0 + x3_val, party="attacker")
-    out_b = tables.lt_decrypt(oracle, table.forward,
-                              h_val + k2.x1 + x3_val, party="attacker")
+    forward = tables.lt_decrypt(oracle, table.forward, "attacker")
+    out_a = forward(h_val + k2.x0 + x3_val)
+    out_b = forward(h_val + k2.x1 + x3_val)
     if out_a is None or out_b is None:
         return False
 
@@ -227,11 +228,11 @@ def free_lunch_attack(seed: int, variant: str, params: ProtocolParams,
     # assuming an order-preserving permutation of each half
     width = 2 * kout
     a, b = bits_to_int(out_a), bits_to_int(out_b)
+    backward = tables.lt_decrypt(oracle, table.backward, "attacker")
     for _ in range(guesses):
         mask = _guess_mask(rng, width, kout)
         out_c = int_to_bits((a & mask) | (b & ~mask), width)
-        if tables.lt_decrypt(oracle, table.backward, h_val + out_c,
-                             party="attacker") is None:
+        if backward(h_val + out_c) is None:
             continue
         # string position i is mask bit width - 1 - i
         halves = [[i for i in range(width)

@@ -32,6 +32,19 @@ EXPERIMENT = {"shots": 1000, "guesses": 64}  # experiment sizes
 DEFAULTS = {**asdict(gp.PipelineConfig()), **EXPERIMENT}
 MAY_BE_ZERO = {"test_rounds", "J", "guesses"}  # every other key needs >= 1
 ATTACK_UNREAD = ("L", "N", "J", "shots")  # keys no attack reads
+_RUN_UNREAD = ("L", "N", "J", "shots", "guesses")
+# keys never read, by run protocol, attack and ubqc: only gdgprep-full reads
+# L, N and J, only refresh N and J, and only free-lunch-permuted guesses
+UNREAD = {"pad-hadamard": _RUN_UNREAD + ("test_rounds",),
+          "combine": _RUN_UNREAD + ("test_rounds",),
+          **dict.fromkeys(("basis-test", "gdgprep-1pn", "gdgprep-logk",
+                           "gdgprep-repeat", "qfac8"), _RUN_UNREAD),
+          "refresh": ("L", "shots", "guesses", "test_rounds"),
+          "gdgprep-full": ("shots", "guesses"), "ubqc": ("guesses",),
+          "free-lunch-unpermuted": ATTACK_UNREAD + ("test_rounds", "guesses"),
+          "free-lunch-permuted": ATTACK_UNREAD + ("test_rounds",),
+          "hadamard-cheat": ATTACK_UNREAD + ("test_rounds", "guesses"),
+          "basis-cheat": ATTACK_UNREAD + ("guesses",)}
 
 
 class ConfigError(Exception):
@@ -68,12 +81,9 @@ def read_input(name: str, kind: str) -> str:
         raise ConfigError(f"{kind} file {path} is not UTF-8 text")
 
 
-def load_config(args, unread=()) -> tuple[gp.PipelineConfig, dict]:
-    """The command's pipeline config and its experiment sizes.
-
-    Setting a key of ``unread``, which the command does not read, is an
-    error.
-    """
+def load_config(args, unread) -> tuple[gp.PipelineConfig, dict]:
+    """The command's pipeline config and its experiment sizes; setting a key
+    of ``unread``, the command's entry in ``UNREAD``, is an error."""
     given = {}
     if args.config:
         given = parse_config(read_input(args.config, "config"), given)
@@ -174,7 +184,7 @@ RUN_PROTOCOLS = ("pad-hadamard", "basis-test", "combine", "gdgprep-1pn",
 
 
 def cmd_run(args) -> int:
-    config, _ = load_config(args)
+    config, _ = load_config(args, UNREAD[args.protocol])
     tr, files = _run_protocol(args.protocol, config, args.seed)
     write_out(args, f"{args.protocol}.log", tr.serialize())
     if tr.reports:
@@ -194,7 +204,7 @@ ATTACKS = ("free-lunch-unpermuted", "free-lunch-permuted",
 
 
 def cmd_attack(args) -> int:
-    config, sizes = load_config(args, ATTACK_UNREAD)
+    config, sizes = load_config(args, UNREAD[args.attack])
     if args.trials < 1:
         raise ConfigError(f"trials={args.trials}: need at least 1")
     params = config.params_for_round(1)
@@ -233,7 +243,7 @@ def parse_circuit(text: str) -> list[int]:
 
 
 def cmd_ubqc(args) -> int:
-    config, sizes = load_config(args)
+    config, sizes = load_config(args, UNREAD["ubqc"])
     circuit = parse_circuit(read_input(args.circuit, "circuit"))
     shots = sizes["shots"]
 

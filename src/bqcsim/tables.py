@@ -13,20 +13,21 @@ reversible table with its secret output permutation (a reversible table
 whose rows are also keyed by a helper gadget), and phase tables (plain
 lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
-Server-side evaluation is one SparseState call per step (``index_eval``
-first adds its qubit). Five evaluators share one private row opener, which
-charges the server and parses the rows once; it opens a row for every
-branch it is asked about. Every row tag is ``TAG_BITS`` bits and was
-hashed at the build, so ``dec_row`` and the opener decide it from the
-input the oracle's owner index records (wrong only by a collision, at most
-2**-64 per check), and hash a tag only without one. ``lt_eval_coherent``
-XORs the payload into a register, ``lt_append_coherent`` appends it,
-``lt_measure_coherent`` measures it, ``phase_eval`` phases by it and
-``index_eval`` marks where row 0 opens. A pass costs one server query per
-row check and one per payload unmask: XOR and append make one pass,
-measure and phase a compute and an uncompute pass, and the index checks
-row 0's tag alone in both. ``rev_eval`` runs reversible tables, plain or
-branching, with controls that stay in place.
+Every reader parses a table's rows once into one private row index: a row
+whose ``TAG_BITS``-bit tag has a recorded owner is keyed by the key that
+opens it (wrong only by a collision, at most 2**-64 per check), and the
+other rows are hashed in row order, only for keys the index lacks. That is
+the in-order scan's row unless two rows open under one key. The classical
+reader of ``lt_decrypt`` opens the row found with ``dec_row`` and charges as
+the in-order ``dec_row`` scan. Five server evaluators share one row opener,
+one SparseState call per step (``index_eval`` first adds its qubit):
+``lt_eval_coherent`` XORs the payload into a register,
+``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it,
+``phase_eval`` phases by it and ``index_eval`` marks where row 0 opens. A
+pass costs one server query per row check and one per payload unmask: XOR
+and append make one pass, measure and phase a compute and an uncompute
+pass, and the index checks row 0's tag alone in both. ``rev_eval`` runs
+reversible tables, plain or branching, with controls that stay in place.
 """
 
 from __future__ import annotations
@@ -116,26 +117,11 @@ def lt_build(oracle, mapping, pad_len: int, rng) -> LookupTable:
     return LookupTable(rows, payload_len, key_len)
 
 
-def lt_decrypt(oracle, table: LookupTable, key: str, party: str = "client"):
-    for row in table.rows:
-        payload = dec_row(oracle, row, key, party)
-        if payload is not None:
-            return payload
-    return None
-
-
-def _row_opener(oracle, table: LookupTable, queries: int):
-    """Charge the server ``queries`` queries; return ``table``'s row opener.
-
-    The rows are parsed to integers once. The opener maps a branch key to
-    (payload as an int, width, position in ``table.rows``) of the row it
-    opens, and raises UndecryptableBranch if none opens. Rows whose tag has
-    a recorded owner are indexed by the key that opens them (the first per
-    key); a key not in the index hashes, in row order, only the other tags.
-    That is the in-order scan's row unless two rows open under one key.
-    """
-    oracle.count("server", queries)
-    prf = oracle._prf
+def _row_index(oracle, table: LookupTable):
+    """Parse ``table``'s rows once, as (ct_pad, width, ct as an int,
+    position): a dict of the rows whose tag has a recorded owner, keyed by
+    the key that opens them (the first per key), and the other rows in row
+    order, as (tag_pad, tag as an int, row)."""
     by_key, unknown = {}, []
     for i, r in enumerate(table.rows):
         tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2), i)
@@ -144,6 +130,34 @@ def _row_opener(oracle, table: LookupTable, queries: int):
             unknown.append((r.tag_pad, tag, row))
         elif owner.startswith(r.tag_pad):
             by_key.setdefault(owner[len(r.tag_pad):], row)
+    return by_key, unknown
+
+
+def lt_decrypt(oracle, table: LookupTable, party: str = "client"):
+    """``table``'s reader: a key -> the payload of the row it opens, or None.
+    ``dec_row`` opens the row the index finds; a read charges ``party`` i + 2
+    for the row at position i and ``len(table.rows)`` if none opens, as the
+    in-order ``dec_row`` scan does."""
+    by_key, unknown = _row_index(oracle, table)
+
+    def read(key: str) -> str | None:
+        row = by_key.get(key) or next(
+            (row for tag_pad, tag, row in unknown
+             if oracle._prf(tag_pad + key, TAG_BITS) == tag), None)
+        i = row[3] if row else len(table.rows)
+        oracle.count(party, i)
+        return dec_row(oracle, table.rows[i], key, party) if row else None
+
+    return read
+
+
+def _row_opener(oracle, table: LookupTable, queries: int):
+    """Charge the server ``queries`` queries; return ``table``'s row opener:
+    a branch key -> (payload as an int, width, position) of the row the
+    index finds, or UndecryptableBranch if none opens."""
+    oracle.count("server", queries)
+    prf = oracle._prf
+    by_key, unknown = _row_index(oracle, table)
 
     def open_row(key: str) -> tuple[int, int, int]:
         row = by_key.get(key) or next(

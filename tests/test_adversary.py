@@ -186,6 +186,25 @@ def test_free_lunch_trial_is_the_same_when_every_tag_is_hashed(monkeypatch,
     assert trials() == with_owners
 
 
+def test_free_lunch_trial_parses_each_table_once(monkeypatch):
+    # one reader per direction indexes its 8 rows once, asking the owner
+    # index about each tag, and dec_row asks again only for the 2 rows the
+    # forward reads open: the guesses add no owner lookup
+    asked = []
+    real_owner = RandomOracle._owner
+
+    def counting_owner(self, value):
+        asked.append(value)
+        return real_owner(self, value)
+
+    monkeypatch.setattr(RandomOracle, "_owner", counting_owner)
+    p = ProtocolParams(pad_len=8, kappa_out=20)
+    for guesses in (0, 64, 256):
+        asked.clear()
+        assert free_lunch_attack(5, "permuted", p, guesses) is False
+        assert len(asked) == 18, guesses
+
+
 def test_free_lunch_permuted_rarely_wins_at_large_kappa():
     p = ProtocolParams(pad_len=8, kappa_out=20)
     st = free_lunch_rate("permuted", p, 60)

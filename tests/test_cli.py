@@ -272,6 +272,49 @@ def test_attack_refuses_the_keys_it_does_not_read(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,settings,refused", [
+    ("run pad-hadamard", ["L=64"], "run reads no L"),
+    ("run pad-hadamard", ["N=4"], "run reads no N"),
+    ("run pad-hadamard", ["shots=5"], "run reads no shots"),
+    ("run pad-hadamard", ["L=64", "N=4", "shots=5"],
+     "run reads no L, N, shots"),
+    ("run combine", ["test_rounds=3"], "run reads no test_rounds"),
+    ("run basis-test", ["J=2"], "run reads no J"),
+    ("run refresh", ["L=16", "N=4", "J=2"], "run reads no L"),
+    ("run gdgprep-full", ["shots=5", "guesses=0"],
+     "run reads no shots, guesses"),
+    ("ubqc CIRCUIT", ["guesses=7"], "ubqc reads no guesses"),
+    ("attack hadamard-cheat", ["guesses=3"], "attack reads no guesses"),
+    ("attack hadamard-cheat", ["guesses=3", "test_rounds=5"],
+     "attack reads no test_rounds, guesses"),
+    ("attack free-lunch-permuted", ["test_rounds=5"],
+     "attack reads no test_rounds"),
+    ("attack free-lunch-unpermuted", ["guesses=3"], "attack reads no guesses"),
+    ("attack basis-cheat", ["guesses=3"], "attack reads no guesses"),
+])
+def test_a_command_refuses_the_keys_it_does_not_read(tmp_path, capsys,
+                                                     command, settings,
+                                                     refused):
+    # each of these settings once left the output byte for byte the same
+    circ = tmp_path / "circ.txt"
+    circ.write_text("1 3 6\n")
+    argv = [str(circ) if a == "CIRCUIT" else a for a in command.split()]
+    for key in settings:
+        argv += ["--set", key]
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert not out.exists()
+
+
+def test_every_command_has_its_unread_keys():
+    assert set(cli.UNREAD) == {*cli.RUN_PROTOCOLS, *cli.ATTACKS, "ubqc"}
+    for name, keys in cli.UNREAD.items():
+        assert set(keys) <= set(DEFAULTS) and len(set(keys)) == len(keys)
+        if name in cli.ATTACKS:
+            assert keys[:len(cli.ATTACK_UNREAD)] == cli.ATTACK_UNREAD
+
+
 def test_attack_rejects_fewer_than_one_trial(tmp_path):
     for trials in ("0", "-3"):
         assert run(["attack", "hadamard-cheat", "--seed", "1", "--trials",
@@ -488,6 +531,18 @@ GOLDEN = {
                              "--trials", "40", "--set", "kappa_out=4"], {
         "free-lunch-permuted.tsv":
             "fc9c2a0cb768e1d93d36b22af146c4f0c974ed838ad124ae05522d722a1166f0",
+    }),
+    # 14 of 200 trials win: a guess the backward reader opens is checked
+    "free-lunch-permuted-200": (["attack", "free-lunch-permuted", "--seed",
+                                 "1", "--trials", "200", "--set",
+                                 "kappa_out=4"], {
+        "free-lunch-permuted.tsv":
+            "c51d2f0fd97c0c5789b47605854a3cd39bbca38c65a6cc8865590fd8c58a2c4e",
+    }),
+    "free-lunch-unpermuted-200": (["attack", "free-lunch-unpermuted",
+                                   "--seed", "1", "--trials", "200"], {
+        "free-lunch-unpermuted.tsv":
+            "0f132a91a000f2d55f71596f0d63d19d0cf5279717f0310aff824cd165cbfbcb",
     }),
     "ubqc": (["ubqc", "CIRCUIT", "--seed", "1", "--set", "shots=2000"], {
         "ubqc.log":

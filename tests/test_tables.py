@@ -47,8 +47,8 @@ def test_lt_build_and_decrypt_roundtrip():
     mapping = [("00", "1111"), ("01", "0000"), ("10", "1010")]
     t = tables.lt_build(o, mapping, 8, rng)
     for key, payload in mapping:
-        assert tables.lt_decrypt(o, t, key) == payload
-    assert tables.lt_decrypt(o, t, "11") is None
+        assert tables.lt_decrypt(o, t)(key) == payload
+    assert tables.lt_decrypt(o, t)("11") is None
 
 
 def test_lt_build_rejects_duplicate_keys():
@@ -84,7 +84,7 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
         mapping = [(k, random_bits(rng, pw)) for k in keys]
         t = tables.lt_build(o, mapping, rng.randint(1, 8), rng)
         for key, payload in mapping + [(wrong, None)]:
-            assert tables.lt_decrypt(o, t, key) == payload
+            assert tables.lt_decrypt(o, t)(key) == payload
             for row in t.rows:
                 assert (tables.dec_row(o, row, key)
                         == reference_decrypt(o, row, key))
@@ -114,6 +114,53 @@ def test_integer_row_paths_match_string_reference_and_fail_closed():
                 tables.lt_eval_coherent(o, st, ["k"], "out", t)
             assert not isinstance(err.value, tables.UndecryptableBranch)
             assert expand(st) == before
+
+
+def in_order_decrypt(oracle, table, key, party):
+    # the reference reader: dec_row on each row in table order until one
+    # opens
+    for row in table.rows:
+        payload = tables.dec_row(oracle, row, key, party)
+        if payload is not None:
+            return payload
+    return None
+
+
+@pytest.mark.parametrize("owners", ["recorded", "forgotten", "none"])
+def test_reader_matches_the_in_order_dec_row_scan(monkeypatch, owners):
+    # the reader finds a key's row with one lookup where the scan tries the
+    # rows in order: every payload, miss and party's charge is the scan's,
+    # whether the oracle records the owners of the build's tags, forgot
+    # them, or records none
+    if owners == "none":
+        monkeypatch.setattr(RandomOracle, "_owner", lambda self, value: None)
+    for seed in range(40):
+        rng = random.Random(seed)
+        kw, n, pw = rng.randint(4, 8), rng.randint(1, 8), rng.randint(1, 80)
+        keys = [int_to_bits(v, kw) for v in rng.sample(range(1 << kw), n + 3)]
+        mapping = [(k, random_bits(rng, pw)) for k in keys[:n]]
+        pad_len, party = rng.randint(1, 8), rng.choice(
+            ["client", "server", "attacker"])
+        o, ref = RandomOracle(seed), RandomOracle(seed)
+        t = tables.lt_build(o, mapping, pad_len, random.Random(seed))
+        assert tables.lt_build(ref, mapping, pad_len,
+                               random.Random(seed)) == t
+        if owners == "forgotten":
+            o._forget()
+            ref._forget()
+        read = tables.lt_decrypt(o, t, party)
+        # each row's key and three keys that open no row, each read twice,
+        # the second time in shuffled order
+        tried = keys + rng.sample(keys, len(keys))
+        charges = set()
+        for key in tried:
+            before = o.counters.get(party, 0)
+            got = read(key)
+            assert got == in_order_decrypt(ref, t, key, party), (seed, key)
+            assert o.counters == ref.counters, (seed, key)
+            charges.add(o.counters[party] - before)
+        # a key opening row i is charged i + 2, one opening no row n
+        assert charges == set(range(2, n + 2)) | {n}
 
 
 def test_every_row_tag_is_tag_bits_wide(monkeypatch):
@@ -206,7 +253,7 @@ def evaluation(evaluator, memo, opens):
         o._forget()
     if memo == "full":
         warm = a.x0 if evaluator in ("phase", "index") else a.x0 + b.x0
-        assert tables.lt_decrypt(o, table, warm) is not None
+        assert tables.lt_decrypt(o, table)(warm) is not None
         for i in range(_MEMO_LIMIT - len(o._memo)):
             o._prf(format(i, "b"), 7)
     before = expand(st)
@@ -368,9 +415,9 @@ def test_robust_table_branching_structure():
             for b3 in (0, 1):
                 key = kh[b1] + k2[b2] + k3[b3]
                 want = apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm)
-                assert tables.lt_decrypt(o, t.forward, key) == want
-                assert tables.lt_decrypt(o, t.backward,
-                                         kh[b1] + want) == k2[b2] + k3[b3]
+                assert tables.lt_decrypt(o, t.forward)(key) == want
+                assert tables.lt_decrypt(o, t.backward)(
+                    kh[b1] + want) == k2[b2] + k3[b3]
 
 
 @pytest.mark.parametrize("width", [9, 11])
@@ -399,12 +446,12 @@ def test_another_instance_with_no_owners_opens_the_same_rows(hashes):
     t = tables.robust_rlt_build(o, kh, k2, k3, y2, y3, perm, 8, rng)
     fwd = [kh[b1] + k2[b2] + k3[b3]
            for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)]
-    bwd = [key[:4] + tables.lt_decrypt(o, t.forward, key) for key in fwd]
+    bwd = [key[:4] + tables.lt_decrypt(o, t.forward)(key) for key in fwd]
     wrong = [key[:-1] + str(1 - int(key[-1])) for key in fwd + bwd]
 
     def decrypt_all(oracle):
         hashed = hashes.n
-        opened = [(tables.lt_decrypt(oracle, table, key, "server"),
+        opened = [(tables.lt_decrypt(oracle, table, "server")(key),
                    [tables.dec_row(oracle, row, key, "server")
                     for row in table.rows])
                   for table in (t.forward, t.backward)
@@ -452,7 +499,7 @@ def test_phase_table_payload_width_and_offset_range():
         pair = sample_key_pair(rng, 4)
         pt = tables.phase_lt_build(o, pair, 3, 8, rng)
         assert pt.payload_len == (2 * 4 - 1).bit_length()
-        vals = sorted(int(tables.lt_decrypt(o, pt, pair[b]), 2)
+        vals = sorted(int(tables.lt_decrypt(o, pt)(pair[b]), 2)
                       for b in (0, 1))
         m = vals[0]
         assert 0 <= m < 4

@@ -151,9 +151,12 @@ def test_hash_work_of_a_pipeline_and_an_attack_trial_is_pinned():
     # open + 64 guesses * 8 backward rows, none of which opens; 523 = 521
     # + 2 openings. Every row tag has the owner the client's build recorded,
     # so no tag is hashed: 34 = 32 + the 2 unmasks of the forward openings.
-    # Hashing every tag tried made it 555 = 32 + 523
+    # Hashing every tag tried made it 555 = 32 + 523. The readers charge
+    # the rows they pass over and call dec_row only on the 2 rows that
+    # open, so the rows tried are the attacker's charges less the openings
     assert hash_work(m) == (34, 32, 0, 523)
-    assert m["tables.rows_tried"] == 521
+    assert m["tables.rows_tried"] == 2
+    assert m["oracle.queries.attacker"] - m["tables.rows_tried"] == 521
 
 
 def test_single_map_server_steps_keep_their_traced_names():

@@ -11,8 +11,11 @@ the branching reversible table: with no output permutation it recovers all
 four output keys from two decrypted rows; with the permutation it is
 reduced to guessing bit-position subsets and verifying them against row
 tags. It reads each direction of the table through one ``tables.lt_decrypt``
-reader, which indexes the rows once: the forward one opens the two rows,
-and each guess is one lookup in the backward one. A guess is one
+reader, which indexes the row tags once and parses a row's ciphertext only
+when the row opens: the forward one opens the two rows, and each guess is
+one lookup in the backward one. The trial's oracle built every row, so it
+records every tag's owner: a wrong guess hashes nothing and is charged the
+backward table's 8 rows. A guess is one
 ``2*kappa_out``-bit random word, redrawn until exactly ``kappa_out`` bits
 are set: a uniform choice of the positions that carry the first half.
 

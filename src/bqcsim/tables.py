@@ -13,13 +13,17 @@ reversible table with its secret output permutation (a reversible table
 whose rows are also keyed by a helper gadget), and phase tables (plain
 lookup tables whose payloads are phases in eighths of a turn, x0 row first).
 
-Every reader parses a table's rows once into one private row index: a row
-whose ``TAG_BITS``-bit tag has a recorded owner is keyed by the key that
+Every reader parses a table's row tags once into one private row index: a
+row whose ``TAG_BITS``-bit tag has a recorded owner is keyed by the key that
 opens it (wrong only by a collision, at most 2**-64 per check), and the
 other rows are hashed in row order, only for keys the index lacks. That is
-the in-order scan's row unless two rows open under one key. The classical
-reader of ``lt_decrypt`` opens the row found with ``dec_row`` and charges as
-the in-order ``dec_row`` scan. Five server evaluators share one row opener,
+the in-order scan's row unless two rows open under one key. When every
+tag has a recorded owner, a key that opens no row costs one dict lookup
+and no hash. The classical reader of ``lt_decrypt`` opens the row found
+with ``dec_row``, so it parses a row's ``ct`` only when the row opens, and
+charges as the in-order ``dec_row`` scan. The server's row opener parses
+every row's ``ct`` once per table, since a row may open under several
+branches. Five server evaluators share one row opener,
 one SparseState call per step (``index_eval`` first adds its qubit):
 ``lt_eval_coherent`` XORs the payload into a register,
 ``lt_append_coherent`` appends it, ``lt_measure_coherent`` measures it,
@@ -36,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bits import apply_perm, int_to_bits, random_bits
+from .bits import apply_perm, int_to_bits
 from .keychain import KeyPair
 from .oracle import TAG_BITS
 
@@ -69,18 +73,22 @@ class ReversibleTable:
 
 
 def enc(oracle, key: str, payload: str, pad_len: int, rng) -> TableRow:
+    """One row that ``key`` opens to ``payload``: two ``pad_len``-bit pads
+    drawn from ``rng`` (ct_pad first), two client queries."""
     if pad_len < 1:
         raise ValueError("pad length must be >= 1")
     if not payload:
         raise ValueError("cannot encrypt an empty payload")
-    ct_pad = random_bits(rng, pad_len)
-    tag_pad = random_bits(rng, pad_len)
+    # random_bits and int_to_bits written out (bin(v)[2:].zfill(n)): enc
+    # runs once per row built, and their calls cost ~2% of a free-lunch trial
+    ct_pad = bin(rng.getrandbits(pad_len))[2:].zfill(pad_len)
+    tag_pad = bin(rng.getrandbits(pad_len))[2:].zfill(pad_len)
     n = len(payload)
     oracle.count("client", 2)
     ct = oracle._prf(ct_pad + key, n) ^ int(payload, 2)
     tag = oracle._prf(tag_pad + key, TAG_BITS)
-    return TableRow(ct_pad, int_to_bits(ct, n), tag_pad,
-                    int_to_bits(tag, TAG_BITS))
+    return TableRow(ct_pad, bin(ct)[2:].zfill(n), tag_pad,
+                    bin(tag)[2:].zfill(TAG_BITS))
 
 
 def dec_row(oracle, row: TableRow, key: str, party: str = "client"):
@@ -118,35 +126,58 @@ def lt_build(oracle, mapping, pad_len: int, rng) -> LookupTable:
 
 
 def _row_index(oracle, table: LookupTable):
-    """Parse ``table``'s rows once, as (ct_pad, width, ct as an int,
-    position): a dict of the rows whose tag has a recorded owner, keyed by
-    the key that opens them (the first per key), and the other rows in row
-    order, as (tag_pad, tag as an int, row)."""
+    """Index ``table``'s rows by tag once; return its row finder: a key ->
+    the position of the row it opens, or None.
+
+    A row whose tag has a recorded owner is keyed by the key that opens it
+    (the first row per key). The finder looks a key up in that dict and,
+    only if some row's tag has no recorded owner, then hashes those rows'
+    tags in row order. No row's ``ct`` is parsed here.
+    """
     by_key, unknown = {}, []
     for i, r in enumerate(table.rows):
-        tag, row = int(r.tag, 2), (r.ct_pad, len(r.ct), int(r.ct, 2), i)
+        tag = int(r.tag, 2)
         owner = oracle._owner(tag)
         if owner is None:
-            unknown.append((r.tag_pad, tag, row))
+            unknown.append((r.tag_pad, tag, i))
         elif owner.startswith(r.tag_pad):
-            by_key.setdefault(owner[len(r.tag_pad):], row)
-    return by_key, unknown
+            by_key.setdefault(owner[len(r.tag_pad):], i)
+    if not unknown:
+        # the dict's own get: no Python frame per lookup, ~1.5% of a
+        # free-lunch trial
+        return by_key.get
+    prf = oracle._prf
+
+    def find(key: str) -> int | None:
+        i = by_key.get(key)
+        if i is None:
+            i = next((i for tag_pad, tag, i in unknown
+                      if prf(tag_pad + key, TAG_BITS) == tag), None)
+        return i
+
+    return find
 
 
 def lt_decrypt(oracle, table: LookupTable, party: str = "client"):
     """``table``'s reader: a key -> the payload of the row it opens, or None.
-    ``dec_row`` opens the row the index finds; a read charges ``party`` i + 2
-    for the row at position i and ``len(table.rows)`` if none opens, as the
-    in-order ``dec_row`` scan does."""
-    by_key, unknown = _row_index(oracle, table)
+
+    The reader indexes the rows once (:func:`_row_index`); ``dec_row``
+    opens the row the index finds, the only row whose ``ct`` is parsed. A
+    read charges ``party`` i + 2 for the row at position i and
+    ``len(table.rows)`` if none opens, as the in-order ``dec_row`` scan
+    does. When every row's tag has a recorded owner, a miss is one dict
+    lookup and one charge; otherwise it hashes each ownerless row's tag.
+    """
+    find, rows, count = _row_index(oracle, table), table.rows, oracle.count
+    misses = len(rows)
 
     def read(key: str) -> str | None:
-        row = by_key.get(key) or next(
-            (row for tag_pad, tag, row in unknown
-             if oracle._prf(tag_pad + key, TAG_BITS) == tag), None)
-        i = row[3] if row else len(table.rows)
-        oracle.count(party, i)
-        return dec_row(oracle, table.rows[i], key, party) if row else None
+        i = find(key)
+        if i is None:
+            count(party, misses)
+            return None
+        count(party, i)
+        return dec_row(oracle, rows[i], key, party)
 
     return read
 
@@ -154,18 +185,17 @@ def lt_decrypt(oracle, table: LookupTable, party: str = "client"):
 def _row_opener(oracle, table: LookupTable, queries: int):
     """Charge the server ``queries`` queries; return ``table``'s row opener:
     a branch key -> (payload as an int, width, position) of the row the
-    index finds, or UndecryptableBranch if none opens."""
+    index finds, or UndecryptableBranch if none opens. Every row's ``ct``
+    is parsed here, once, since a row may open under several branches."""
     oracle.count("server", queries)
-    prf = oracle._prf
-    by_key, unknown = _row_index(oracle, table)
+    prf, find = oracle._prf, _row_index(oracle, table)
+    cts = [(r.ct_pad, len(r.ct), int(r.ct, 2)) for r in table.rows]
 
     def open_row(key: str) -> tuple[int, int, int]:
-        row = by_key.get(key) or next(
-            (row for tag_pad, tag, row in unknown
-             if prf(tag_pad + key, TAG_BITS) == tag), None)
-        if row is None:
+        i = find(key)
+        if i is None:
             raise UndecryptableBranch("no row opens under branch key")
-        ct_pad, n, ct, i = row
+        ct_pad, n, ct = cts[i]
         return prf(ct_pad + key, n) ^ ct, n, i
 
     return open_row
@@ -273,11 +303,14 @@ def robust_rlt_build(oracle, k_help: KeyPair, k2: KeyPair, k3: KeyPair,
     The backward table inverts each helper branch separately, so the helper
     is a control of ``rev_eval``.
     """
+    # the four distinct outputs, permuted before any pad is drawn
+    outs = [[apply_perm(y2[b2] + y3[b3], perm) for b3 in (0, 1)]
+            for b2 in (0, 1)]
     fwd, bwd = [], []
     for b1 in (0, 1):
         for b2 in (0, 1):
             for b3 in (0, 1):
-                out = apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm)
+                out = outs[b2][b3 ^ (b1 & b2)]
                 fwd.append((k_help[b1] + k2[b2] + k3[b3], out))
                 bwd.append((k_help[b1] + out, k2[b2] + k3[b3]))
     return ReversibleTable(

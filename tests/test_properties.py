@@ -134,6 +134,40 @@ def test_revlt_roundtrip(seed, w_in, w_out):
         assert tables.lt_decrypt(o, t.backward)(fwd) == xin[b]
 
 
+def per_row_robust_build(oracle, k_help, k2, k3, y2, y3, perm, pad_len, rng):
+    # the reference: the output permutation applied once per row
+    fwd, bwd = [], []
+    for b1 in (0, 1):
+        for b2 in (0, 1):
+            for b3 in (0, 1):
+                out = apply_perm(y2[b2] + y3[b3 ^ (b1 & b2)], perm)
+                fwd.append((k_help[b1] + k2[b2] + k3[b3], out))
+                bwd.append((k_help[b1] + out, k2[b2] + k3[b3]))
+    return tables.ReversibleTable(tables.lt_build(oracle, fwd, pad_len, rng),
+                                  tables.lt_build(oracle, bwd, pad_len, rng))
+
+
+@given(seeds, st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_robust_table_matches_the_per_row_construction(seed, key_width,
+                                                       kappa_out, pad_len):
+    # the same rows, pad draws and charges as permuting each row's output
+    keys = random.Random(seed)
+    kh, k2, k3 = (sample_key_pair(keys, key_width) for _ in range(3))
+    y2, y3 = (sample_key_pair(keys, kappa_out) for _ in range(2))
+    perm = list(range(2 * kappa_out))
+    keys.shuffle(perm)
+    built = []
+    for build in (tables.robust_rlt_build, per_row_robust_build):
+        o, rng = RandomOracle(seed), random.Random(seed + 1)
+        table = build(o, kh, k2, k3, y2, y3, perm, pad_len, rng)
+        built.append((table, rng.getstate(), o.counters))
+    assert built[0] == built[1]
+    assert built[0][2] == {"client": 32}
+
+
 @given(seeds)
 @settings(max_examples=60)
 def test_basis_test_non_collapsing(seed):

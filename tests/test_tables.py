@@ -29,6 +29,44 @@ def test_row_encrypts_and_opens_with_the_key():
         tables.enc(o, "110011", "", 8, rng)
 
 
+def reference_enc(oracle, key, payload, pad_len, rng):
+    # the row built from random_bits and int_to_bits
+    ct_pad, tag_pad = random_bits(rng, pad_len), random_bits(rng, pad_len)
+    n = len(payload)
+    oracle.count("client", 2)
+    ct = oracle._prf(ct_pad + key, n) ^ int(payload, 2)
+    tag = oracle._prf(tag_pad + key, TAG_BITS)
+    return tables.TableRow(ct_pad, int_to_bits(ct, n), tag_pad,
+                           int_to_bits(tag, TAG_BITS))
+
+
+@pytest.mark.parametrize("width", [1, 64, 300])  # 300 bits: two hash blocks
+@pytest.mark.parametrize("pad_len", [1, 8, 70])
+def test_enc_matches_the_random_bits_reference_row(pad_len, width):
+    for seed in range(8):
+        draw = random.Random(seed)
+        key = random_bits(draw, draw.randint(1, 12))
+        for payload in (random_bits(draw, width), "0" * width, "1" * width):
+            rows = []
+            for build in (tables.enc, reference_enc):
+                o, rng = RandomOracle(seed), random.Random(seed)
+                rows.append((build(o, key, payload, pad_len, rng),
+                             rng.getstate(), o.counters))
+            assert rows[0] == rows[1]
+            assert rows[0][2] == {"client": 2}
+
+
+@pytest.mark.parametrize("payload, pad_len, match", [
+    ("", 8, "empty payload"), ("101", 0, "pad length"),
+    ("101", -1, "pad length")])
+def test_enc_refuses_before_any_draw(payload, pad_len, match):
+    o, rng = RandomOracle(1), random.Random(1)
+    draws = rng.getstate()
+    with pytest.raises(ValueError, match=match):
+        tables.enc(o, "110011", payload, pad_len, rng)
+    assert (rng.getstate(), o.counters) == (draws, {})
+
+
 def test_row_ciphertext_is_masked():
     # the ciphertext field itself never equals the payload for these keys
     o = RandomOracle(2)
@@ -161,6 +199,37 @@ def test_reader_matches_the_in_order_dec_row_scan(monkeypatch, owners):
             charges.add(o.counters[party] - before)
         # a key opening row i is charged i + 2, one opening no row n
         assert charges == set(range(2, n + 2)) | {n}
+
+
+def test_reader_miss_hashes_only_ownerless_row_tags(monkeypatch):
+    # with every row's owner recorded, a key that opens no row hashes
+    # nothing and is charged len(rows); with one row's owner forgotten,
+    # each such key hashes that row's tag alone
+    o, rng = RandomOracle(60), random.Random(60)
+    keys = [int_to_bits(v, 8) for v in rng.sample(range(256), 16 + 64)]
+    t = tables.lt_build(o, [(k, random_bits(rng, 20)) for k in keys[:16]],
+                        8, rng)
+    missing = keys[16:]
+    hashed = []
+    real_prf, real_owner = RandomOracle._prf, RandomOracle._owner
+
+    def recording_prf(self, inp, out_len):
+        hashed.append(inp)
+        return real_prf(self, inp, out_len)
+
+    monkeypatch.setattr(RandomOracle, "_prf", recording_prf)
+    read = tables.lt_decrypt(o, t, "attacker")
+    assert [read(k) for k in missing] == [None] * 64
+    assert hashed == [] and o.counters["attacker"] == 64 * 16
+    forgotten = t.rows[5]
+    monkeypatch.setattr(
+        RandomOracle, "_owner", lambda self, value: (
+            None if value == int(forgotten.tag, 2)
+            else real_owner(self, value)))
+    read = tables.lt_decrypt(o, t, "attacker")
+    assert [read(k) for k in missing] == [None] * 64
+    assert hashed == [forgotten.tag_pad + k for k in missing]
+    assert o.counters["attacker"] == 2 * 64 * 16
 
 
 def test_every_row_tag_is_tag_bits_wide(monkeypatch):
